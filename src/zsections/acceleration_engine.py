@@ -44,7 +44,7 @@ import numpy as np
 from scipy.special import betainc
 
 from .errors import DomainError, ResourceLimitError
-from .sections_engine import CoefficientVector, cosine_terms
+from .sections_engine import CoefficientVector, cosine_terms, section_rows
 
 # Orders beyond this are refused (a 10^6-order triangle is ~5e11 cells).
 MAX_ACCELERATION_ORDER = 10**6
@@ -188,6 +188,11 @@ def accelerated_triangle(t: float, order: int) -> float:
     return float(total)
 
 
+def _vertical_weights(order: int) -> np.ndarray:
+    """alphatilde_1..alphatilde_N followed by the closing coefficient 2^-(N+1)."""
+    return np.append(accelerated_coefficients(order).alpha, closing_coefficient(order))
+
+
 def accelerated_vertical(t: float, order: int) -> float:
     """Column-first (coefficient) evaluation of the accelerated section.
 
@@ -197,10 +202,13 @@ def accelerated_vertical(t: float, order: int) -> float:
     """
     order = _validate_order(order, minimum=1)
     kernel = cosine_terms(t, order + 1)
-    weighted = np.empty(order + 1, dtype=np.float64)
-    np.multiply(accelerated_coefficients(order).alpha, kernel[:order], out=weighted[:order])
-    weighted[order] = closing_coefficient(order) * kernel[order]
-    return math.fsum(weighted)
+    return math.fsum(kernel * _vertical_weights(order))
+
+
+def accelerated_vertical_rows(ts: np.ndarray, thetas: np.ndarray, order: int) -> np.ndarray:
+    """accelerated_vertical(t_i, order) for every point, bit for bit."""
+    order = _validate_order(order, minimum=1)
+    return section_rows(ts, thetas, order + 1, _vertical_weights(order))
 
 
 def step_coefficients(order: int) -> CoefficientVector:

@@ -11,8 +11,9 @@ Exit codes: 0 on success, 2 on configuration errors, 3 when a numerical
 hazard was flagged (a remainder evaluation inside the cosine-denominator
 hazard window, or a tail that refused to converge).
 
-Grid work honors --threads via chunked, positionally reassembled
-evaluation, so CSV bodies are byte-identical at any thread count.
+Grid work runs on the batched, single-threaded evaluate_grid; --threads
+(1 to MAX_THREADS) is validated and echoed in the JSON config but does not
+change the work done, so CSV bodies are byte-identical at any thread count.
 """
 
 from __future__ import annotations
@@ -59,6 +60,10 @@ _LN_FLOOR = 1e-300
 
 _FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4")
 
+# Largest accepted --threads. Evaluation runs on one thread; the bound only
+# refuses values no machine could use.
+MAX_THREADS = 64
+
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -91,8 +96,9 @@ class RunConfig:
     out: Optional[str] = None
 
     def validate(self) -> None:
-        if self.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {self.threads}")
+        if not 1 <= self.threads <= MAX_THREADS:
+            raise ConfigError(
+                f"--threads must lie in [1, {MAX_THREADS}], got {self.threads}")
         if self.oracle_terms is not None and self.oracle_terms < 50:
             raise ConfigError(f"--oracle-terms must be >= 50, got {self.oracle_terms}")
         if self.match_tol <= 0.0:
@@ -678,7 +684,9 @@ def _add_common(sub: argparse.ArgumentParser, *, schemes: bool = True) -> None:
     sub.add_argument("--out", default=None, metavar="PATH",
                      help="CSV output path (JSON summary lands beside it); "
                           "default stdout/stderr")
-    sub.add_argument("--threads", type=int, default=1)
+    sub.add_argument("--threads", type=int, default=1,
+                     help=f"accepted for compatibility, 1 to {MAX_THREADS}; "
+                          "evaluation runs on one thread")
     sub.add_argument("--oracle-terms", type=int, default=None, dest="oracle_terms",
                      help="partial-sum length override for the oracle")
 

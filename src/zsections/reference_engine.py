@@ -37,7 +37,7 @@ import numpy as np
 
 from . import _tables
 from .errors import ConvergenceError, DomainError
-from .sections_engine import section
+from .sections_engine import row_blocks, section, section_rows
 from .special_functions import TWO_PI, theta
 
 # Error-bound constant for the first-order remainder path: |Z - RS1| <= RS_ERR_CONST * t^(-3/4).
@@ -105,18 +105,23 @@ def _psi(p: float) -> tuple[float, bool]:
     return num / den, False
 
 
+def _rs_remainder(t: float) -> tuple[int, float, bool]:
+    """Main-sum cutoff, first-order remainder and hazard flag at t >= 2 pi."""
+    a = math.sqrt(t / TWO_PI)
+    cutoff = int(a)
+    psi, hazard = _psi(a - cutoff)
+    corr = (t / TWO_PI) ** -0.25 * psi
+    if cutoff % 2 == 0:
+        corr = -corr
+    return cutoff, corr, hazard
+
+
 def z_riemann_siegel(t: float) -> ReferenceValue:
     """First-order Riemann-Siegel evaluation of Z(t), valid for t >= 2 pi."""
     t = float(t)
     if not math.isfinite(t) or t < TWO_PI:
         raise DomainError(f"z_riemann_siegel requires t >= 2 pi, got {t}")
-    a = math.sqrt(t / TWO_PI)
-    cutoff = int(a)
-    p = a - cutoff
-    psi, hazard = _psi(p)
-    corr = (t / TWO_PI) ** -0.25 * psi
-    if cutoff % 2 == 0:
-        corr = -corr
+    cutoff, corr, hazard = _rs_remainder(t)
     z = 2.0 * section(t, cutoff) + corr
     return ReferenceValue(
         t=t,
@@ -127,20 +132,24 @@ def z_riemann_siegel(t: float) -> ReferenceValue:
     )
 
 
-def z_euler_maclaurin(t: float, terms: int | None = None,
-                      correction_order: int = DEFAULT_CORRECTION_ORDER) -> ReferenceValue:
-    """Euler-Maclaurin oracle for Z(t), t >= 0.
+def riemann_siegel_rows(ts: np.ndarray, thetas: np.ndarray, cutoff: int):
+    """z_riemann_siegel(t_i).z for points t_i >= 2 pi sharing the main-sum cutoff.
 
-    zeta(1/2 + it) = sum_{n=1..M} n^(-s) - M^(-s)/2 + M^(1-s)/(s-1)
-                     + sum_{j=1..J} B_2j/(2j)! (s)_(2j-1) M^(-s-2j+1),
-
-    with s = 1/2 + it, M = terms, J = correction_order, then rotated by
-    exp(i theta(t)).  Defaults: M = max(100, 2 ceil(t)), J = 6, which keeps
-    the last correction (and the roundoff floor) below 1e-10 for t <= 1e4.
-    Raises ConvergenceError when the last Bernoulli correction exceeds 1e-12
-    of the running value (scaled by max(1, |zeta|) so genuine zeros of Z
-    cannot false-alarm the guard).
+    Returns (values, hazard count), bit-identical to the scalar path.
     """
+    main = section_rows(ts, thetas, cutoff)
+    out = np.empty(len(ts), dtype=np.float64)
+    hazards = 0
+    for i, t in enumerate(ts.tolist()):
+        _, corr, hazard = _rs_remainder(t)
+        out[i] = 2.0 * main[i] + corr
+        hazards += hazard
+    return out, hazards
+
+
+def euler_maclaurin_terms(t: float, terms: int | None = None,
+                          correction_order: int = DEFAULT_CORRECTION_ORDER) -> int:
+    """The oracle's partial-sum length M at t, after validating every knob."""
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
         raise DomainError(f"z_euler_maclaurin requires finite t >= 0, got {t}")
@@ -153,15 +162,30 @@ def z_euler_maclaurin(t: float, terms: int | None = None,
     correction_order = int(correction_order)
     if not 1 <= correction_order <= 10:
         raise DomainError(f"correction_order must lie in [1, 10], got {correction_order}")
+    return terms
 
-    s = complex(0.5, t)
-    m = terms
-    # Partial sum: n^(-s) = (cos(t ln n) - i sin(t ln n))/sqrt(n); numpy's
-    # pairwise reduction keeps the roundoff of these O(m)-term sums benign.
-    logn = _tables.log_k(m)
+
+def _em_partial_sums(ts: np.ndarray, m: int):
+    """Real and imaginary parts of sum_{n<=m} n^(-1/2 - i t_i), one per point.
+
+    n^(-s) = (cos(t ln n) - i sin(t ln n))/sqrt(n); numpy's pairwise reduction
+    along each row keeps the roundoff of these O(m)-term sums benign, and
+    gives the same bits for a row whether it is reduced alone or in a block.
+    """
+    phase = ts[:, None] * _tables.log_k(m)
     rsqrt = _tables.rsqrt_k(m)
-    phase = t * logn
-    acc = complex(np.sum(rsqrt * np.cos(phase)), -np.sum(rsqrt * np.sin(phase)))
+    terms = np.cos(phase)
+    terms *= rsqrt
+    re = np.sum(terms, axis=1)
+    np.sin(phase, out=terms)
+    terms *= rsqrt
+    return re, -np.sum(terms, axis=1)
+
+
+def _em_value(t: float, m: int, acc: complex, correction_order: int,
+              theta_t: float) -> ReferenceValue:
+    """Finish the oracle at t from its partial sum acc: tail, check, rotation."""
+    s = complex(0.5, t)
     m_pow = cmath.exp(-s * math.log(m))  # M^(-s)
     acc -= 0.5 * m_pow
     acc += m_pow * m / (s - 1.0)  # integral tail M^(1-s)/(s-1)
@@ -184,7 +208,7 @@ def z_euler_maclaurin(t: float, terms: int | None = None,
             f"Euler-Maclaurin tail not converged at t = {t}: last correction "
             f"{last:.3e} vs value {abs(acc):.3e}; raise terms or correction_order")
 
-    rotated = cmath.exp(1j * theta(t)) * acc
+    rotated = cmath.exp(1j * theta_t) * acc
     return ReferenceValue(
         t=t,
         z=rotated.real,
@@ -192,3 +216,42 @@ def z_euler_maclaurin(t: float, terms: int | None = None,
         err_estimate=max(last, 1e-16),
         im_residual=abs(rotated.imag),
     )
+
+
+def z_euler_maclaurin(t: float, terms: int | None = None,
+                      correction_order: int = DEFAULT_CORRECTION_ORDER) -> ReferenceValue:
+    """Euler-Maclaurin oracle for Z(t), t >= 0.
+
+    zeta(1/2 + it) = sum_{n=1..M} n^(-s) - M^(-s)/2 + M^(1-s)/(s-1)
+                     + sum_{j=1..J} B_2j/(2j)! (s)_(2j-1) M^(-s-2j+1),
+
+    with s = 1/2 + it, M = terms, J = correction_order, then rotated by
+    exp(i theta(t)).  Defaults: M = max(100, 2 ceil(t)), J = 6, which keeps
+    the last correction (and the roundoff floor) below 1e-10 for t <= 1e4.
+    Raises ConvergenceError when the last Bernoulli correction exceeds 1e-12
+    of the running value (scaled by max(1, |zeta|) so genuine zeros of Z
+    cannot false-alarm the guard).
+    """
+    m = euler_maclaurin_terms(t, terms, correction_order)
+    t = float(t)
+    re, im = _em_partial_sums(np.array([t]), m)
+    return _em_value(t, m, complex(re[0], im[0]), int(correction_order), theta(t))
+
+
+def euler_maclaurin_rows(ts: np.ndarray, thetas: np.ndarray, m: int,
+                         correction_order: int = DEFAULT_CORRECTION_ORDER) -> np.ndarray:
+    """z_euler_maclaurin(t_i, m, correction_order).z for validated points sharing M = m.
+
+    The partial sums are reduced a row block at a time; the tail, the
+    convergence check and the rotation run per point, in order, so the
+    first point that fails raises the scalar path's ConvergenceError.
+    """
+    correction_order = int(correction_order)
+    out = np.empty(len(ts), dtype=np.float64)
+    for block in row_blocks(len(ts), 2 * m):
+        re, im = _em_partial_sums(ts[block], m)
+        for i, t, acc_re, acc_im, theta_t in zip(
+                range(block.start, block.stop), ts[block].tolist(), re.tolist(),
+                im.tolist(), thetas[block].tolist()):
+            out[i] = _em_value(t, m, complex(acc_re, acc_im), correction_order, theta_t).z
+    return out

@@ -18,6 +18,11 @@ All sums share one cosine-kernel routine and one accumulation discipline:
 terms are produced in ascending k and added with math.fsum (error-free
 transformation summation), so term-wise rounding is identical across schemes
 and cancels exactly in cross-scheme identity tests.
+
+The kernel is computed as a matrix with one row per evaluation point
+(cosine_rows); the scalar cosine_terms is its one-row case, and section_rows
+reduces each row of a batch with the same fsum, so a batched grid gives the
+scalar values bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +40,51 @@ from .special_functions import TWO_PI, theta
 # Refuse section cutoffs beyond this many terms (t ~ 2e6 under the Spira rule).
 MAX_SECTION_TERMS = 10**6
 
+# Element cap of one block of the batched kernel matrix (rows x terms, 512 kB).
+ROW_BLOCK_ELEMENTS = 1 << 16
+
+
+def _check_terms(n: int) -> int:
+    n = int(n)
+    if n < 0:
+        raise DomainError(f"cosine terms require n >= 0, got {n}")
+    if n > MAX_SECTION_TERMS:
+        raise ResourceLimitError(f"n = {n} exceeds MAX_SECTION_TERMS = {MAX_SECTION_TERMS}")
+    return n
+
+
+def cosine_rows(ts: np.ndarray, thetas: np.ndarray, n: int) -> np.ndarray:
+    """Kernel matrix cos(theta_i - t_i ln k)/sqrt(k), one row per point, k = 1..n.
+
+    ts and thetas are float64 arrays of equal length with thetas[i] =
+    theta(ts[i]); the caller has validated both and n.
+    """
+    return (np.cos(thetas[:, None] - ts[:, None] * _tables.log_k(n))
+            * _tables.rsqrt_k(n))
+
+
+def row_blocks(rows: int, width: int):
+    """Consecutive slices of range(rows) holding at most ROW_BLOCK_ELEMENTS // width rows."""
+    step = max(1, ROW_BLOCK_ELEMENTS // max(1, width))
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
+
+
+def section_rows(ts: np.ndarray, thetas: np.ndarray, n: int, weights=None) -> np.ndarray:
+    """section(t_i, n) for every point, or z_custom(t_i, weights) with a weight vector.
+
+    Bit-identical to the scalar functions: the same kernel entries, weighted
+    by the same products, each row added with math.fsum.
+    """
+    n = _check_terms(n)
+    out = np.empty(len(ts), dtype=np.float64)
+    for block in row_blocks(len(ts), n):
+        mat = cosine_rows(ts[block], thetas[block], n)
+        if weights is not None:
+            mat *= weights
+        out[block] = [math.fsum(row.tolist()) for row in mat]
+    return out
+
 
 def cosine_terms(t: float, n: int) -> np.ndarray:
     """The kernel array cos(theta(t) - t ln k)/sqrt(k) for k = 1..n.
@@ -45,15 +95,10 @@ def cosine_terms(t: float, n: int) -> np.ndarray:
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
         raise DomainError(f"cosine terms require finite t >= 0, got {t}")
-    n = int(n)
-    if n < 0:
-        raise DomainError(f"cosine terms require n >= 0, got {n}")
-    if n > MAX_SECTION_TERMS:
-        raise ResourceLimitError(f"n = {n} exceeds MAX_SECTION_TERMS = {MAX_SECTION_TERMS}")
+    n = _check_terms(n)
     if n == 0:
         return np.empty(0, dtype=np.float64)
-    th = theta(t)
-    return np.cos(th - t * _tables.log_k(n)) * _tables.rsqrt_k(n)
+    return cosine_rows(np.array([t]), np.array([theta(t)]), n)[0]
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,10 @@ against a trusted referee over [30, t_max] and dumps every mismatch with
 enough context to inspect what happened; it completes whether or not the
 sweep is clean.
 
-Grid values are computed in fixed-size index chunks, optionally on a thread
-pool; chunks are assembled positionally before the single sequential
-sign-change pass, so results are bit-for-bit identical at any thread count.
+Grid values, and the finer grids of dip re-scans, come from the batched
+evaluate_grid, which gives bit for bit the values of the scalar
+SchemeEvaluator.evaluate that bisection and residuals use; the sign-change
+pass over them is sequential, so results do not depend on --threads.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .schemes import SchemeEvaluator, SchemeKind, SchemeSpec, evaluate_grid
 
 BRACKET_WIDTH = 1e-9
@@ -48,6 +49,10 @@ SWEEP_CEILING = 1.0e4
 # Above this height the sweep referee switches from the EM oracle to the
 # much cheaper first-order Riemann-Siegel engine.
 RS_REFEREE_ABOVE = 5000.0
+
+# Refuse grids of more points than this before building them: twice the
+# 1.99e6 points of a sweep to SWEEP_CEILING at the default step 0.005.
+MAX_GRID_POINTS = 4 * 10**6
 
 
 @dataclass(frozen=True)
@@ -128,9 +133,14 @@ class ZeroComparison:
 
 
 def grid_points(a: float, b: float, step: float) -> list:
+    """a, a + step, ..., b; ResourceLimitError beyond MAX_GRID_POINTS points."""
     # floor with a relative guard so that b lands on the grid whenever
     # (b - a)/step is an integer up to float dust.
     q = (b - a) / step
+    if not q < MAX_GRID_POINTS:  # written so that nan and inf are refused too
+        raise ResourceLimitError(
+            f"grid {a}:{b}:{step} would hold {q + 1:.3g} points, "
+            f"more than MAX_GRID_POINTS = {MAX_GRID_POINTS}")
     n = int(math.floor(q * (1.0 + 1e-12) + 1e-12))
     return [a + i * step for i in range(n + 1)]
 
@@ -201,7 +211,7 @@ def scan_zeros(scheme: SchemeSpec, a: float, b: float, step: float, *,
                 and av <= abs(vals[i - 1]) and av <= abs(vals[i + 1])
                 and vals[i - 1] * vals[i] > 0.0 and vals[i] * vals[i + 1] > 0.0):
             fine = grid_points(ts[i - 1], ts[i + 1], step / 10.0)
-            fvals = [evaluator.value(t) for t in fine]
+            fvals, _ = evaluate_grid(evaluator, fine)
             found = 0
             for j in range(len(fine) - 1):
                 if fvals[j] * fvals[j + 1] < 0.0:

@@ -15,7 +15,7 @@ from zsections.acceleration_engine import (
     accelerated_coefficients,
     coefficient_l2_distance,
 )
-from zsections.cli import error_decay_report, main
+from zsections.cli import MAX_THREADS, RunConfig, error_decay_report, main
 from zsections.schemes import SchemeKind, SchemeSpec
 from zsections.sections_engine import section
 from zsections.special_functions import theta
@@ -109,6 +109,22 @@ def test_eval_config_errors_exit_2(tmp_path):
     assert main(["eval", "--t", "100", "--scheme", "spira", "--threads", "0"]) == 2
     assert main(["eval", "--t", "100", "--scheme",
                  f"custom:{tmp_path / 'missing.txt'}"]) == 2
+
+
+def test_oversized_grid_and_thread_count_exit_2():
+    # Both are refused by validation: the 10^12-point grid list is never
+    # built and no thread is started.
+    assert main(["eval", "--range", "0:1e6:1e-6", "--scheme", "spira"]) == 2
+    assert main(["zeros", "--range", "1:1e6:1e-6", "--scheme", "em,spira"]) == 2
+    assert main(["conjecture", "--t-max", "1000", "--step", "1e-300"]) == 2
+    assert main(["eval", "--t", "100", "--scheme", "spira",
+                 "--threads", str(MAX_THREADS + 1)]) == 2
+    assert main(["eval", "--t", "100", "--scheme", "spira", "--threads", "1000000"]) == 2
+
+
+def test_thread_bound_is_inclusive():
+    spec = SchemeSpec(kind=SchemeKind.SPIRA)
+    RunConfig(command="eval", t=100.0, schemes=(spec,), threads=MAX_THREADS).validate()
 
 
 def test_hazard_exit_3(tmp_path):

@@ -1,0 +1,152 @@
+"""Tests for the batched grid path of the scheme layer.
+
+evaluate_grid evaluates chunks as arrays (theta once per chunk, one kernel
+matrix per run of constant cutoff); every value must still equal the scalar
+SchemeEvaluator.evaluate at the same point bit for bit, with the same hazard
+count and the same error at the same point.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from zsections.errors import ConvergenceError, DomainError
+from zsections.schemes import SchemeEvaluator, SchemeKind, SchemeSpec, evaluate_grid
+from zsections.sections_engine import CoefficientVector
+from zsections.zero_scanner import grid_points
+
+CUSTOM_ALPHA = CoefficientVector(alpha=tuple(1.0 / (1.0 + 0.1 * k) for k in range(17)))
+
+PER_POINT_SPECS = [
+    SchemeSpec(kind=SchemeKind.REFERENCE_RS),
+    SchemeSpec(kind=SchemeKind.ORACLE_EM),
+    SchemeSpec(kind=SchemeKind.AFE),
+    SchemeSpec(kind=SchemeKind.SPIRA),
+    SchemeSpec(kind=SchemeKind.ACCELERATED_TRIANGLE),
+    SchemeSpec(kind=SchemeKind.ACCELERATED_COEFF),
+    SchemeSpec(kind=SchemeKind.CUSTOM, alpha=CUSTOM_ALPHA),
+]
+
+FIXED_SPECS = [
+    SchemeSpec(kind=SchemeKind.AFE, n=8),
+    SchemeSpec(kind=SchemeKind.SPIRA, n=205),
+    SchemeSpec(kind=SchemeKind.ACCELERATED_TRIANGLE, n=12),
+    SchemeSpec(kind=SchemeKind.ACCELERATED_COEFF, n=40),
+]
+
+# [47.9, 52.1] crosses the floor(t/2) jumps at 48, 50, 52 and the oracle's
+# M = max(100, 2 ceil(t)) jumps at 50, 51, 52; [56, 57] crosses the square-root
+# cutoff jump at 2 pi 3^2 = 56.55.
+GRIDS = [
+    grid_points(47.9, 52.1, 0.005),
+    grid_points(56.0, 57.0, 0.01),
+]
+
+
+def scalar(spec, ts, **kwargs):
+    evaluator = SchemeEvaluator(spec, **kwargs)
+    points = [evaluator.evaluate(t) for t in ts]
+    return [p.value for p in points], sum(p.hazard for p in points)
+
+
+def assert_bit_identical(spec, ts, chunk=None, **kwargs):
+    want, want_hazards = scalar(spec, ts, **kwargs)
+    evaluator = SchemeEvaluator(spec, **kwargs)
+    if chunk is None:
+        got, hazards = evaluate_grid(evaluator, ts)
+    else:
+        got, hazards = evaluate_grid(evaluator, ts, chunk=chunk)
+    assert got.dtype == np.float64 and got.shape == (len(ts),)
+    mismatches = [(t, g, w) for t, g, w in zip(ts, got.tolist(), want) if g != w]
+    assert not mismatches, f"{spec.label}: {len(mismatches)} values differ, first {mismatches[0]}"
+    assert hazards == want_hazards
+
+
+@pytest.mark.parametrize("spec", PER_POINT_SPECS + FIXED_SPECS, ids=lambda s: s.label)
+@pytest.mark.parametrize("grid", range(len(GRIDS)))
+def test_grid_equals_scalar_bit_for_bit(spec, grid):
+    assert_bit_identical(spec, GRIDS[grid])
+
+
+@pytest.mark.parametrize("spec", PER_POINT_SPECS, ids=lambda s: s.label)
+def test_small_chunks_split_runs(spec):
+    # Chunks of 37 points cut most constant-cutoff runs in two.
+    assert_bit_identical(spec, GRIDS[0], chunk=37)
+
+
+def test_long_rows_span_several_row_blocks():
+    # At t = 3000 the oracle's rows hold 6000 terms and Spira's 1500, so
+    # both runs are reduced in several row blocks.
+    ts = grid_points(2999.8, 3000.2, 0.002)
+    for kind in (SchemeKind.ORACLE_EM, SchemeKind.SPIRA, SchemeKind.ACCELERATED_COEFF):
+        assert_bit_identical(SchemeSpec(kind=kind), ts)
+
+
+def test_oracle_knobs_and_irregular_points():
+    ts = [100.0, 100.0, 35.5, 412.25, 99.999, 1000.0]
+    spec = SchemeSpec(kind=SchemeKind.ORACLE_EM)
+    assert_bit_identical(spec, ts)
+    assert_bit_identical(spec, ts, oracle_terms=2500, correction_order=8)
+
+
+def test_rs_hazard_counts_match():
+    # sqrt(t/2pi) = N + 1/4 and N + 3/4 put the remainder quotient inside its
+    # guard window; neighbours just outside it are not flagged.
+    hazard_ts = [2.0 * math.pi * (n + f) ** 2 for n in (6, 12) for f in (0.25, 0.75)]
+    ts = sorted(hazard_ts + [t + d for t in hazard_ts for d in (-0.01, 1e-3)])
+    spec = SchemeSpec(kind=SchemeKind.REFERENCE_RS)
+    _, hazards = scalar(spec, ts)
+    assert hazards == len(hazard_ts)
+    assert_bit_identical(spec, ts)
+
+
+@pytest.mark.parametrize("spec, ts", [
+    (SchemeSpec(kind=SchemeKind.SPIRA), grid_points(1.0, 3.0, 0.25)),
+    (SchemeSpec(kind=SchemeKind.ACCELERATED_COEFF), grid_points(0.5, 3.0, 0.25)),
+    (SchemeSpec(kind=SchemeKind.AFE), grid_points(3.0, 8.0, 0.5)),
+    (SchemeSpec(kind=SchemeKind.REFERENCE_RS), grid_points(5.0, 8.0, 0.5)),
+    (SchemeSpec(kind=SchemeKind.ORACLE_EM), [-1.0, 0.5, 1.0]),
+    (SchemeSpec(kind=SchemeKind.SPIRA, n=5), [-2.0, 10.0]),
+    (SchemeSpec(kind=SchemeKind.CUSTOM, alpha=CUSTOM_ALPHA), [float("nan"), 10.0]),
+], ids=lambda x: x.label if isinstance(x, SchemeSpec) else "")
+def test_grid_below_domain_raises_scalar_error(spec, ts):
+    evaluator = SchemeEvaluator(spec)
+    with pytest.raises(DomainError) as scalar_error:
+        for t in ts:
+            evaluator.evaluate(t)
+    with pytest.raises(DomainError) as grid_error:
+        evaluate_grid(evaluator, ts)
+    assert str(grid_error.value) == str(scalar_error.value)
+
+
+def test_error_raised_at_first_failing_point():
+    # A grid whose later points are out of range for a pinned oracle length
+    # fails with the scalar error of its first bad point, after valid ones.
+    spec = SchemeSpec(kind=SchemeKind.ORACLE_EM)
+    evaluator = SchemeEvaluator(spec, oracle_terms=400)
+    ts = [150.0, 190.0, 401.5, 450.0]
+    with pytest.raises(DomainError) as scalar_error:
+        for t in ts:
+            evaluator.evaluate(t)
+    with pytest.raises(DomainError) as grid_error:
+        evaluate_grid(evaluator, ts)
+    assert "401.5" in str(scalar_error.value)
+    assert str(grid_error.value) == str(scalar_error.value)
+
+
+def test_convergence_error_matches_scalar():
+    evaluator = SchemeEvaluator(SchemeSpec(kind=SchemeKind.ORACLE_EM),
+                                oracle_terms=60, correction_order=1)
+    ts = [40.0, 45.0, 50.0]
+    with pytest.raises(ConvergenceError) as scalar_error:
+        for t in ts:
+            evaluator.evaluate(t)
+    with pytest.raises(ConvergenceError) as grid_error:
+        evaluate_grid(evaluator, ts)
+    assert str(grid_error.value) == str(scalar_error.value)
+
+
+def test_empty_grid():
+    values, hazards = evaluate_grid(SchemeEvaluator(SchemeSpec(kind=SchemeKind.SPIRA)), [])
+    assert values.shape == (0,) and hazards == 0

@@ -10,12 +10,14 @@ import math
 import numpy as np
 import pytest
 
-from zsections.errors import DomainError
+from zsections.errors import DomainError, ResourceLimitError
 from zsections.schemes import SchemeEvaluator, SchemeKind, SchemeSpec
 from zsections.zero_scanner import (
     BRACKET_WIDTH,
+    MAX_GRID_POINTS,
     compare_zero_sets,
     conjecture_sweep,
+    grid_points,
     scan_zeros,
 )
 
@@ -109,6 +111,17 @@ class TestScanZeros:
             scan_zeros(EM, 1.0, 2.0, 1.5)  # step exceeds interval
         with pytest.raises(DomainError):
             scan_zeros(EM, 1.0, 2.0, -0.1)
+
+    def test_oversized_grid_refused_before_it_is_built(self):
+        with pytest.raises(ResourceLimitError):
+            grid_points(0.0, 1.0e6, 1.0e-6)
+        with pytest.raises(ResourceLimitError):
+            grid_points(0.0, float(MAX_GRID_POINTS), 1.0)
+        with pytest.raises(ResourceLimitError):
+            grid_points(1.0, 1.0e10, 1.0e-320)  # (b - a)/step is inf
+        with pytest.raises(ResourceLimitError):
+            scan_zeros(EM, 1.0, 1.0e6, 1.0e-6)
+        assert len(grid_points(0.0, 1000.0, 0.005)) == 200001
 
     def test_grid_includes_endpoint_despite_float_dust(self):
         # (419 - 412)/0.005 is 1399.9999... in floats; the guard must still
