@@ -44,7 +44,13 @@ import numpy as np
 from scipy.special import betainc
 
 from .errors import DomainError, ResourceLimitError
-from .sections_engine import CoefficientVector, cosine_terms, section_rows
+from .sections_engine import (
+    CoefficientVector,
+    cosine_rows,
+    cosine_terms,
+    row_blocks,
+    section_rows,
+)
 
 # Orders beyond this are refused (a 10^6-order triangle is ~5e11 cells).
 MAX_ACCELERATION_ORDER = 10**6
@@ -127,9 +133,6 @@ class AcceleratedCoefficients:
     order: int
     alpha: np.ndarray
 
-    def as_coefficient_vector(self) -> CoefficientVector:
-        return CoefficientVector(alpha=tuple(float(a) for a in self.alpha))
-
 
 _coeff_cache: dict[int, np.ndarray] = {}
 
@@ -178,14 +181,28 @@ def closing_coefficient(order: int) -> float:
     return math.ldexp(1.0, -(order + 1))
 
 
+def _triangle_sums(kernel: np.ndarray, order: int) -> np.ndarray:
+    """Row-first triangle sums of a kernel matrix with order + 1 columns, per row."""
+    kernel = kernel.astype(np.longdouble)
+    total = np.zeros(len(kernel), dtype=np.longdouble)
+    for n in range(order + 1):
+        total += np.sum(_row_longdouble(n) * kernel[:, :n + 1], axis=1)
+    return total.astype(np.float64)
+
+
 def accelerated_triangle(t: float, order: int) -> float:
     """Row-first (horizontal) evaluation of the accelerated section."""
     order = _validate_order(order, minimum=0)
-    kernel = cosine_terms(t, order + 1).astype(np.longdouble)
-    total = _LD(0.0)
-    for n in range(order + 1):
-        total += np.sum(_row_longdouble(n) * kernel[:n + 1])
-    return float(total)
+    return float(_triangle_sums(cosine_terms(t, order + 1)[None, :], order)[0])
+
+
+def accelerated_triangle_rows(ts: np.ndarray, thetas: np.ndarray, order: int) -> np.ndarray:
+    """accelerated_triangle(t_i, order) for every point, bit for bit."""
+    order = _validate_order(order, minimum=0)
+    out = np.empty(len(ts), dtype=np.float64)
+    for block in row_blocks(len(ts), order + 1):
+        out[block] = _triangle_sums(cosine_rows(ts[block], thetas[block], order + 1), order)
+    return out
 
 
 def _vertical_weights(order: int) -> np.ndarray:

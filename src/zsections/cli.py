@@ -11,9 +11,10 @@ Exit codes: 0 on success, 2 on configuration errors, 3 when a numerical
 hazard was flagged (a remainder evaluation inside the cosine-denominator
 hazard window, or a tail that refused to converge).
 
-Grid work runs on the batched, single-threaded evaluate_grid; --threads
-(1 to MAX_THREADS) is validated and echoed in the JSON config but does not
-change the work done, so CSV bodies are byte-identical at any thread count.
+Grid work runs on the batched, single-threaded evaluate_grid.  --threads is
+accepted only for compatibility: it is validated (1 to MAX_THREADS) and
+echoed in the JSON config, and no library call receives it, so CSV bodies
+are byte-identical at any value.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -31,6 +32,7 @@ import numpy as np
 
 from . import __version__
 from .acceleration_engine import (
+    MAX_ACCELERATION_ORDER,
     accelerated_coefficients,
     coefficient_l2_distance,
     step_coefficients,
@@ -45,7 +47,6 @@ from .schemes import (
     parse_scheme_kind,
 )
 from .sections_engine import CoefficientVector, section
-from .special_functions import theta
 from .zero_scanner import (
     DEFAULT_MATCH_TOL,
     compare_zero_sets,
@@ -60,8 +61,8 @@ _LN_FLOOR = 1e-300
 
 _FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4")
 
-# Largest accepted --threads. Evaluation runs on one thread; the bound only
-# refuses values no machine could use.
+# Largest accepted --threads. The flag is kept for compatibility and changes
+# nothing; the bound only refuses values no machine could use.
 MAX_THREADS = 64
 
 
@@ -101,8 +102,8 @@ class RunConfig:
                 f"--threads must lie in [1, {MAX_THREADS}], got {self.threads}")
         if self.oracle_terms is not None and self.oracle_terms < 50:
             raise ConfigError(f"--oracle-terms must be >= 50, got {self.oracle_terms}")
-        if self.match_tol <= 0.0:
-            raise ConfigError(f"--match-tol must be positive, got {self.match_tol}")
+        if not (math.isfinite(self.match_tol) and self.match_tol > 0.0):
+            raise ConfigError(f"--match-tol must be finite and positive, got {self.match_tol}")
         if self.t is not None and not math.isfinite(self.t):
             raise ConfigError("--t must be finite")
         if self.a is not None:
@@ -148,8 +149,9 @@ class RunConfig:
                 raise ConfigError("coeffs needs exactly one of --n or --sweep")
             if self.n is not None and self.n < 1:
                 raise ConfigError(f"--n must be >= 1, got {self.n}")
-            if self.k_max is not None and self.k_max < 1:
-                raise ConfigError(f"--k-max must be >= 1, got {self.k_max}")
+            if self.k_max is not None and not 1 <= self.k_max <= MAX_ACCELERATION_ORDER:
+                raise ConfigError(
+                    f"--k-max must lie in [1, {MAX_ACCELERATION_ORDER}], got {self.k_max}")
             if self.sweep is not None and any(m < 1 for m in self.sweep):
                 raise ConfigError("--sweep orders must all be >= 1")
         else:
@@ -362,12 +364,12 @@ def cmd_eval(config: RunConfig) -> CommandResult:
 
     ref_eval = SchemeEvaluator(SchemeSpec(kind=config.ref_kind),
                                oracle_terms=config.oracle_terms)
-    ref_vals, hazards = evaluate_grid(ref_eval, ts, config.threads)
+    ref_vals, hazards = evaluate_grid(ref_eval, ts)
 
     columns = {}
     for spec in config.schemes:
         ev = SchemeEvaluator(spec, oracle_terms=config.oracle_terms)
-        vals, h = evaluate_grid(ev, ts, config.threads)
+        vals, h = evaluate_grid(ev, ts)
         hazards += h
         columns[spec.label] = vals
 
@@ -395,13 +397,12 @@ def cmd_eval(config: RunConfig) -> CommandResult:
 
 
 def _figure_grid_columns(specs: list, a: float, b: float, step: float,
-                         oracle_terms: Optional[int], threads: int):
+                         oracle_terms: Optional[int]):
     ts = grid_points(a, b, step)
     cols = []
     hazards = 0
     for spec in specs:
-        vals, h = evaluate_grid(SchemeEvaluator(spec, oracle_terms=oracle_terms),
-                                ts, threads)
+        vals, h = evaluate_grid(SchemeEvaluator(spec, oracle_terms=oracle_terms), ts)
         hazards += h
         cols.append(vals)
     return ts, cols, hazards
@@ -432,8 +433,7 @@ def cmd_figure(config: RunConfig) -> CommandResult:
             specs = [SchemeSpec(kind=SchemeKind.ORACLE_EM),
                      SchemeSpec(kind=SchemeKind.ACCELERATED_COEFF, n=205)]
             header = ("t", "ln_abs_reference", "ln_abs_accelerated_205")
-        ts, cols, hazards = _figure_grid_columns(specs, a, b, step,
-                                                 config.oracle_terms, config.threads)
+        ts, cols, hazards = _figure_grid_columns(specs, a, b, step, config.oracle_terms)
         rows = [tuple([t] + [_ln_abs(float(c[i])) for c in cols])
                 for i, t in enumerate(ts)]
         summary = {"figure": fig, "range": [a, b, step], "rows": len(rows),
@@ -441,21 +441,10 @@ def cmd_figure(config: RunConfig) -> CommandResult:
         return CommandResult(header, rows, summary, hazards)
 
     # fig4: coefficient profiles at the cutoff for t = 400, i.e. order 200,
-    # plotted out to k = 400.  Beyond the cutoff the step vector is zero by
-    # definition and the accelerated vector is not defined, so both emit 0
-    # with the comment column flagging the region.
-    order = 200
-    alpha = accelerated_coefficients(order)
-    step_vec = step_coefficients(order)
-    rows = []
-    for k in range(1, 401):
-        if k <= order:
-            rows.append((k, float(alpha.alpha[k - 1]), float(step_vec.alpha[k - 1]), ""))
-        else:
-            rows.append((k, 0.0, 0.0, "beyond-cutoff"))
-    summary = {"figure": fig, "order": order, "k_max": 400, "rows": len(rows)}
-    return CommandResult(("k", "alpha_accelerated", "alpha_step", "comment"),
-                         rows, summary, 0)
+    # plotted out to k = 400 (the rows of coeffs --n 200 --k-max 400).
+    rows = _coefficient_rows(200, 400)
+    summary = {"figure": fig, "order": 200, "k_max": 400, "rows": len(rows)}
+    return CommandResult(_COEFFICIENT_HEADER, rows, summary, 0)
 
 
 def _record_row(label: str, record) -> tuple:
@@ -476,8 +465,7 @@ def cmd_zeros(config: RunConfig) -> CommandResult:
     if has_ref and len(config.schemes) >= 2:
         comparison = compare_zero_sets(
             (config.a, config.b), list(config.schemes), config.match_tol,
-            step=config.step, oracle_terms=config.oracle_terms,
-            threads=config.threads)
+            step=config.step, oracle_terms=config.oracle_terms)
         summary["match_tol"] = config.match_tol
         ref_scan = comparison.reference
         hazards += ref_scan.hazard_count
@@ -504,8 +492,7 @@ def cmd_zeros(config: RunConfig) -> CommandResult:
     else:
         for spec in config.schemes:
             scan = scan_zeros(spec, config.a, config.b, config.step,
-                              oracle_terms=config.oracle_terms,
-                              threads=config.threads)
+                              oracle_terms=config.oracle_terms)
             hazards += scan.hazard_count
             for rec in scan.records:
                 rows.append(_record_row(spec.label, rec))
@@ -520,8 +507,7 @@ def cmd_conjecture(config: RunConfig) -> CommandResult:
     """Run the Spira-vs-reference sweep; rows are the anomaly events."""
     sweep = conjecture_sweep(config.t_max, config.step,
                              match_tol=config.match_tol,
-                             oracle_terms=config.oracle_terms,
-                             threads=config.threads)
+                             oracle_terms=config.oracle_terms)
     header = ("kind", "location", "nearest_counterpart", "nearest_distance",
               "nearest_cutoff_boundary", "boundary_distance",
               "bracket_lo", "bracket_hi", "residual", "scale", "cutoff_jump")
@@ -555,21 +541,19 @@ def cmd_conjecture(config: RunConfig) -> CommandResult:
     return CommandResult(header, rows, summary, sweep.hazard_count)
 
 
-def error_decay_report(t_list, specs, oracle_terms: Optional[int] = None,
-                       threads: int = 1) -> ErrorReport:
+def error_decay_report(t_list, specs, oracle_terms: Optional[int] = None) -> ErrorReport:
     """Absolute errors vs the EM oracle with least-squares decay fits."""
     grid = TimeGrid.from_points(t_list)
     ts = list(grid.points)
     ref_eval = SchemeEvaluator(SchemeSpec(kind=SchemeKind.ORACLE_EM),
                                oracle_terms=oracle_terms)
-    ref_vals, _ = evaluate_grid(ref_eval, ts, threads)
+    ref_vals, _ = evaluate_grid(ref_eval, ts)
 
     errors = {}
     summary = {}
     exponential_kinds = (SchemeKind.ACCELERATED_TRIANGLE, SchemeKind.ACCELERATED_COEFF)
     for spec in specs:
-        vals, _ = evaluate_grid(SchemeEvaluator(spec, oracle_terms=oracle_terms),
-                                ts, threads)
+        vals, _ = evaluate_grid(SchemeEvaluator(spec, oracle_terms=oracle_terms), ts)
         errs = tuple(abs(float(v) - float(r)) for v, r in zip(vals, ref_vals))
         errors[spec.label] = errs
         ln_err = np.array([math.log(max(e, _LN_FLOOR)) for e in errs])
@@ -596,8 +580,7 @@ def error_decay_report(t_list, specs, oracle_terms: Optional[int] = None,
 
 def cmd_error_decay(config: RunConfig) -> CommandResult:
     report = error_decay_report(config.t_list, config.schemes,
-                                oracle_terms=config.oracle_terms,
-                                threads=config.threads)
+                                oracle_terms=config.oracle_terms)
     rows = []
     for i, t in enumerate(report.grid.points):
         for label in report.labels:
@@ -606,24 +589,37 @@ def cmd_error_decay(config: RunConfig) -> CommandResult:
                          {"points": len(report.grid), "fits": report.summary}, 0)
 
 
+_COEFFICIENT_HEADER = ("k", "alpha_accelerated", "alpha_step", "comment")
+
+
+def _coefficient_rows(order: int, k_max: int) -> list:
+    """Accelerated and step coefficients of one order for k = 1..k_max.
+
+    Beyond the cutoff the step vector is zero by definition and the
+    accelerated vector is not defined, so both emit 0 with the comment
+    column flagging the region.
+    """
+    alpha = accelerated_coefficients(order).alpha
+    step_vec = step_coefficients(order).alpha
+    rows = []
+    for k in range(1, k_max + 1):
+        if k <= order:
+            rows.append((k, float(alpha[k - 1]), float(step_vec[k - 1]), ""))
+        else:
+            rows.append((k, 0.0, 0.0, "beyond-cutoff"))
+    return rows
+
+
 def cmd_coeffs(config: RunConfig) -> CommandResult:
     if config.n is not None:
         order = config.n
         k_max = config.k_max if config.k_max is not None else order
+        rows = _coefficient_rows(order, k_max)
         alpha = accelerated_coefficients(order)
-        step_vec = step_coefficients(order)
-        rows = []
-        for k in range(1, k_max + 1):
-            if k <= order:
-                rows.append((k, float(alpha.alpha[k - 1]),
-                             float(step_vec.alpha[k - 1]), ""))
-            else:
-                rows.append((k, 0.0, 0.0, "beyond-cutoff"))
         summary = {"order": order, "k_max": k_max,
                    "alpha_first": float(alpha.alpha[0]),
                    "alpha_last": float(alpha.alpha[order - 1])}
-        return CommandResult(("k", "alpha_accelerated", "alpha_step", "comment"),
-                             rows, summary, 0)
+        return CommandResult(_COEFFICIENT_HEADER, rows, summary, 0)
 
     rows = []
     distances = {}

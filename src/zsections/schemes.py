@@ -12,40 +12,32 @@ SchemeEvaluator turns a spec into a callable object.  Evaluation is pure
 (no shared mutable state); per-point numerical-hazard flags are returned
 alongside values rather than counted in hidden state.
 
-evaluate_grid is the batched path for whole grids.  It takes fixed-size
-chunks of points, computes theta once per chunk with theta_grid, splits the
-chunk into runs of constant cutoff (or constant oracle length M), and
-evaluates each run as a kernel matrix with the engines' *_rows functions.
-Those share their kernel, reductions and per-point tails with the scalar
-functions, so every grid value equals SchemeEvaluator.evaluate at that point
-bit for bit.  Bisection and residuals keep calling evaluate point by point.
+There is one evaluation path.  Each point has a run key (the cutoff, the
+oracle's partial-sum length M, or the custom vector's length), and points
+that share a key are evaluated together by the engines' *_rows functions in
+SchemeEvaluator._evaluate_run, the only place that picks an engine by kind.
+evaluate_grid takes fixed-size chunks of points, computes theta once per
+chunk with theta_grid and splits each chunk into runs of equal key;
+SchemeEvaluator.evaluate is the one-point case, which bisection and
+residuals use.  The rows functions share their kernel, reductions and
+per-point tails with the public scalar engines, so every value equals the
+scalar engine's bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .acceleration_engine import (
-    accelerated_triangle,
-    accelerated_vertical,
-    accelerated_vertical_rows,
-)
+from .acceleration_engine import accelerated_triangle_rows, accelerated_vertical_rows
 from .errors import DomainError
-from .reference_engine import (
-    euler_maclaurin_rows,
-    euler_maclaurin_terms,
-    riemann_siegel_rows,
-    z_euler_maclaurin,
-    z_riemann_siegel,
-)
-from .sections_engine import CoefficientVector, CutoffPolicy, section, section_rows, z_custom
-from .special_functions import TWO_PI, theta_grid
+from .reference_engine import euler_maclaurin_rows, euler_maclaurin_terms, riemann_siegel_rows
+from .sections_engine import CoefficientVector, CutoffPolicy, section_rows
+from .special_functions import theta, theta_grid
 
 # Points per chunk of a grid evaluation; bounds the longdouble theta temporaries.
 GRID_CHUNK = 4096
@@ -60,10 +52,6 @@ class SchemeKind(str, enum.Enum):
     ACCELERATED_COEFF = "ACCELERATED_COEFF"
     CUSTOM = "CUSTOM"
 
-
-# Kinds whose sums are cut off at floor(t/2) when no override is given.
-_HALF_T_KINDS = (SchemeKind.SPIRA, SchemeKind.ACCELERATED_TRIANGLE,
-                 SchemeKind.ACCELERATED_COEFF)
 
 _REFERENCE_KINDS = (SchemeKind.REFERENCE_RS, SchemeKind.ORACLE_EM)
 
@@ -120,35 +108,29 @@ class SchemeEvaluator:
         self.spec = spec
         self.oracle_terms = oracle_terms
         self.correction_order = correction_order
-        if spec.kind in (SchemeKind.AFE, SchemeKind.REFERENCE_RS):
+        fixed = len(spec.alpha) if spec.alpha is not None else spec.n
+        if fixed is not None:
+            self._policy = CutoffPolicy.fixed(fixed)
+        elif spec.kind in (SchemeKind.AFE, SchemeKind.REFERENCE_RS):
             self._policy = CutoffPolicy.afe()
         else:
             self._policy = CutoffPolicy.spira()
         self._alpha = spec.alpha.as_array() if spec.alpha is not None else None
 
-    @property
-    def label(self) -> str:
-        return self.spec.label
-
-    @property
-    def is_reference(self) -> bool:
-        return self.spec.is_reference
-
     def cutoff(self, t: float) -> Optional[int]:
-        """The term count used at height t (None when no cutoff notion applies)."""
-        spec = self.spec
-        if spec.kind is SchemeKind.CUSTOM:
-            return len(spec.alpha)
-        if spec.kind is SchemeKind.ORACLE_EM:
+        """The term count used at height t (None for the oracle, which has no cutoff)."""
+        if self.spec.kind is SchemeKind.ORACLE_EM:
             return None
-        if spec.n is not None:
-            return int(spec.n)
-        return self._policy.resolve(t)
+        return self._key(t)
 
-    def _section_order(self, t: float) -> int:
-        """Cutoff of a section kind at t; DomainError where it resolves below 1."""
-        if self.spec.n is not None:
-            return int(self.spec.n)
+    def _key(self, t: float) -> int:
+        """The run key at t: the cutoff, M for the oracle, or len(alpha) for CUSTOM.
+
+        Raises the scheme's DomainError where t lies outside its domain; for
+        REFERENCE_RS the square-root cutoff reaches 1 exactly at t = 2 pi.
+        """
+        if self.spec.kind is SchemeKind.ORACLE_EM:
+            return euler_maclaurin_terms(t, self.oracle_terms, self.correction_order)
         n = self._policy.resolve(t)
         if n < 1:
             raise DomainError(
@@ -156,48 +138,14 @@ class SchemeEvaluator:
         return n
 
     def evaluate(self, t: float) -> EvalPoint:
-        kind = self.spec.kind
-        if kind is SchemeKind.REFERENCE_RS:
-            ref = z_riemann_siegel(t)
-            return EvalPoint(ref.z, ref.hazard)
-        if kind is SchemeKind.ORACLE_EM:
-            ref = z_euler_maclaurin(t, terms=self.oracle_terms,
-                                    correction_order=self.correction_order)
-            return EvalPoint(ref.z, False)
-        if kind is SchemeKind.CUSTOM:
-            return EvalPoint(z_custom(t, self.spec.alpha), False)
-        n = self._section_order(t)
-        if kind is SchemeKind.AFE:
-            return EvalPoint(2.0 * section(t, n), False)
-        if kind is SchemeKind.SPIRA:
-            return EvalPoint(section(t, n), False)
-        if kind is SchemeKind.ACCELERATED_TRIANGLE:
-            return EvalPoint(accelerated_triangle(t, n), False)
-        return EvalPoint(accelerated_vertical(t, n), False)
+        """The scheme at one point: the one-point case of _evaluate_run."""
+        t = float(t)
+        key = self._key(t)
+        values, hazards = self._evaluate_run(np.array([t]), np.array([theta(t)]), key)
+        return EvalPoint(float(values[0]), hazards > 0)
 
     def value(self, t: float) -> float:
         return self.evaluate(t).value
-
-    def _run_key(self, t: float) -> Optional[int]:
-        """The batched path's per-run constant at t: the cutoff, or M for the oracle.
-
-        None sends the point down the scalar path instead: points outside the
-        scheme's domain (where evaluate raises its own error) and the
-        row-first accelerated kind, which has no batched form.
-        """
-        kind = self.spec.kind
-        if not (math.isfinite(t) and t >= 0.0) or kind is SchemeKind.ACCELERATED_TRIANGLE:
-            return None
-        try:
-            if kind is SchemeKind.ORACLE_EM:
-                return euler_maclaurin_terms(t, self.oracle_terms, self.correction_order)
-            if kind is SchemeKind.REFERENCE_RS:
-                return self._policy.resolve(t) if t >= TWO_PI else None
-            if kind is SchemeKind.CUSTOM:
-                return len(self._alpha)
-            return self._section_order(t)
-        except DomainError:
-            return None
 
     def _evaluate_run(self, ts: np.ndarray, thetas: np.ndarray, key: int):
         """Values and hazard count of points that share one run key."""
@@ -210,6 +158,8 @@ class SchemeEvaluator:
             return 2.0 * section_rows(ts, thetas, key), 0
         if kind is SchemeKind.SPIRA:
             return section_rows(ts, thetas, key), 0
+        if kind is SchemeKind.ACCELERATED_TRIANGLE:
+            return accelerated_triangle_rows(ts, thetas, key), 0
         if kind is SchemeKind.ACCELERATED_COEFF:
             return accelerated_vertical_rows(ts, thetas, key), 0
         return section_rows(ts, thetas, key, self._alpha), 0
@@ -217,38 +167,37 @@ class SchemeEvaluator:
     def _evaluate_chunk(self, ts: np.ndarray, out: np.ndarray) -> int:
         """Fill out with the values at ts; returns the hazard count.
 
-        theta comes from one theta_grid call over the chunk's batched points.
-        Runs of equal key are evaluated as matrices, the other points one by
-        one, all in grid order, so an error surfaces at the same point as on
-        the scalar path.
+        Points are keyed in grid order.  At the first point outside the
+        scheme's domain the valid prefix is evaluated before its DomainError
+        is re-raised, so an error at an earlier point surfaces first.
         """
-        keys = [self._run_key(t) for t in ts.tolist()]
-        batched = np.flatnonzero([k is not None for k in keys])
-        thetas = np.zeros(len(ts), dtype=np.float64)
-        thetas[batched] = theta_grid(ts[batched])
+        keys = []
+        error = None
+        for t in ts.tolist():
+            try:
+                keys.append(self._key(t))
+            except DomainError as exc:
+                error = exc
+                break
+        thetas = theta_grid(ts[:len(keys)])
         hazards = 0
         start = 0
         for key, run in itertools.groupby(keys):
             stop = start + sum(1 for _ in run)
-            if key is None:
-                for i in range(start, stop):
-                    point = self.evaluate(float(ts[i]))
-                    out[i] = point.value
-                    hazards += point.hazard
-            else:
-                out[start:stop], h = self._evaluate_run(ts[start:stop], thetas[start:stop], key)
-                hazards += h
+            out[start:stop], h = self._evaluate_run(ts[start:stop], thetas[start:stop], key)
+            hazards += h
             start = stop
+        if error is not None:
+            raise error
         return hazards
 
 
-def evaluate_grid(evaluator: SchemeEvaluator, ts, threads: int = 1, chunk: int = GRID_CHUNK):
+def evaluate_grid(evaluator: SchemeEvaluator, ts, chunk: int = GRID_CHUNK):
     """Evaluate a scheme over a grid of points: (values array, hazard count).
 
     Points are processed in fixed-size chunks, each as arrays (see
     SchemeEvaluator._evaluate_chunk); values are bit-for-bit those of
-    evaluator.evaluate at each point.  threads is accepted for interface
-    compatibility and does not change the result.
+    evaluator.evaluate at each point.
     """
     ts = np.asarray(ts, dtype=np.float64)
     values = np.empty(len(ts), dtype=np.float64)
@@ -261,24 +210,12 @@ def evaluate_grid(evaluator: SchemeEvaluator, ts, threads: int = 1, chunk: int =
 
 _SCHEME_NAMES = {
     "rs": SchemeKind.REFERENCE_RS,
-    "reference_rs": SchemeKind.REFERENCE_RS,
-    "reference-rs": SchemeKind.REFERENCE_RS,
     "em": SchemeKind.ORACLE_EM,
     "oracle": SchemeKind.ORACLE_EM,
-    "oracle_em": SchemeKind.ORACLE_EM,
-    "oracle-em": SchemeKind.ORACLE_EM,
     "afe": SchemeKind.AFE,
     "spira": SchemeKind.SPIRA,
-    "acc-triangle": SchemeKind.ACCELERATED_TRIANGLE,
-    "acc_triangle": SchemeKind.ACCELERATED_TRIANGLE,
-    "accelerated_triangle": SchemeKind.ACCELERATED_TRIANGLE,
-    "accelerated-triangle": SchemeKind.ACCELERATED_TRIANGLE,
     "acc": SchemeKind.ACCELERATED_COEFF,
-    "acc-coeff": SchemeKind.ACCELERATED_COEFF,
-    "acc_coeff": SchemeKind.ACCELERATED_COEFF,
-    "accelerated": SchemeKind.ACCELERATED_COEFF,
-    "accelerated_coeff": SchemeKind.ACCELERATED_COEFF,
-    "accelerated-coeff": SchemeKind.ACCELERATED_COEFF,
+    "acc-triangle": SchemeKind.ACCELERATED_TRIANGLE,
 }
 
 
@@ -290,4 +227,4 @@ def parse_scheme_kind(name: str) -> SchemeKind:
     except KeyError:
         raise DomainError(
             f"unknown scheme {name!r}; choose from "
-            f"{sorted(set(_SCHEME_NAMES))} or custom:<coeff-file>") from None
+            f"{sorted(_SCHEME_NAMES)} or custom:<coeff-file>") from None

@@ -23,9 +23,8 @@ enough context to inspect what happened; it completes whether or not the
 sweep is clean.
 
 Grid values, and the finer grids of dip re-scans, come from the batched
-evaluate_grid, which gives bit for bit the values of the scalar
-SchemeEvaluator.evaluate that bisection and residuals use; the sign-change
-pass over them is sequential, so results do not depend on --threads.
+evaluate_grid; bisection and residuals call SchemeEvaluator.evaluate, its
+one-point case, so both see the same value at the same point bit for bit.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 from .schemes import SchemeEvaluator, SchemeKind, SchemeSpec, evaluate_grid
@@ -180,7 +177,7 @@ def _record_from_bracket(evaluator: SchemeEvaluator, spec: SchemeSpec,
 
 
 def scan_zeros(scheme: SchemeSpec, a: float, b: float, step: float, *,
-               oracle_terms: Optional[int] = None, threads: int = 1) -> ScanResult:
+               oracle_terms: Optional[int] = None) -> ScanResult:
     """All bracketed sign changes of a scheme on the grid a, a+step, ..., b."""
     a, b, step = float(a), float(b), float(step)
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(step)):
@@ -194,7 +191,7 @@ def scan_zeros(scheme: SchemeSpec, a: float, b: float, step: float, *,
 
     evaluator = SchemeEvaluator(scheme, oracle_terms=oracle_terms)
     ts = grid_points(a, b, step)
-    vals, hazards = evaluate_grid(evaluator, ts, threads)
+    vals, hazards = evaluate_grid(evaluator, ts)
 
     records = []
     for i in range(len(ts) - 1):
@@ -255,8 +252,7 @@ def _greedy_match(ref_locs: tuple, locs: tuple, tol: float):
 
 
 def compare_zero_sets(interval: tuple, schemes: list, match_tol: float = DEFAULT_MATCH_TOL, *,
-                      step: float = 0.005, oracle_terms: Optional[int] = None,
-                      threads: int = 1) -> ZeroComparison:
+                      step: float = 0.005, oracle_terms: Optional[int] = None) -> ZeroComparison:
     """Scan every scheme on the interval and match each against the reference.
 
     The first reference-kind entry (ORACLE_EM or REFERENCE_RS) is the
@@ -265,20 +261,20 @@ def compare_zero_sets(interval: tuple, schemes: list, match_tol: float = DEFAULT
     reference count.
     """
     a, b = float(interval[0]), float(interval[1])
-    if match_tol <= 0.0:
-        raise DomainError(f"match_tol must be positive, got {match_tol}")
+    if not (math.isfinite(match_tol) and match_tol > 0.0):
+        raise DomainError(f"match_tol must be finite and positive, got {match_tol}")
     specs = list(schemes)
     ref_index = next((i for i, s in enumerate(specs) if s.is_reference), None)
     if ref_index is None:
         raise DomainError("compare_zero_sets needs a reference scheme in the list")
     ref_spec = specs[ref_index]
 
-    ref_scan = scan_zeros(ref_spec, a, b, step, oracle_terms=oracle_terms, threads=threads)
+    ref_scan = scan_zeros(ref_spec, a, b, step, oracle_terms=oracle_terms)
     matches = []
     for i, spec in enumerate(specs):
         if i == ref_index:
             continue
-        scan = scan_zeros(spec, a, b, step, oracle_terms=oracle_terms, threads=threads)
+        scan = scan_zeros(spec, a, b, step, oracle_terms=oracle_terms)
         pairs, missed, spurious = _greedy_match(
             ref_scan.locations, scan.locations, match_tol)
         matches.append(SchemeMatch(scheme=spec, scan=scan, matched=pairs,
@@ -340,8 +336,7 @@ def _event(kind: str, location: float, other_locs: tuple, record: Optional[ZeroR
 
 
 def conjecture_sweep(t_max: float, step: float, *, match_tol: float = DEFAULT_MATCH_TOL,
-                     oracle_terms: Optional[int] = None, threads: int = 1,
-                     ceiling: float = SWEEP_CEILING) -> ConjectureSummary:
+                     oracle_terms: Optional[int] = None) -> ConjectureSummary:
     """Spira-scheme zeros (exact floor(t/2) cutoff) vs reference over [30, t_max].
 
     Every missed or spurious zero is reported as an event carrying its
@@ -351,8 +346,8 @@ def conjecture_sweep(t_max: float, step: float, *, match_tol: float = DEFAULT_MA
     real-zeros conjecture at desk scale, a dirty one is a finding to read.
     """
     t_max = float(t_max)
-    if not SWEEP_T_MIN <= t_max <= ceiling:
-        raise DomainError(f"t_max must lie in [{SWEEP_T_MIN}, {ceiling}], got {t_max}")
+    if not SWEEP_T_MIN <= t_max <= SWEEP_CEILING:
+        raise DomainError(f"t_max must lie in [{SWEEP_T_MIN}, {SWEEP_CEILING}], got {t_max}")
     if step <= 0.0:
         raise DomainError(f"step must be positive, got {step}")
 
@@ -370,7 +365,7 @@ def conjecture_sweep(t_max: float, step: float, *, match_tol: float = DEFAULT_MA
 
     comparison = compare_zero_sets(
         (SWEEP_T_MIN, t_max), [ref_spec, spira_spec], match_tol,
-        step=step, oracle_terms=oracle_terms, threads=threads)
+        step=step, oracle_terms=oracle_terms)
     match = comparison.matches[0]
     scan = match.scan
     by_location = {r.location: r for r in scan.records}

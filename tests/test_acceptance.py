@@ -117,7 +117,7 @@ def test_criterion_05_half_cutoff_zero_capture():
 def test_criterion_06_conjecture_sweep_desk_scale():
     """[30, 1000] at step 0.005: half-cutoff zeros vs reference, 0/0 target."""
     start = time.perf_counter()
-    sweep = conjecture_sweep(1000.0, 0.005, match_tol=0.05, threads=4)
+    sweep = conjecture_sweep(1000.0, 0.005, match_tol=0.05)
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0, f"budget exceeded: {elapsed:.1f}s"
     assert sweep.hazard_count == 0

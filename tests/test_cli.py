@@ -12,6 +12,7 @@ import math
 import pytest
 
 from zsections.acceleration_engine import (
+    MAX_ACCELERATION_ORDER,
     accelerated_coefficients,
     coefficient_l2_distance,
 )
@@ -97,6 +98,18 @@ def test_eval_custom_coefficient_file(tmp_path):
     assert rc == 0
     assert rows[0]["scheme"] == "CUSTOM@3"
     assert float(rows[0]["value"]) == section(100.0, 3)
+
+
+def test_documented_scheme_names_parse_and_removed_aliases_exit_2(tmp_path):
+    names = ["rs", "em", "oracle", "afe", "spira", "acc", "acc-triangle"]
+    rc, rows, _ = run_cli(tmp_path, "names.csv",
+                          ["eval", "--t", "100", "--scheme", ",".join(names)])
+    assert rc == 0
+    assert [r["scheme"] for r in rows] == [
+        "REFERENCE_RS", "ORACLE_EM", "ORACLE_EM", "AFE", "SPIRA",
+        "ACCELERATED_COEFF", "ACCELERATED_TRIANGLE"]
+    for alias in ("accelerated_coeff", "oracle-em", "acc_triangle"):
+        assert main(["eval", "--t", "100", "--scheme", alias]) == 2
 
 
 def test_eval_config_errors_exit_2(tmp_path):
@@ -259,6 +272,15 @@ def test_conjecture_validation():
     assert main(["conjecture", "--t-max", "100", "--step", "-1"]) == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.05"])
+def test_match_tol_must_be_finite_and_positive(tol):
+    # Refused by validation, before any scan: a nan tolerance would match
+    # nothing and write NaN, which is not JSON, into the summary.
+    assert main(["zeros", "--range", "412:414:0.05", "--scheme", "em,spira",
+                 "--match-tol", tol]) == 2
+    assert main(["conjecture", "--t-max", "100", "--match-tol", tol]) == 2
+
+
 # ---------------------------------------------------------------------------
 # error-decay
 
@@ -331,6 +353,11 @@ def test_coeffs_validation():
     assert main(["coeffs"]) == 2  # neither --n nor --sweep
     assert main(["coeffs", "--n", "5", "--sweep", "10,20"]) == 2
     assert main(["coeffs", "--n", "0"]) == 2
+    assert main(["coeffs", "--n", "5", "--k-max", "0"]) == 2
+    # Refused by validation, so the 10^9 rows are never built.
+    assert main(["coeffs", "--n", "5", "--k-max", "1000000000"]) == 2
+    assert main(["coeffs", "--n", "5", "--k-max", str(MAX_ACCELERATION_ORDER + 1)]) == 2
+    RunConfig(command="coeffs", n=5, k_max=MAX_ACCELERATION_ORDER).validate()
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""Tests for the batched grid path of the scheme layer.
+"""Tests for the evaluation path of the scheme layer.
 
 evaluate_grid evaluates chunks as arrays (theta once per chunk, one kernel
 matrix per run of constant cutoff); every value must still equal the scalar
 SchemeEvaluator.evaluate at the same point bit for bit, with the same hazard
-count and the same error at the same point.
+count and the same error at the same point.  SchemeEvaluator.evaluate is the
+one-point case of the same rows functions, so it is checked in turn against
+the public scalar engines, bit for bit.
 """
 
 import math
@@ -11,9 +13,11 @@ import math
 import numpy as np
 import pytest
 
+from zsections.acceleration_engine import accelerated_triangle, accelerated_vertical
 from zsections.errors import ConvergenceError, DomainError
+from zsections.reference_engine import z_euler_maclaurin, z_riemann_siegel
 from zsections.schemes import SchemeEvaluator, SchemeKind, SchemeSpec, evaluate_grid
-from zsections.sections_engine import CoefficientVector
+from zsections.sections_engine import CoefficientVector, section, z_custom
 from zsections.zero_scanner import grid_points
 
 CUSTOM_ALPHA = CoefficientVector(alpha=tuple(1.0 / (1.0 + 0.1 * k) for k in range(17)))
@@ -63,10 +67,51 @@ def assert_bit_identical(spec, ts, chunk=None, **kwargs):
     assert hazards == want_hazards
 
 
+SECTION_ENGINES = {
+    SchemeKind.AFE: lambda t, n: 2.0 * section(t, n),
+    SchemeKind.SPIRA: section,
+    SchemeKind.ACCELERATED_TRIANGLE: accelerated_triangle,
+    SchemeKind.ACCELERATED_COEFF: accelerated_vertical,
+}
+
+
+def engine_point(evaluator, t):
+    """(value, hazard) of the public scalar engine behind evaluator's scheme at t."""
+    spec = evaluator.spec
+    if spec.kind is SchemeKind.REFERENCE_RS:
+        ref = z_riemann_siegel(t)
+        return ref.z, ref.hazard
+    if spec.kind is SchemeKind.ORACLE_EM:
+        return z_euler_maclaurin(t, evaluator.oracle_terms, evaluator.correction_order).z, False
+    if spec.kind is SchemeKind.CUSTOM:
+        return z_custom(t, spec.alpha), False
+    if spec.n is not None:
+        n = spec.n
+    elif spec.kind is SchemeKind.AFE:
+        n = math.floor(math.sqrt(t / (2.0 * math.pi)))
+    else:
+        n = math.floor(t / 2.0)
+    return SECTION_ENGINES[spec.kind](t, n), False
+
+
+def assert_evaluate_equals_engine(spec, ts, **kwargs):
+    evaluator = SchemeEvaluator(spec, **kwargs)
+    got = [tuple(evaluator.evaluate(t)) for t in ts]
+    want = [engine_point(evaluator, t) for t in ts]
+    mismatches = [(t, g, w) for t, g, w in zip(ts, got, want) if g != w]
+    assert not mismatches, f"{spec.label}: {len(mismatches)} points differ, first {mismatches[0]}"
+
+
 @pytest.mark.parametrize("spec", PER_POINT_SPECS + FIXED_SPECS, ids=lambda s: s.label)
 @pytest.mark.parametrize("grid", range(len(GRIDS)))
 def test_grid_equals_scalar_bit_for_bit(spec, grid):
     assert_bit_identical(spec, GRIDS[grid])
+
+
+@pytest.mark.parametrize("spec", PER_POINT_SPECS + FIXED_SPECS, ids=lambda s: s.label)
+@pytest.mark.parametrize("grid", range(len(GRIDS)))
+def test_evaluate_equals_public_engine_bit_for_bit(spec, grid):
+    assert_evaluate_equals_engine(spec, GRIDS[grid])
 
 
 @pytest.mark.parametrize("spec", PER_POINT_SPECS, ids=lambda s: s.label)
@@ -88,6 +133,7 @@ def test_oracle_knobs_and_irregular_points():
     spec = SchemeSpec(kind=SchemeKind.ORACLE_EM)
     assert_bit_identical(spec, ts)
     assert_bit_identical(spec, ts, oracle_terms=2500, correction_order=8)
+    assert_evaluate_equals_engine(spec, ts, oracle_terms=2500, correction_order=8)
 
 
 def test_rs_hazard_counts_match():
@@ -99,6 +145,7 @@ def test_rs_hazard_counts_match():
     _, hazards = scalar(spec, ts)
     assert hazards == len(hazard_ts)
     assert_bit_identical(spec, ts)
+    assert_evaluate_equals_engine(spec, ts)
 
 
 @pytest.mark.parametrize("spec, ts", [
@@ -145,6 +192,17 @@ def test_convergence_error_matches_scalar():
     with pytest.raises(ConvergenceError) as grid_error:
         evaluate_grid(evaluator, ts)
     assert str(grid_error.value) == str(scalar_error.value)
+
+
+def test_earlier_convergence_error_wins_over_later_domain_error():
+    # t = 61 needs more than 60 oracle terms, but the tail at t = 40 fails
+    # to converge first, and grid order decides which error surfaces.
+    evaluator = SchemeEvaluator(SchemeSpec(kind=SchemeKind.ORACLE_EM),
+                                oracle_terms=60, correction_order=1)
+    with pytest.raises(DomainError):
+        evaluator.evaluate(61.0)
+    with pytest.raises(ConvergenceError, match="at t = 40.0"):
+        evaluate_grid(evaluator, [40.0, 45.0, 61.0])
 
 
 def test_empty_grid():
