@@ -46,7 +46,7 @@ from .schemes import (
     evaluate_grid,
     parse_scheme_kind,
 )
-from .sections_engine import CoefficientVector, section
+from .sections_engine import MAX_SECTION_TERMS, CoefficientVector, cosine_terms
 from .zero_scanner import (
     DEFAULT_MATCH_TOL,
     compare_zero_sets,
@@ -100,8 +100,9 @@ class RunConfig:
         if not 1 <= self.threads <= MAX_THREADS:
             raise ConfigError(
                 f"--threads must lie in [1, {MAX_THREADS}], got {self.threads}")
-        if self.oracle_terms is not None and self.oracle_terms < 50:
-            raise ConfigError(f"--oracle-terms must be >= 50, got {self.oracle_terms}")
+        if self.oracle_terms is not None and not 50 <= self.oracle_terms <= MAX_SECTION_TERMS:
+            raise ConfigError(f"--oracle-terms must lie in [50, {MAX_SECTION_TERMS}], "
+                              f"got {self.oracle_terms}")
         if not (math.isfinite(self.match_tol) and self.match_tol > 0.0):
             raise ConfigError(f"--match-tol must be finite and positive, got {self.match_tol}")
         if self.t is not None and not math.isfinite(self.t):
@@ -416,7 +417,9 @@ def cmd_figure(config: RunConfig) -> CommandResult:
         # once the cutoff passes sqrt(t/2pi).
         t = 3000.0
         ref = z_euler_maclaurin(t, terms=config.oracle_terms)
-        rows = [(n, section(t, n), ref.z, 0.5 * ref.z) for n in range(1, 1501)]
+        # section(t, n) for every n is the fsum of a prefix of one kernel row.
+        terms = cosine_terms(t, 1500).tolist()
+        rows = [(n, math.fsum(terms[:n]), ref.z, 0.5 * ref.z) for n in range(1, 1501)]
         summary = {"figure": fig, "t": t, "n_max": 1500, "rows": len(rows),
                    "reference": ref.z}
         return CommandResult(("n", "z_section", "z_reference", "z_reference_half"),

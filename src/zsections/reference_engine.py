@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _tables
-from .errors import ConvergenceError, DomainError
-from .sections_engine import row_blocks, section, section_rows
+from .errors import ConvergenceError, DomainError, ResourceLimitError
+from .sections_engine import MAX_SECTION_TERMS, row_blocks, section, section_rows
 from .special_functions import TWO_PI, theta
 
 # Error-bound constant for the first-order remainder path: |Z - RS1| <= RS_ERR_CONST * t^(-3/4).
@@ -159,6 +159,9 @@ def euler_maclaurin_terms(t: float, terms: int | None = None,
     if terms < max(50, math.ceil(t)):
         raise DomainError(
             f"terms = {terms} too small at t = {t}; need at least max(50, ceil(t))")
+    if terms > MAX_SECTION_TERMS:
+        raise ResourceLimitError(
+            f"terms = {terms} at t = {t} exceeds MAX_SECTION_TERMS = {MAX_SECTION_TERMS}")
     correction_order = int(correction_order)
     if not 1 <= correction_order <= 10:
         raise DomainError(f"correction_order must lie in [1, 10], got {correction_order}")

@@ -17,11 +17,12 @@ oracle's partial-sum length M, or the custom vector's length), and points
 that share a key are evaluated together by the engines' *_rows functions in
 SchemeEvaluator._evaluate_run, the only place that picks an engine by kind.
 evaluate_grid takes fixed-size chunks of points, computes theta once per
-chunk with theta_grid and splits each chunk into runs of equal key;
-SchemeEvaluator.evaluate is the one-point case, which bisection and
-residuals use.  The rows functions share their kernel, reductions and
-per-point tails with the public scalar engines, so every value equals the
-scalar engine's bit for bit.
+chunk with theta_grid and splits each chunk into runs of equal key; the
+zero scanner's grids, bisection rounds and residuals all go through it.
+SchemeEvaluator.evaluate is the one-point case, the API for one height.  The
+rows functions share their kernel, reductions and per-point tails with the
+public scalar engines, so every value equals the scalar engine's bit for
+bit.
 """
 
 from __future__ import annotations

@@ -1,7 +1,10 @@
 """Zero location and zero-set comparison for Z approximation schemes.
 
 The scanner walks a uniform grid over [a, b], brackets every sign change,
-and bisects each bracket down to width 1e-9.  Two diagnostics ride along:
+and bisects each bracket down to width 1e-9.  Signs of neighbouring samples
+are compared, not multiplied, so an underflowing product still brackets its
+zero; a sample that is exactly 0 is recorded as a zero of its own, with a
+bracket of width 0 and residual 0.  Two diagnostics ride along:
 
   * dip events: |f| dropping below 0.1 at a local minimum without a sign
     change suggests a curvature-driven near-double root the grid cannot
@@ -22,9 +25,13 @@ against a trusted referee over [30, t_max] and dumps every mismatch with
 enough context to inspect what happened; it completes whether or not the
 sweep is clean.
 
-Grid values, and the finer grids of dip re-scans, come from the batched
-evaluate_grid; bisection and residuals call SchemeEvaluator.evaluate, its
-one-point case, so both see the same value at the same point bit for bit.
+Every value comes from the batched evaluate_grid: the grid, the finer grids
+of dip re-scans, and the refinement.  The brackets of one scan, the grid's
+and then each re-scan's, are bisected in lockstep, one evaluate_grid call
+per round over the midpoints of the brackets still open, and the residuals
+at the refined locations take one more call.  evaluate_grid gives each
+point's value bit for bit, so every bracket follows the path it would
+follow alone.
 """
 
 from __future__ import annotations
@@ -32,6 +39,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 from .schemes import SchemeEvaluator, SchemeKind, SchemeSpec, evaluate_grid
@@ -142,17 +151,64 @@ def grid_points(a: float, b: float, step: float) -> list:
     return [a + i * step for i in range(n + 1)]
 
 
-def _bisect(evaluator: SchemeEvaluator, lo: float, hi: float, f_lo: float):
-    lo_neg = f_lo < 0.0
+def _crossings(vals: np.ndarray):
+    """Where sampled values vanish: (i whose step to i + 1 changes sign, i with vals[i] == 0).
+
+    Signs are compared rather than multiplied, so a pair whose product
+    underflows to 0 still brackets its zero, and a sample that is exactly 0
+    is a zero of its own instead of two pairs that both miss it.  NaN has no
+    sign and brackets nothing.
+    """
+    signs = np.sign(vals)
+    return np.flatnonzero(signs[:-1] * signs[1:] < 0.0), np.flatnonzero(vals == 0.0)
+
+
+def _dips(vals: np.ndarray) -> np.ndarray:
+    """Interior i where |f| has a local minimum below DIP_THRESHOLD on one sign."""
+    mag, signs = np.abs(vals), np.sign(vals)
+    low = mag[1:-1]
+    return 1 + np.flatnonzero(
+        (low < DIP_THRESHOLD) & (low <= mag[:-2]) & (low <= mag[2:])
+        & (signs[:-2] * signs[1:-1] > 0.0) & (signs[1:-1] * signs[2:] > 0.0))
+
+
+def _sampled_zeros(scheme: SchemeSpec, ts: list, vals: np.ndarray):
+    """Brackets (lo, hi, f_lo, f_hi) of the sign changes, and records of the exact zeros.
+
+    An exact zero is its own location and bracket; its scale is the larger
+    |value| of its neighbours.
+    """
+    changes, zeros = _crossings(vals)
+    brackets = [(ts[i], ts[i + 1], f_lo, f_hi) for i, f_lo, f_hi in zip(
+        changes.tolist(), vals[changes].tolist(), vals[changes + 1].tolist())]
+    exact = [ZeroRecord(scheme=scheme, location=ts[i], bracket=(ts[i], ts[i]), residual=0.0,
+                        scale=float(np.max(np.abs(vals[max(i - 1, 0):i + 2]))))
+             for i in zeros.tolist()]
+    return brackets, exact
+
+
+def _bisect(evaluator: SchemeEvaluator, brackets: list) -> list:
+    """Refine brackets (lo, hi, f_lo) in lockstep; returns the (lo, hi) pairs.
+
+    Each round evaluates the midpoints of the brackets still wider than
+    BRACKET_WIDTH with one evaluate_grid call, for at most MAX_BISECT_ITERS
+    rounds.  Every bracket takes the path it would take alone, since
+    evaluate_grid gives each point's value bit for bit.  The hazards of
+    refinement points are not counted.
+    """
+    lo = np.array([b[0] for b in brackets], dtype=np.float64)
+    hi = np.array([b[1] for b in brackets], dtype=np.float64)
+    lo_neg = np.array([b[2] < 0.0 for b in brackets], dtype=bool)
     for _ in range(MAX_BISECT_ITERS):
-        if hi - lo <= BRACKET_WIDTH:
+        open_ = np.flatnonzero(hi - lo > BRACKET_WIDTH)
+        if open_.size == 0:
             break
-        mid = 0.5 * (lo + hi)
-        if (evaluator.value(mid) < 0.0) == lo_neg:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+        mid = 0.5 * (lo[open_] + hi[open_])
+        vals, _ = evaluate_grid(evaluator, mid)
+        to_lo = (vals < 0.0) == lo_neg[open_]
+        lo[open_[to_lo]] = mid[to_lo]
+        hi[open_[~to_lo]] = mid[~to_lo]
+    return list(zip(lo.tolist(), hi.tolist()))
 
 
 def _cutoff_jump(evaluator: SchemeEvaluator, lo: float, hi: float) -> bool:
@@ -161,24 +217,9 @@ def _cutoff_jump(evaluator: SchemeEvaluator, lo: float, hi: float) -> bool:
     return c_lo is not None and c_lo != c_hi
 
 
-def _record_from_bracket(evaluator: SchemeEvaluator, spec: SchemeSpec,
-                         lo: float, hi: float, f_lo: float, f_hi: float) -> ZeroRecord:
-    scale = max(abs(f_lo), abs(f_hi))
-    rlo, rhi = _bisect(evaluator, lo, hi, f_lo)
-    location = 0.5 * (rlo + rhi)
-    return ZeroRecord(
-        scheme=spec,
-        location=location,
-        bracket=(rlo, rhi),
-        residual=abs(evaluator.value(location)),
-        scale=scale,
-        cutoff_jump=_cutoff_jump(evaluator, rlo, rhi),
-    )
-
-
 def scan_zeros(scheme: SchemeSpec, a: float, b: float, step: float, *,
                oracle_terms: Optional[int] = None) -> ScanResult:
-    """All bracketed sign changes of a scheme on the grid a, a+step, ..., b."""
+    """All bracketed sign changes and exact zeros of a scheme on the grid a, a+step, ..., b."""
     a, b, step = float(a), float(b), float(step)
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(step)):
         raise DomainError("scan bounds and step must be finite")
@@ -192,31 +233,31 @@ def scan_zeros(scheme: SchemeSpec, a: float, b: float, step: float, *,
     evaluator = SchemeEvaluator(scheme, oracle_terms=oracle_terms)
     ts = grid_points(a, b, step)
     vals, hazards = evaluate_grid(evaluator, ts)
-
-    records = []
-    for i in range(len(ts) - 1):
-        if vals[i] * vals[i + 1] < 0.0:
-            records.append(_record_from_bracket(
-                evaluator, scheme, ts[i], ts[i + 1], vals[i], vals[i + 1]))
+    brackets, records = _sampled_zeros(scheme, ts, vals)
 
     # Dip diagnostic: near-touch local minima without a sign change trigger
     # a tenfold-finer local re-scan.
     dips = []
-    for i in range(1, len(ts) - 1):
-        av = abs(vals[i])
-        if (av < DIP_THRESHOLD
-                and av <= abs(vals[i - 1]) and av <= abs(vals[i + 1])
-                and vals[i - 1] * vals[i] > 0.0 and vals[i] * vals[i + 1] > 0.0):
-            fine = grid_points(ts[i - 1], ts[i + 1], step / 10.0)
-            fvals, _ = evaluate_grid(evaluator, fine)
-            found = 0
-            for j in range(len(fine) - 1):
-                if fvals[j] * fvals[j + 1] < 0.0:
-                    records.append(_record_from_bracket(
-                        evaluator, scheme, fine[j], fine[j + 1], fvals[j], fvals[j + 1]))
-                    found += 1
-            dips.append(DipEvent(scheme=scheme, t=ts[i], value=float(vals[i]),
-                                 zeros_found=found))
+    for i in _dips(vals).tolist():
+        fine = grid_points(ts[i - 1], ts[i + 1], step / 10.0)
+        fvals, _ = evaluate_grid(evaluator, fine)
+        fine_brackets, fine_zeros = _sampled_zeros(scheme, fine, fvals)
+        brackets += fine_brackets
+        records += fine_zeros
+        dips.append(DipEvent(scheme=scheme, t=ts[i], value=float(vals[i]),
+                             zeros_found=len(fine_brackets) + len(fine_zeros)))
+
+    # Every bracket of the scan is refined together, and the residuals at
+    # the refined locations take one more batched call; as before, only the
+    # hazards of the grid are counted.
+    refined = _bisect(evaluator, [(lo, hi, f_lo) for lo, hi, f_lo, _ in brackets])
+    locations = [0.5 * (lo + hi) for lo, hi in refined]
+    residuals, _ = evaluate_grid(evaluator, locations)
+    for (_, _, f_lo, f_hi), (lo, hi), location, residual in zip(
+            brackets, refined, locations, np.abs(residuals).tolist()):
+        records.append(ZeroRecord(
+            scheme=scheme, location=location, bracket=(lo, hi), residual=residual,
+            scale=max(abs(f_lo), abs(f_hi)), cutoff_jump=_cutoff_jump(evaluator, lo, hi)))
 
     records.sort(key=lambda r: r.location)
     deduped = []

@@ -18,7 +18,7 @@ from zsections.acceleration_engine import (
 )
 from zsections.cli import MAX_THREADS, RunConfig, error_decay_report, main
 from zsections.schemes import SchemeKind, SchemeSpec
-from zsections.sections_engine import section
+from zsections.sections_engine import MAX_SECTION_TERMS, section
 from zsections.special_functions import theta
 
 
@@ -135,6 +135,17 @@ def test_oversized_grid_and_thread_count_exit_2():
     assert main(["eval", "--t", "100", "--scheme", "spira", "--threads", "1000000"]) == 2
 
 
+def test_oracle_length_bounded_by_max_section_terms():
+    # Refused before the referee builds its tables: by validation for
+    # --oracle-terms, and by the oracle's own check for M = 2 ceil(t) = 2e9.
+    for terms in (MAX_SECTION_TERMS + 1, 10**10):
+        assert main(["eval", "--t", "100", "--scheme", "spira",
+                     "--oracle-terms", str(terms)]) == 2
+    assert main(["eval", "--t", "1e9", "--scheme", "afe"]) == 2
+    RunConfig(command="eval", t=100.0, schemes=(SchemeSpec(kind=SchemeKind.SPIRA),),
+              oracle_terms=MAX_SECTION_TERMS).validate()
+
+
 def test_thread_bound_is_inclusive():
     spec = SchemeSpec(kind=SchemeKind.SPIRA)
     RunConfig(command="eval", t=100.0, schemes=(spec,), threads=MAX_THREADS).validate()
@@ -163,6 +174,9 @@ def test_fig1_shape_and_anchor_row(tmp_path):
     assert float(first["z_section"]) == math.cos(theta(3000.0))
     assert float(first["z_reference_half"]) == 0.5 * float(first["z_reference"])
     assert doc["summary"]["t"] == 3000.0
+    # every row is the section itself, bit for bit
+    for row in rows:
+        assert float(row["z_section"]) == section(3000.0, int(row["n"]))
 
 
 def test_fig2_fig3_shapes(tmp_path):

@@ -10,15 +10,16 @@ import mpmath
 import numpy as np
 import pytest
 
-from zsections.errors import ConvergenceError, DomainError
+from zsections.errors import ConvergenceError, DomainError, ResourceLimitError
 from zsections.reference_engine import (
     HAZARD_COS_EPS,
     RS_ERR_CONST,
     _psi,
+    euler_maclaurin_terms,
     z_euler_maclaurin,
     z_riemann_siegel,
 )
-from zsections.sections_engine import section
+from zsections.sections_engine import MAX_SECTION_TERMS, section
 from zsections.special_functions import TWO_PI
 
 # mpmath, 50 digits
@@ -81,6 +82,18 @@ class TestEulerMaclaurin:
             z_euler_maclaurin(100.0, correction_order=0)
         with pytest.raises(DomainError):
             z_euler_maclaurin(100.0, correction_order=11)
+
+    def test_partial_sum_length_is_bounded(self):
+        # Refused while validating, before any table is built: M = 2e9 or
+        # 1e10 would ask for ln k and 1/sqrt(k) tables of 16-80 GB.
+        with pytest.raises(ResourceLimitError):
+            euler_maclaurin_terms(1e9)
+        with pytest.raises(ResourceLimitError):
+            euler_maclaurin_terms(100.0, 10**10)
+        with pytest.raises(ResourceLimitError):
+            euler_maclaurin_terms(100.0, MAX_SECTION_TERMS + 1)
+        assert euler_maclaurin_terms(100.0, MAX_SECTION_TERMS) == MAX_SECTION_TERMS
+        assert euler_maclaurin_terms(MAX_SECTION_TERMS / 2) == MAX_SECTION_TERMS
 
 
 class TestRiemannSiegel:

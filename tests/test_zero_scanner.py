@@ -10,11 +10,15 @@ import math
 import numpy as np
 import pytest
 
+from zsections import zero_scanner
 from zsections.errors import DomainError, ResourceLimitError
-from zsections.schemes import SchemeEvaluator, SchemeKind, SchemeSpec
+from zsections.schemes import SchemeEvaluator, SchemeKind, SchemeSpec, evaluate_grid
 from zsections.zero_scanner import (
     BRACKET_WIDTH,
+    DIP_THRESHOLD,
+    MAX_BISECT_ITERS,
     MAX_GRID_POINTS,
+    _crossings,
     compare_zero_sets,
     conjecture_sweep,
     grid_points,
@@ -124,6 +128,168 @@ class TestScanZeros:
         assert result.b == 419.0
         # Zeros hug both ends of this window; make sure the top end was seen.
         assert max(result.locations) > 418.0
+
+
+def reference_records(spec, a, b, step):
+    """scan_zeros' records by the per-bracket loop: every value through evaluator.value.
+
+    Sign changes are found by products of neighbouring samples, which is the
+    same rule as the scanner's on grids without exact zeros or underflow.
+    """
+    evaluator = SchemeEvaluator(spec)
+
+    def refine(lo, hi, f_lo, f_hi):
+        scale = max(abs(f_lo), abs(f_hi))
+        lo_neg = f_lo < 0.0
+        for _ in range(MAX_BISECT_ITERS):
+            if hi - lo <= BRACKET_WIDTH:
+                break
+            mid = 0.5 * (lo + hi)
+            if (evaluator.value(mid) < 0.0) == lo_neg:
+                lo = mid
+            else:
+                hi = mid
+        location = 0.5 * (lo + hi)
+        c_lo, c_hi = evaluator.cutoff(lo), evaluator.cutoff(hi)
+        return (location, (lo, hi), abs(evaluator.value(location)), scale,
+                c_lo is not None and c_lo != c_hi)
+
+    def brackets(ts):
+        vals = [evaluator.value(t) for t in ts]
+        return vals, [refine(ts[i], ts[i + 1], vals[i], vals[i + 1])
+                      for i in range(len(ts) - 1) if vals[i] * vals[i + 1] < 0.0]
+
+    ts = grid_points(a, b, step)
+    vals, records = brackets(ts)
+    for i in range(1, len(ts) - 1):
+        av = abs(vals[i])
+        if (av < DIP_THRESHOLD and av <= abs(vals[i - 1]) and av <= abs(vals[i + 1])
+                and vals[i - 1] * vals[i] > 0.0 and vals[i] * vals[i + 1] > 0.0):
+            records += brackets(grid_points(ts[i - 1], ts[i + 1], step / 10.0))[1]
+    records.sort(key=lambda r: r[0])
+    deduped = []
+    for rec in records:
+        if not deduped or abs(rec[0] - deduped[-1][0]) > 1e-8:
+            deduped.append(rec)
+    return deduped
+
+
+def record_fields(result):
+    return [(r.location, r.bracket, r.residual, r.scale, r.cutoff_jump)
+            for r in result.records]
+
+
+# 2 pi (6 + 1/4)^2: the Riemann-Siegel remainder's removable point p = 1/4.
+RS_HAZARD_T = 2.0 * math.pi * 6.25 ** 2
+
+
+class TestLockstepBisection:
+    """scan_zeros refines all brackets together; the records equal the per-bracket loop's."""
+
+    @pytest.mark.parametrize("spec, a, b, step", [
+        (SchemeSpec(kind=SchemeKind.SPIRA), 412.0, 416.0, 0.01),
+        (SchemeSpec(kind=SchemeKind.ACCELERATED_COEFF), 412.0, 416.0, 0.01),
+        (EM, 412.0, 416.0, 0.01),
+        (AFE, 412.0, 419.0, 0.005),
+        (RS, RS_HAZARD_T, RS_HAZARD_T + 4.0, 0.01),
+        (SPIRA_205, 412.0, 419.0, 0.005),
+        (SchemeSpec(kind=SchemeKind.SPIRA), 44.0, 52.0, 0.01),  # cutoff jump at t = 48
+    ], ids=["spira", "acc", "em", "afe", "rs", "spira@205", "spira-jump"])
+    def test_records_equal_per_bracket_loop(self, spec, a, b, step):
+        result = scan_zeros(spec, a, b, step)
+        assert len(result) > 0
+        assert record_fields(result) == reference_records(spec, a, b, step)
+
+    def test_rs_hazards_count_the_grid_only(self):
+        result = scan_zeros(RS, RS_HAZARD_T, RS_HAZARD_T + 4.0, 0.01)
+        _, grid_hazards = evaluate_grid(SchemeEvaluator(RS),
+                                        grid_points(RS_HAZARD_T, RS_HAZARD_T + 4.0, 0.01))
+        assert result.hazard_count == grid_hazards >= 1
+
+    def test_brackets_of_different_widths(self, monkeypatch):
+        # The Lehmer pair near t = 7005.08 hides inside one grid step of 0.2;
+        # its dip re-scan brackets (width 0.02) need fewer rounds than the
+        # grid bracket near 7004.04 (width 0.2) refined beside them.
+        calls = []
+
+        def counting(evaluator, ts):
+            calls.append(len(ts))
+            return evaluate_grid(evaluator, ts)
+
+        monkeypatch.setattr(zero_scanner, "evaluate_grid", counting)
+        result = scan_zeros(EM, 7004.0, 7006.0, 0.2)
+        assert [d.zeros_found for d in result.dips] == [2]
+        assert len(result) == 3
+        assert record_fields(result) == reference_records(EM, 7004.0, 7006.0, 0.2)
+        # grid, one re-scan, the bisection rounds, then one residual call
+        rounds = calls[2:-1]
+        assert 0 < len(rounds) <= MAX_BISECT_ITERS
+        assert rounds[0] == 3 and rounds[-1] == 1 and calls[-1] == 3
+
+    def test_bisection_stops_at_iteration_cap(self, monkeypatch):
+        # Near t = 1e7 one ulp is 1.9e-9 > BRACKET_WIDTH, so no bracket ever
+        # gets narrow enough and every one runs all MAX_BISECT_ITERS rounds.
+        spec = SchemeSpec(kind=SchemeKind.SPIRA, n=8)
+        calls = []
+
+        def counting(evaluator, ts):
+            calls.append(len(ts))
+            return evaluate_grid(evaluator, ts)
+
+        monkeypatch.setattr(zero_scanner, "evaluate_grid", counting)
+        result = scan_zeros(spec, 1.0e7, 1.0e7 + 1.0, 0.05)
+        assert len(result) >= 1 and not result.dips
+        assert all(hi - lo > BRACKET_WIDTH for lo, hi in (r.bracket for r in result.records))
+        assert calls[1:] == [len(result)] * (MAX_BISECT_ITERS + 1)
+        assert record_fields(result) == reference_records(spec, 1.0e7, 1.0e7 + 1.0, 0.05)
+
+
+class TestSignRule:
+    def test_exact_zero_samples(self):
+        changes, zeros = _crossings(np.array([1.0, 0.0, -1.0, -0.0, -2.0]))
+        assert changes.tolist() == [] and zeros.tolist() == [1, 3]
+
+    def test_underflowing_pair(self):
+        vals = np.array([1e-200, -1e-200, -1e-300, 1e-300])
+        assert vals[0] * vals[1] == 0.0  # the product test would skip both
+        changes, zeros = _crossings(vals)
+        assert changes.tolist() == [0, 2] and zeros.tolist() == []
+
+    def test_mixed_signs(self):
+        changes, zeros = _crossings(np.array([2.0, -1.0, -3.0, 4.0, 5.0, math.nan, -1.0, 1.0]))
+        assert changes.tolist() == [0, 2, 6] and zeros.tolist() == []
+
+    @staticmethod
+    def fake_scheme(monkeypatch, f):
+        monkeypatch.setattr(zero_scanner, "evaluate_grid",
+                            lambda evaluator, ts: (f(np.asarray(ts, dtype=np.float64)), 0))
+
+    def test_exact_zero_on_grid_becomes_a_record(self, monkeypatch):
+        self.fake_scheme(monkeypatch, lambda t: t - 2.5)
+        result = scan_zeros(SPIRA_205, 1.0, 4.0, 0.5)
+        assert record_fields(result) == [(2.5, (2.5, 2.5), 0.0, 0.5, False)]
+
+    def test_underflowing_sign_change_is_bracketed(self, monkeypatch):
+        self.fake_scheme(monkeypatch, lambda t: 1e-200 * (t - 2.3))
+        result = scan_zeros(SPIRA_205, 1.0, 4.0, 0.5)
+        assert len(result) == 1
+        assert abs(result[0].location - 2.3) <= BRACKET_WIDTH
+
+    def test_exact_zeros_on_a_dip_rescan(self, monkeypatch):
+        # Two zeros inside the grid step (2.0, 2.5), both landing exactly
+        # on points of the re-scan grid at step 0.05.
+        def f(t):
+            return np.where(np.isclose(t, 2.05, rtol=0.0, atol=1e-12)
+                            | np.isclose(t, 2.15, rtol=0.0, atol=1e-12),
+                            0.0, (t - 2.1) ** 2 - 0.0025)
+
+        self.fake_scheme(monkeypatch, f)
+        result = scan_zeros(SPIRA_205, 1.0, 4.0, 0.5)
+        assert [(d.t, d.zeros_found) for d in result.dips] == [(2.0, 2)]
+        assert [r.bracket for r in result.records] == [(r.location, r.location)
+                                                       for r in result.records]
+        assert [round(r.location, 9) for r in result.records] == [2.05, 2.15]
+        assert all(r.residual == 0.0 and not r.cutoff_jump for r in result.records)
 
 
 class TestCompareZeroSets:
