@@ -20,6 +20,7 @@ are byte-identical at any value.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import subprocess
@@ -311,8 +312,9 @@ def render_csv(header: tuple, rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def provenance() -> str:
-    """git describe of the source tree, else the package version string."""
+    """git describe of the source tree, else the package version string; once per process."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty", "--tags"],
@@ -374,12 +376,13 @@ def cmd_eval(config: RunConfig) -> CommandResult:
         hazards += h
         columns[spec.label] = vals
 
+    labels = [spec.label for spec in config.schemes]
+    values = [columns[label].tolist() for label in labels]
     rows = []
-    for i, t in enumerate(ts):
-        for spec in config.schemes:
-            v = float(columns[spec.label][i])
-            r = float(ref_vals[i])
-            rows.append((t, spec.label, v, r, abs(v - r)))
+    for i, (t, r) in enumerate(zip(ts, ref_vals.tolist())):
+        for label, column in zip(labels, values):
+            v = column[i]
+            rows.append((t, label, v, r, abs(v - r)))
 
     summary: dict = {
         "points": len(ts),

@@ -13,22 +13,23 @@ SchemeEvaluator turns a spec into a callable object.  Evaluation is pure
 alongside values rather than counted in hidden state.
 
 There is one evaluation path.  Each point has a run key (the cutoff, the
-oracle's partial-sum length M, or the custom vector's length), and points
-that share a key are evaluated together by the engines' *_rows functions in
-SchemeEvaluator._evaluate_run, the only place that picks an engine by kind.
+oracle's partial-sum length M, or the custom vector's length).
 evaluate_grid takes fixed-size chunks of points, computes theta once per
-chunk with theta_grid and splits each chunk into runs of equal key; the
-zero scanner's grids, bisection rounds and residuals all go through it.
-SchemeEvaluator.evaluate is the one-point case, the API for one height.  The
-rows functions share their kernel, reductions and per-point tails with the
-public scalar engines, so every value equals the scalar engine's bit for
-bit.
+chunk with theta_grid and keys the whole chunk with array rules
+(SchemeEvaluator._keys: the floors of t/2 and sqrt(t/2pi), a fixed n, or
+M); the scalar _key only raises the error of the first point outside the
+domain.  Points that share a key are evaluated together by the engines'
+*_rows functions in SchemeEvaluator._evaluate_run, the only place that
+picks an engine by kind.  The zero scanner's grids, bisection rounds and
+residuals all go through evaluate_grid, and SchemeEvaluator.evaluate is
+the one-point chunk, the API for one height.  The rows functions share
+their kernel, reductions and per-point tails with the public scalar
+engines, so every value equals the scalar engine's bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -37,8 +38,8 @@ import numpy as np
 from .acceleration_engine import accelerated_triangle_rows, accelerated_vertical_rows
 from .errors import DomainError
 from .reference_engine import euler_maclaurin_rows, euler_maclaurin_terms, riemann_siegel_rows
-from .sections_engine import CoefficientVector, CutoffPolicy, section_rows
-from .special_functions import theta, theta_grid
+from .sections_engine import MAX_SECTION_TERMS, CoefficientVector, CutoffPolicy, section_rows
+from .special_functions import TWO_PI, theta_grid
 
 # Points per chunk of a grid evaluation; bounds the longdouble theta temporaries.
 GRID_CHUNK = 4096
@@ -101,6 +102,14 @@ class EvalPoint(NamedTuple):
     hazard: bool
 
 
+def _key_runs(keys: np.ndarray):
+    """Consecutive slices of keys over which the key stays the same."""
+    bounds = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(keys)]
+    for start, stop in zip(bounds, bounds[1:]):
+        if start < stop:
+            yield slice(start, stop)
+
+
 class SchemeEvaluator:
     """Callable evaluation of one scheme, with per-point hazard flags."""
 
@@ -127,8 +136,9 @@ class SchemeEvaluator:
     def _key(self, t: float) -> int:
         """The run key at t: the cutoff, M for the oracle, or len(alpha) for CUSTOM.
 
-        Raises the scheme's DomainError where t lies outside its domain; for
-        REFERENCE_RS the square-root cutoff reaches 1 exactly at t = 2 pi.
+        The scalar validator: raises the scheme's DomainError where t lies
+        outside its domain; for REFERENCE_RS the square-root cutoff reaches 1
+        exactly at t = 2 pi.
         """
         if self.spec.kind is SchemeKind.ORACLE_EM:
             return euler_maclaurin_terms(t, self.oracle_terms, self.correction_order)
@@ -138,12 +148,37 @@ class SchemeEvaluator:
                 f"cutoff resolves to {n} at t = {t}; scheme undefined this low")
         return n
 
+    def _keys(self, ts: np.ndarray):
+        """Array rules of _key: (float64 keys, mask of the points _key accepts).
+
+        Each rule is the scalar one's floating-point expression, so keys
+        equal _key's bit for bit where the mask is set.
+        """
+        ok = np.isfinite(ts) & (ts >= 0.0)
+        safe = np.where(ok, ts, 0.0)
+        if self.spec.kind is SchemeKind.ORACLE_EM:
+            ceil = np.ceil(safe)
+            if self.oracle_terms is None:
+                keys = np.maximum(100.0, 2.0 * ceil)
+            else:
+                keys = np.full(len(ts), float(int(self.oracle_terms)))
+            ok &= ((keys >= np.maximum(50.0, ceil)) & (keys <= MAX_SECTION_TERMS)
+                   & (1 <= int(self.correction_order) <= 10))
+            return keys, ok
+        policy = self._policy
+        if policy.kind == "afe":
+            keys = np.floor(np.sqrt(safe / TWO_PI))
+        elif policy.kind == "spira":
+            keys = np.floor(safe / 2.0)
+        else:
+            keys = np.full(len(ts), float(policy.n))
+        return keys, ok & (keys >= 1.0)
+
     def evaluate(self, t: float) -> EvalPoint:
-        """The scheme at one point: the one-point case of _evaluate_run."""
-        t = float(t)
-        key = self._key(t)
-        values, hazards = self._evaluate_run(np.array([t]), np.array([theta(t)]), key)
-        return EvalPoint(float(values[0]), hazards > 0)
+        """The scheme at one point: the one-point case of _evaluate_chunk."""
+        value = np.empty(1, dtype=np.float64)
+        hazards = self._evaluate_chunk(np.array([float(t)]), value)
+        return EvalPoint(float(value[0]), hazards > 0)
 
     def value(self, t: float) -> float:
         return self.evaluate(t).value
@@ -168,28 +203,22 @@ class SchemeEvaluator:
     def _evaluate_chunk(self, ts: np.ndarray, out: np.ndarray) -> int:
         """Fill out with the values at ts; returns the hazard count.
 
-        Points are keyed in grid order.  At the first point outside the
-        scheme's domain the valid prefix is evaluated before its DomainError
-        is re-raised, so an error at an earlier point surfaces first.
+        Points are keyed with the array rules of _keys.  The valid prefix,
+        up to the first point outside the scheme's domain, is evaluated
+        first, a run of equal key at a time, so an error at an earlier point
+        surfaces first; then _key raises the scalar error of that point.
         """
-        keys = []
-        error = None
-        for t in ts.tolist():
-            try:
-                keys.append(self._key(t))
-            except DomainError as exc:
-                error = exc
-                break
-        thetas = theta_grid(ts[:len(keys)])
+        keys, ok = self._keys(ts)
+        stop = len(ts) if ok.all() else int(np.argmin(ok))
+        thetas = theta_grid(ts[:stop])
         hazards = 0
-        start = 0
-        for key, run in itertools.groupby(keys):
-            stop = start + sum(1 for _ in run)
-            out[start:stop], h = self._evaluate_run(ts[start:stop], thetas[start:stop], key)
+        for run in _key_runs(keys[:stop]):
+            out[run], h = self._evaluate_run(ts[run], thetas[run], int(keys[run.start]))
             hazards += h
-            start = stop
-        if error is not None:
-            raise error
+        if stop < len(ts):
+            t = float(ts[stop])
+            self._key(t)
+            raise AssertionError(f"the array rules refuse t = {t}, which _key accepts")
         return hazards
 
 

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from zsections.acceleration_engine import accelerated_triangle, accelerated_vertical
-from zsections.errors import ConvergenceError, DomainError
+from zsections.errors import ConvergenceError, DomainError, ResourceLimitError
 from zsections.reference_engine import z_euler_maclaurin, z_riemann_siegel
 from zsections.schemes import SchemeEvaluator, SchemeKind, SchemeSpec, evaluate_grid
-from zsections.sections_engine import CoefficientVector, section, z_custom
+from zsections.sections_engine import MAX_SECTION_TERMS, CoefficientVector, section, z_custom
 from zsections.zero_scanner import grid_points
 
 CUSTOM_ALPHA = CoefficientVector(alpha=tuple(1.0 / (1.0 + 0.1 * k) for k in range(17)))
@@ -203,6 +203,75 @@ def test_earlier_convergence_error_wins_over_later_domain_error():
         evaluator.evaluate(61.0)
     with pytest.raises(ConvergenceError, match="at t = 40.0"):
         evaluate_grid(evaluator, [40.0, 45.0, 61.0])
+
+
+def assert_keys_match_scalar(evaluator, ts):
+    """The array rules of _keys give _key's key wherever it accepts t, and refuse t elsewhere."""
+    keys, ok = evaluator._keys(np.array(ts, dtype=np.float64))
+    for t, key, accepted in zip(ts, keys.tolist(), ok.tolist()):
+        try:
+            want = evaluator._key(t)
+        except (DomainError, ResourceLimitError):
+            assert not accepted, f"{evaluator.spec.label}: t = {t!r} accepted, _key refuses it"
+            continue
+        assert accepted, f"{evaluator.spec.label}: t = {t!r} refused, _key gives {want}"
+        assert key == want, f"{evaluator.spec.label}: key {key} at t = {t!r}, _key gives {want}"
+
+
+def around(points):
+    """Each point with its floating-point neighbours on either side."""
+    return sorted({x for p in points for x in (math.nextafter(p, -math.inf), p,
+                                               math.nextafter(p, math.inf))})
+
+
+HALF_T_JUMPS = around([2.0 * k for k in range(0, 40)])
+SQRT_JUMPS = around([2.0 * math.pi * k * k for k in range(0, 40)])
+M_JUMPS = around([float(k) for k in range(0, 120)] + [49.5, 50.5, 999.0, 1000.0, 5000.0])
+EDGES = [-math.inf, -1.0, -5e-324, -0.0, 0.0, 5e-324, math.nan, math.inf, 1e300]
+
+
+@pytest.mark.parametrize("spec", PER_POINT_SPECS + FIXED_SPECS, ids=lambda s: s.label)
+def test_array_keys_equal_scalar_keys_at_jumps(spec):
+    # floor(t/2) jumps at t = 2k, floor(sqrt(t/2pi)) at t = 2 pi k^2, and the
+    # oracle's M = max(100, 2 ceil(t)) at every integer, leaving 100 at t = 50.
+    # Below 2 (spira) and 2 pi (afe, rs) the cutoff is 0 and t is refused.
+    evaluator = SchemeEvaluator(spec)
+    assert_keys_match_scalar(evaluator, HALF_T_JUMPS + SQRT_JUMPS + M_JUMPS + EDGES)
+
+
+@pytest.mark.parametrize("terms, order", [(60, 6), (400, 6), (50, 1), (2500, 8),
+                                          (49, 6), (MAX_SECTION_TERMS + 1, 6), (100, 11)])
+def test_array_keys_with_pinned_oracle_knobs(terms, order):
+    # A pinned M is refused above ceil(t) = M, and everywhere when M or the
+    # correction order is out of range.
+    evaluator = SchemeEvaluator(SchemeSpec(kind=SchemeKind.ORACLE_EM),
+                                oracle_terms=terms, correction_order=order)
+    ts = around([0.0, 49.0, 50.0, 59.5, 60.0, 399.0, 400.0, 2500.0]) + EDGES
+    assert_keys_match_scalar(evaluator, ts)
+
+
+def test_keys_beyond_the_section_limit_raise_the_engine_error():
+    # Cutoffs past MAX_SECTION_TERMS are keys the engines refuse, not domain
+    # errors; the grid raises the same error after the valid points.
+    spec = SchemeSpec(kind=SchemeKind.SPIRA)
+    ts = [100.0, 2.0 * MAX_SECTION_TERMS + 2.0, 1e300]
+    assert_keys_match_scalar(SchemeEvaluator(spec), ts)
+    with pytest.raises(ResourceLimitError) as scalar_error:
+        for t in ts:
+            SchemeEvaluator(spec).evaluate(t)
+    with pytest.raises(ResourceLimitError) as grid_error:
+        evaluate_grid(SchemeEvaluator(spec), ts)
+    assert str(grid_error.value) == str(scalar_error.value)
+
+
+def test_earlier_convergence_error_wins_over_later_resource_limit():
+    # At t = 6e5 the default M = 1.2e6 exceeds MAX_SECTION_TERMS; grid order
+    # still decides, so the unconverged tail at t = 40 surfaces first.
+    evaluator = SchemeEvaluator(SchemeSpec(kind=SchemeKind.ORACLE_EM), correction_order=1)
+    with pytest.raises(ResourceLimitError):
+        evaluator.evaluate(6e5)
+    with pytest.raises(ConvergenceError, match="at t = 40.0"):
+        evaluate_grid(evaluator, [40.0, 45.0, 6e5])
 
 
 def test_empty_grid():
