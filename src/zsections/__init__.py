@@ -22,7 +22,6 @@ from .errors import ConfigError, ConvergenceError, DomainError, ResourceLimitErr
 from .special_functions import log_gamma, theta, theta_grid
 from .sections_engine import (
     CoefficientVector,
-    CutoffPolicy,
     afe,
     cosine_terms,
     section,
@@ -65,7 +64,7 @@ __all__ = [
     "__version__",
     "ConfigError", "ConvergenceError", "DomainError", "ResourceLimitError",
     "log_gamma", "theta", "theta_grid",
-    "CoefficientVector", "CutoffPolicy", "afe", "cosine_terms", "section",
+    "CoefficientVector", "afe", "cosine_terms", "section",
     "spira", "z_custom",
     "ReferenceValue", "z_euler_maclaurin", "z_riemann_siegel",
     "AcceleratedCoefficients", "BetaTriangle", "accelerated_coefficients",

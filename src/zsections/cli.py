@@ -9,7 +9,10 @@ pipe-clean.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 when a numerical
 hazard was flagged (a remainder evaluation inside the cosine-denominator
-hazard window, or a tail that refused to converge).
+hazard window, or a tail that refused to converge).  RunConfig.validate
+refuses bad input, non-finite numbers included, before any numerical work.
+coeffs evaluates no scheme, so its subparser has no --scheme or
+--oracle-terms, and its --n is the coefficient order.
 
 Grid work runs on the batched, single-threaded evaluate_grid.  --threads is
 accepted only for compatibility: it is validated (1 to MAX_THREADS) and
@@ -111,8 +114,8 @@ class RunConfig:
         if self.a is not None:
             if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
                 raise ConfigError(f"--range needs a < b, got {self.a}:{self.b}")
-            if self.step is None or self.step <= 0.0:
-                raise ConfigError("--range needs a positive step")
+            if self.step is None or not 0.0 < self.step < math.inf:
+                raise ConfigError(f"--range needs a finite positive step, got {self.step}")
 
         if self.command == "eval":
             if not self.schemes:
@@ -128,10 +131,10 @@ class RunConfig:
             if not self.schemes:
                 raise ConfigError("zeros needs at least one --scheme")
         elif self.command == "conjecture":
-            if self.t_max is None:
-                raise ConfigError("conjecture needs --t-max")
-            if self.step is None or self.step <= 0.0:
-                raise ConfigError("conjecture needs a positive --step")
+            if self.t_max is None or not math.isfinite(self.t_max):
+                raise ConfigError(f"conjecture needs a finite --t-max, got {self.t_max}")
+            if self.step is None or not 0.0 < self.step < math.inf:
+                raise ConfigError(f"conjecture needs a finite positive --step, got {self.step}")
         elif self.command == "error-decay":
             if not self.schemes:
                 raise ConfigError("error-decay needs at least one --scheme")
@@ -142,6 +145,8 @@ class RunConfig:
                         f"{spec.label} is itself a reference")
             if self.t_list is None or len(self.t_list) < 3:
                 raise ConfigError("error-decay needs --t-list with at least 3 points")
+            if not all(math.isfinite(t) for t in self.t_list):
+                raise ConfigError(f"--t-list entries must be finite, got {list(self.t_list)}")
             if any(t < 50.0 for t in self.t_list):
                 raise ConfigError("error-decay points must all be >= 50")
             if any(u >= v for u, v in zip(self.t_list, self.t_list[1:])):
@@ -195,27 +200,6 @@ class RunConfig:
 
 
 @dataclass(frozen=True)
-class TimeGrid:
-    """Evaluation abscissae, either a uniform range or an explicit list."""
-
-    points: tuple
-    a: Optional[float] = None
-    b: Optional[float] = None
-    step: Optional[float] = None
-
-    @classmethod
-    def from_range(cls, a: float, b: float, step: float) -> "TimeGrid":
-        return cls(points=tuple(grid_points(a, b, step)), a=a, b=b, step=step)
-
-    @classmethod
-    def from_points(cls, points) -> "TimeGrid":
-        return cls(points=tuple(float(t) for t in points))
-
-    def __len__(self):
-        return len(self.points)
-
-
-@dataclass(frozen=True)
 class ErrorReport:
     """Per-scheme absolute errors against the oracle, with fitted decay laws.
 
@@ -225,9 +209,9 @@ class ErrorReport:
     entries are recomputable from the emitted rows.
     """
 
-    grid: TimeGrid
+    ts: tuple
     labels: tuple
-    errors: dict  # label -> tuple of abs errors, aligned with grid.points
+    errors: dict  # label -> tuple of abs errors, aligned with ts
     summary: dict  # label -> {model, slope, intercept, rms_residual, max, median}
 
 
@@ -360,10 +344,9 @@ def _ln_abs(value: float) -> float:
 def cmd_eval(config: RunConfig) -> CommandResult:
     """Rows (t, scheme, value, reference, abs_err), t-major scheme-minor."""
     if config.t is not None:
-        grid = TimeGrid.from_points([config.t])
+        ts = [float(config.t)]
     else:
-        grid = TimeGrid.from_range(config.a, config.b, config.step)
-    ts = list(grid.points)
+        ts = grid_points(config.a, config.b, config.step)
 
     ref_eval = SchemeEvaluator(SchemeSpec(kind=config.ref_kind),
                                oracle_terms=config.oracle_terms)
@@ -549,8 +532,7 @@ def cmd_conjecture(config: RunConfig) -> CommandResult:
 
 def error_decay_report(t_list, specs, oracle_terms: Optional[int] = None) -> ErrorReport:
     """Absolute errors vs the EM oracle with least-squares decay fits."""
-    grid = TimeGrid.from_points(t_list)
-    ts = list(grid.points)
+    ts = [float(t) for t in t_list]
     ref_eval = SchemeEvaluator(SchemeSpec(kind=SchemeKind.ORACLE_EM),
                                oracle_terms=oracle_terms)
     ref_vals, _ = evaluate_grid(ref_eval, ts)
@@ -580,7 +562,7 @@ def error_decay_report(t_list, specs, oracle_terms: Optional[int] = None) -> Err
             "max_abs_err": max(errs),
             "median_abs_err": float(np.median(errs)),
         }
-    return ErrorReport(grid=grid, labels=tuple(s.label for s in specs),
+    return ErrorReport(ts=tuple(ts), labels=tuple(s.label for s in specs),
                        errors=errors, summary=summary)
 
 
@@ -588,11 +570,11 @@ def cmd_error_decay(config: RunConfig) -> CommandResult:
     report = error_decay_report(config.t_list, config.schemes,
                                 oracle_terms=config.oracle_terms)
     rows = []
-    for i, t in enumerate(report.grid.points):
+    for i, t in enumerate(report.ts):
         for label in report.labels:
             rows.append((t, label, report.errors[label][i]))
     return CommandResult(("t", "scheme", "abs_err"), rows,
-                         {"points": len(report.grid), "fits": report.summary}, 0)
+                         {"points": len(report.ts), "fits": report.summary}, 0)
 
 
 _COEFFICIENT_HEADER = ("k", "alpha_accelerated", "alpha_step", "comment")
@@ -676,21 +658,23 @@ def _parse_int_list(text: str) -> tuple:
         raise ConfigError(f"bad integer list {text!r}") from exc
 
 
-def _add_common(sub: argparse.ArgumentParser, *, schemes: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser, *, schemes: bool = True,
+                oracle: bool = True) -> None:
     if schemes:
         sub.add_argument("--scheme", action="append", metavar="NAME",
                          help="scheme name (repeatable or comma-joined): rs, em, "
                               "afe, spira, acc, acc-triangle, custom:<file>")
         sub.add_argument("--n", type=int, default=None,
                          help="fixed cutoff for schemes that take one")
+    if oracle:
+        sub.add_argument("--oracle-terms", type=int, default=None, dest="oracle_terms",
+                         help="partial-sum length override for the oracle")
     sub.add_argument("--out", default=None, metavar="PATH",
                      help="CSV output path (JSON summary lands beside it); "
                           "default stdout/stderr")
     sub.add_argument("--threads", type=int, default=1,
                      help=f"accepted for compatibility, 1 to {MAX_THREADS}; "
                           "evaluation runs on one thread")
-    sub.add_argument("--oracle-terms", type=int, default=None, dest="oracle_terms",
-                     help="partial-sum length override for the oracle")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -730,10 +714,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = subs.add_parser("coeffs", help="coefficient profiles and l2 distances")
+    p.add_argument("--n", type=int, default=None,
+                   help="emit the accelerated and step coefficients of this order")
     p.add_argument("--sweep", default=None, metavar="N1,N2,...",
                    help="emit l2 distance to the step vector for these orders")
     p.add_argument("--k-max", type=int, default=None, dest="k_max")
-    _add_common(p)
+    _add_common(p, schemes=False, oracle=False)
 
     return parser
 
@@ -759,7 +745,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     schemes = ()
     n = getattr(args, "n", None)
     if hasattr(args, "scheme"):
-        schemes = parse_scheme_args(args.scheme, n if command != "coeffs" else None)
+        schemes = parse_scheme_args(args.scheme, n)
 
     config = RunConfig(
         command=command,

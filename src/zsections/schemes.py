@@ -15,10 +15,11 @@ alongside values rather than counted in hidden state.
 There is one evaluation path.  Each point has a run key (the cutoff, the
 oracle's partial-sum length M, or the custom vector's length).
 evaluate_grid takes fixed-size chunks of points, computes theta once per
-chunk with theta_grid and keys the whole chunk with array rules
-(SchemeEvaluator._keys: the floors of t/2 and sqrt(t/2pi), a fixed n, or
-M); the scalar _key only raises the error of the first point outside the
-domain.  Points that share a key are evaluated together by the engines'
+chunk with theta_grid and keys the whole chunk with SchemeEvaluator._keys,
+the one place that maps a kind to its rule (sections_engine's sqrt_cutoff
+or half_cutoff, a fixed n, or M); the scalar _key and cutoff are its
+one-point case, and _key raises the error of a point outside the domain.
+Points that share a key are evaluated together by the engines'
 *_rows functions in SchemeEvaluator._evaluate_run, the only place that
 picks an engine by kind.  The zero scanner's grids, bisection rounds and
 residuals all go through evaluate_grid, and SchemeEvaluator.evaluate is
@@ -30,6 +31,7 @@ engines, so every value equals the scalar engine's bit for bit.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -38,8 +40,14 @@ import numpy as np
 from .acceleration_engine import accelerated_triangle_rows, accelerated_vertical_rows
 from .errors import DomainError
 from .reference_engine import euler_maclaurin_rows, euler_maclaurin_terms, riemann_siegel_rows
-from .sections_engine import MAX_SECTION_TERMS, CoefficientVector, CutoffPolicy, section_rows
-from .special_functions import TWO_PI, theta_grid
+from .sections_engine import (
+    MAX_SECTION_TERMS,
+    CoefficientVector,
+    half_cutoff,
+    section_rows,
+    sqrt_cutoff,
+)
+from .special_functions import theta_grid
 
 # Points per chunk of a grid evaluation; bounds the longdouble theta temporaries.
 GRID_CHUNK = 4096
@@ -118,41 +126,42 @@ class SchemeEvaluator:
         self.spec = spec
         self.oracle_terms = oracle_terms
         self.correction_order = correction_order
-        fixed = len(spec.alpha) if spec.alpha is not None else spec.n
-        if fixed is not None:
-            self._policy = CutoffPolicy.fixed(fixed)
-        elif spec.kind in (SchemeKind.AFE, SchemeKind.REFERENCE_RS):
-            self._policy = CutoffPolicy.afe()
-        else:
-            self._policy = CutoffPolicy.spira()
+        self._fixed = len(spec.alpha) if spec.alpha is not None else spec.n
         self._alpha = spec.alpha.as_array() if spec.alpha is not None else None
 
     def cutoff(self, t: float) -> Optional[int]:
         """The term count used at height t (None for the oracle, which has no cutoff)."""
         if self.spec.kind is SchemeKind.ORACLE_EM:
             return None
-        return self._key(t)
+        return self._key(float(t))
 
     def _key(self, t: float) -> int:
-        """The run key at t: the cutoff, M for the oracle, or len(alpha) for CUSTOM.
+        """The run key at t, the one-point case of _keys.
 
-        The scalar validator: raises the scheme's DomainError where t lies
-        outside its domain; for REFERENCE_RS the square-root cutoff reaches 1
-        exactly at t = 2 pi.
+        Where _keys refuses t, raises the scheme's error: the oracle's comes
+        from its scalar validator euler_maclaurin_terms, a section's from its
+        domain or from a cutoff below 1 (for REFERENCE_RS the square-root
+        cutoff reaches 1 exactly at t = 2 pi).
         """
+        keys, ok = self._keys(np.array([t]))
+        if ok[0]:
+            return int(keys[0])
         if self.spec.kind is SchemeKind.ORACLE_EM:
-            return euler_maclaurin_terms(t, self.oracle_terms, self.correction_order)
-        n = self._policy.resolve(t)
-        if n < 1:
-            raise DomainError(
-                f"cutoff resolves to {n} at t = {t}; scheme undefined this low")
-        return n
+            euler_maclaurin_terms(t, self.oracle_terms, self.correction_order)
+            raise AssertionError(f"the array rules refuse t = {t}, which the oracle accepts")
+        if not (math.isfinite(t) and t >= 0.0):
+            raise DomainError(f"cutoff resolution requires finite t >= 0, got {t}")
+        raise DomainError(
+            f"cutoff resolves to {int(keys[0])} at t = {t}; scheme undefined this low")
 
     def _keys(self, ts: np.ndarray):
-        """Array rules of _key: (float64 keys, mask of the points _key accepts).
+        """Run keys of an array of points: (float64 keys, mask of the accepted points).
 
-        Each rule is the scalar one's floating-point expression, so keys
-        equal _key's bit for bit where the mask is set.
+        The one place that maps a kind to its rule: the square-root cutoff
+        for AFE and REFERENCE_RS, the half cutoff for SPIRA and both
+        accelerated kinds, a pinned n or the custom vector's length, and M
+        for the oracle.  Section keys below 1 and points outside finite
+        t >= 0 are refused.
         """
         ok = np.isfinite(ts) & (ts >= 0.0)
         safe = np.where(ok, ts, 0.0)
@@ -165,13 +174,12 @@ class SchemeEvaluator:
             ok &= ((keys >= np.maximum(50.0, ceil)) & (keys <= MAX_SECTION_TERMS)
                    & (1 <= int(self.correction_order) <= 10))
             return keys, ok
-        policy = self._policy
-        if policy.kind == "afe":
-            keys = np.floor(np.sqrt(safe / TWO_PI))
-        elif policy.kind == "spira":
-            keys = np.floor(safe / 2.0)
+        if self._fixed is not None:
+            keys = np.full(len(ts), float(int(self._fixed)))
+        elif self.spec.kind in (SchemeKind.AFE, SchemeKind.REFERENCE_RS):
+            keys = sqrt_cutoff(safe)
         else:
-            keys = np.full(len(ts), float(policy.n))
+            keys = half_cutoff(safe)
         return keys, ok & (keys >= 1.0)
 
     def evaluate(self, t: float) -> EvalPoint:
@@ -206,7 +214,7 @@ class SchemeEvaluator:
         Points are keyed with the array rules of _keys.  The valid prefix,
         up to the first point outside the scheme's domain, is evaluated
         first, a run of equal key at a time, so an error at an earlier point
-        surfaces first; then _key raises the scalar error of that point.
+        surfaces first; then _key raises the error of the refused point.
         """
         keys, ok = self._keys(ts)
         stop = len(ts) if ok.all() else int(np.argmin(ok))
@@ -216,9 +224,7 @@ class SchemeEvaluator:
             out[run], h = self._evaluate_run(ts[run], thetas[run], int(keys[run.start]))
             hazards += h
         if stop < len(ts):
-            t = float(ts[stop])
-            self._key(t)
-            raise AssertionError(f"the array rules refuse t = {t}, which _key accepts")
+            self._key(float(ts[stop]))  # raises: _keys refused this point
         return hazards
 
 

@@ -8,8 +8,8 @@ the truncated cosine expansion of Z on the critical line.  Three named
 schemes are built from it:
 
   * the approximate-functional-equation main sum 2 Z_Ntilde(t) with the
-    square-root cutoff Ntilde(t) = floor(sqrt(t / 2 pi)),
-  * Spira's high-cutoff section Z_N(t) with N(t) = floor(t / 2),
+    square-root cutoff Ntilde(t) = floor(sqrt(t / 2 pi)) (sqrt_cutoff),
+  * Spira's high-cutoff section Z_N(t) with N(t) = floor(t / 2) (half_cutoff),
   * the generalized family Z(t; alpha) = sum alpha_k cos(theta - t ln k)/sqrt(k)
     over finite coefficient vectors, which specializes to both of the above
     and to the accelerated section.
@@ -22,14 +22,15 @@ and cancels exactly in cross-scheme identity tests.
 The kernel is computed as a matrix with one row per evaluation point
 (cosine_rows); the scalar cosine_terms is its one-row case, and section_rows
 reduces each row of a batch with the same fsum, so a batched grid gives the
-scalar values bit for bit.
+scalar values bit for bit.  Likewise each cutoff rule is written once, as a
+numpy expression that takes a float or an array: afe and spira apply it to
+one height, and the scheme layer to a whole chunk of heights.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -101,49 +102,19 @@ def cosine_terms(t: float, n: int) -> np.ndarray:
     return cosine_rows(np.array([t]), np.array([theta(t)]), n)[0]
 
 
-@dataclass(frozen=True)
-class CutoffPolicy:
-    """Rule mapping a height t to a section cutoff N.
+def sqrt_cutoff(t):
+    """The AFE cutoff Ntilde(t) = floor(sqrt(t/2pi)), of a float or elementwise of an array.
 
-    kind is one of "afe" (Ntilde(t) = floor(sqrt(t/2pi))), "spira"
-    (N(t) = floor(t/2)), or "fixed" (constant n, used to reproduce plots that
-    hold N constant over a t window).
+    Division, sqrt and floor are correctly rounded, so the value is that of
+    the same expression written with math, bit for bit; t is taken as
+    validated (finite, >= 0).
     """
+    return np.floor(np.sqrt(t / TWO_PI))
 
-    kind: str
-    n: Optional[int] = None
 
-    def __post_init__(self):
-        if self.kind not in ("afe", "spira", "fixed"):
-            raise DomainError(f"unknown cutoff policy kind {self.kind!r}")
-        if self.kind == "fixed":
-            if self.n is None or int(self.n) < 0:
-                raise DomainError("fixed cutoff policy requires n >= 0")
-        elif self.n is not None:
-            raise DomainError(f"cutoff policy {self.kind!r} takes no n")
-
-    @classmethod
-    def afe(cls) -> "CutoffPolicy":
-        return cls(kind="afe")
-
-    @classmethod
-    def spira(cls) -> "CutoffPolicy":
-        return cls(kind="spira")
-
-    @classmethod
-    def fixed(cls, n: int) -> "CutoffPolicy":
-        return cls(kind="fixed", n=int(n))
-
-    def resolve(self, t: float) -> int:
-        """Cutoff at height t; non-negative and non-decreasing in t."""
-        t = float(t)
-        if not math.isfinite(t) or t < 0.0:
-            raise DomainError(f"cutoff resolution requires finite t >= 0, got {t}")
-        if self.kind == "afe":
-            return int(math.floor(math.sqrt(t / TWO_PI)))
-        if self.kind == "spira":
-            return int(math.floor(t / 2.0))
-        return int(self.n)
+def half_cutoff(t):
+    """Spira's cutoff N(t) = floor(t/2), of a float or elementwise of an array."""
+    return np.floor(t / 2.0)
 
 
 @dataclass(frozen=True)
@@ -182,7 +153,7 @@ def afe(t: float) -> float:
     t = float(t)
     if not math.isfinite(t) or t < TWO_PI:
         raise DomainError(f"afe requires t >= 2 pi, got {t}")
-    return 2.0 * section(t, CutoffPolicy.afe().resolve(t))
+    return 2.0 * section(t, int(sqrt_cutoff(t)))
 
 
 def spira(t: float) -> float:
@@ -190,7 +161,7 @@ def spira(t: float) -> float:
     t = float(t)
     if not math.isfinite(t) or t < 2.0:
         raise DomainError(f"spira requires t >= 2, got {t}")
-    return section(t, CutoffPolicy.spira().resolve(t))
+    return section(t, int(half_cutoff(t)))
 
 
 def z_custom(t: float, alpha) -> float:

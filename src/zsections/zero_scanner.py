@@ -211,12 +211,6 @@ def _bisect(evaluator: SchemeEvaluator, brackets: list) -> list:
     return list(zip(lo.tolist(), hi.tolist()))
 
 
-def _cutoff_jump(evaluator: SchemeEvaluator, lo: float, hi: float) -> bool:
-    c_lo = evaluator.cutoff(lo)
-    c_hi = evaluator.cutoff(hi)
-    return c_lo is not None and c_lo != c_hi
-
-
 def scan_zeros(scheme: SchemeSpec, a: float, b: float, step: float, *,
                oracle_terms: Optional[int] = None) -> ScanResult:
     """All bracketed sign changes and exact zeros of a scheme on the grid a, a+step, ..., b."""
@@ -253,11 +247,15 @@ def scan_zeros(scheme: SchemeSpec, a: float, b: float, step: float, *,
     refined = _bisect(evaluator, [(lo, hi, f_lo) for lo, hi, f_lo, _ in brackets])
     locations = [0.5 * (lo + hi) for lo, hi in refined]
     residuals, _ = evaluate_grid(evaluator, locations)
-    for (_, _, f_lo, f_hi), (lo, hi), location, residual in zip(
-            brackets, refined, locations, np.abs(residuals).tolist()):
+    # Both ends of every refined bracket are keyed at once; the oracle's M
+    # is no cutoff, so its records never flag a jump.
+    keys, _ = evaluator._keys(np.array(refined, dtype=np.float64).ravel())
+    jumps = (keys[0::2] != keys[1::2]) & (scheme.kind is not SchemeKind.ORACLE_EM)
+    for (_, _, f_lo, f_hi), (lo, hi), location, residual, jump in zip(
+            brackets, refined, locations, np.abs(residuals).tolist(), jumps.tolist()):
         records.append(ZeroRecord(
             scheme=scheme, location=location, bracket=(lo, hi), residual=residual,
-            scale=max(abs(f_lo), abs(f_hi)), cutoff_jump=_cutoff_jump(evaluator, lo, hi)))
+            scale=max(abs(f_lo), abs(f_hi)), cutoff_jump=jump))
 
     records.sort(key=lambda r: r.location)
     deduped = []

@@ -16,7 +16,15 @@ from zsections.acceleration_engine import (
     accelerated_coefficients,
     coefficient_l2_distance,
 )
-from zsections.cli import MAX_THREADS, RunConfig, error_decay_report, main
+from zsections.cli import (
+    MAX_THREADS,
+    RunConfig,
+    build_parser,
+    config_from_args,
+    error_decay_report,
+    main,
+)
+from zsections.errors import ConfigError
 from zsections.schemes import SchemeKind, SchemeSpec
 from zsections.sections_engine import MAX_SECTION_TERMS, section
 from zsections.special_functions import theta
@@ -323,7 +331,7 @@ def test_error_decay_report_object():
     errs = report.errors["SPIRA"]
     assert len(errs) == 3 and all(e >= 0.0 for e in errs)
     # recompute the fitted slope from the rows
-    xs = [math.log(t) for t in report.grid.points]
+    xs = [math.log(t) for t in report.ts]
     ys = [math.log(e) for e in errs]
     n = len(xs)
     xbar, ybar = sum(xs) / n, sum(ys) / n
@@ -337,6 +345,24 @@ def test_error_decay_validation():
     assert main(["error-decay", "--t-list", "40,100,200", "--scheme", "spira"]) == 2
     assert main(["error-decay", "--t-list", "100,200,150", "--scheme", "spira"]) == 2
     assert main(["error-decay", "--t-list", "100,200,400", "--scheme", "em"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--range", "100:101:nan", "--scheme", "spira"],
+    ["eval", "--range", "100:101:inf", "--scheme", "spira"],
+    ["zeros", "--range", "412:419:nan", "--scheme", "em,spira"],
+    ["error-decay", "--t-list", "100,nan,200,300", "--scheme", "spira"],
+    ["error-decay", "--t-list", "100,200,300,inf", "--scheme", "spira"],
+    ["conjecture", "--t-max", "100", "--step", "nan"],
+    ["conjecture", "--t-max", "100", "--step", "inf"],
+    ["conjecture", "--t-max", "nan"],
+    ["conjecture", "--t-max", "inf"],
+], ids=" ".join)
+def test_non_finite_numbers_refused_by_validation(argv):
+    # Refused by RunConfig.validate, before any grid is built or any point
+    # evaluated; main maps the ConfigError to exit code 2.
+    with pytest.raises(ConfigError, match="finite"):
+        config_from_args(build_parser().parse_args(argv))
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +398,15 @@ def test_coeffs_validation():
     assert main(["coeffs", "--n", "5", "--k-max", "1000000000"]) == 2
     assert main(["coeffs", "--n", "5", "--k-max", str(MAX_ACCELERATION_ORDER + 1)]) == 2
     RunConfig(command="coeffs", n=5, k_max=MAX_ACCELERATION_ORDER).validate()
+
+
+@pytest.mark.parametrize("flag", [["--scheme", "custom:/nonexistent"], ["--oracle-terms", "10"]])
+def test_coeffs_refuses_flags_it_never_reads(flag):
+    # coeffs evaluates no scheme; its --n, the coefficient order, is still
+    # echoed in the JSON config (test_json_sidecar_structure).
+    with pytest.raises(SystemExit) as exc:
+        main(["coeffs", "--n", "3"] + flag)
+    assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ import pytest
 
 from zsections.acceleration_engine import accelerated_triangle, accelerated_vertical
 from zsections.errors import ConvergenceError, DomainError, ResourceLimitError
-from zsections.reference_engine import z_euler_maclaurin, z_riemann_siegel
+from zsections.reference_engine import euler_maclaurin_terms, z_euler_maclaurin, z_riemann_siegel
 from zsections.schemes import SchemeEvaluator, SchemeKind, SchemeSpec, evaluate_grid
 from zsections.sections_engine import MAX_SECTION_TERMS, CoefficientVector, section, z_custom
+from zsections.special_functions import TWO_PI
 from zsections.zero_scanner import grid_points
 
 CUSTOM_ALPHA = CoefficientVector(alpha=tuple(1.0 / (1.0 + 0.1 * k) for k in range(17)))
@@ -205,17 +206,44 @@ def test_earlier_convergence_error_wins_over_later_domain_error():
         evaluate_grid(evaluator, [40.0, 45.0, 61.0])
 
 
-def assert_keys_match_scalar(evaluator, ts):
-    """The array rules of _keys give _key's key wherever it accepts t, and refuse t elsewhere."""
-    keys, ok = evaluator._keys(np.array(ts, dtype=np.float64))
-    for t, key, accepted in zip(ts, keys.tolist(), ok.tolist()):
+def reference_key(evaluator, t):
+    """The run key at t, written with math apart from the package's rules; None if t is refused."""
+    spec = evaluator.spec
+    if spec.kind is SchemeKind.ORACLE_EM:
         try:
-            want = evaluator._key(t)
+            return euler_maclaurin_terms(t, evaluator.oracle_terms, evaluator.correction_order)
         except (DomainError, ResourceLimitError):
-            assert not accepted, f"{evaluator.spec.label}: t = {t!r} accepted, _key refuses it"
+            return None
+    if not (math.isfinite(t) and t >= 0.0):
+        return None
+    if spec.alpha is not None:
+        n = len(spec.alpha)
+    elif spec.n is not None:
+        n = spec.n
+    elif spec.kind in (SchemeKind.AFE, SchemeKind.REFERENCE_RS):
+        n = math.floor(math.sqrt(t / TWO_PI))
+    else:
+        n = math.floor(t / 2.0)
+    return n if n >= 1 else None
+
+
+def assert_keys_match_reference(evaluator, ts):
+    """_keys gives reference_key's key where it accepts t, and refuses t elsewhere.
+
+    The scalar _key, the one-point case, gives the same key or raises.
+    """
+    keys, ok = evaluator._keys(np.array(ts, dtype=np.float64))
+    label = evaluator.spec.label
+    for t, key, accepted in zip(ts, keys.tolist(), ok.tolist()):
+        want = reference_key(evaluator, t)
+        if want is None:
+            assert not accepted, f"{label}: t = {t!r} accepted as {key}, the reference refuses it"
+            with pytest.raises((DomainError, ResourceLimitError)):
+                evaluator._key(t)
             continue
-        assert accepted, f"{evaluator.spec.label}: t = {t!r} refused, _key gives {want}"
-        assert key == want, f"{evaluator.spec.label}: key {key} at t = {t!r}, _key gives {want}"
+        assert accepted, f"{label}: t = {t!r} refused, the reference gives {want}"
+        assert key == want, f"{label}: key {key} at t = {t!r}, the reference gives {want}"
+        assert evaluator._key(t) == want
 
 
 def around(points):
@@ -236,7 +264,7 @@ def test_array_keys_equal_scalar_keys_at_jumps(spec):
     # oracle's M = max(100, 2 ceil(t)) at every integer, leaving 100 at t = 50.
     # Below 2 (spira) and 2 pi (afe, rs) the cutoff is 0 and t is refused.
     evaluator = SchemeEvaluator(spec)
-    assert_keys_match_scalar(evaluator, HALF_T_JUMPS + SQRT_JUMPS + M_JUMPS + EDGES)
+    assert_keys_match_reference(evaluator, HALF_T_JUMPS + SQRT_JUMPS + M_JUMPS + EDGES)
 
 
 @pytest.mark.parametrize("terms, order", [(60, 6), (400, 6), (50, 1), (2500, 8),
@@ -247,7 +275,7 @@ def test_array_keys_with_pinned_oracle_knobs(terms, order):
     evaluator = SchemeEvaluator(SchemeSpec(kind=SchemeKind.ORACLE_EM),
                                 oracle_terms=terms, correction_order=order)
     ts = around([0.0, 49.0, 50.0, 59.5, 60.0, 399.0, 400.0, 2500.0]) + EDGES
-    assert_keys_match_scalar(evaluator, ts)
+    assert_keys_match_reference(evaluator, ts)
 
 
 def test_keys_beyond_the_section_limit_raise_the_engine_error():
@@ -255,7 +283,7 @@ def test_keys_beyond_the_section_limit_raise_the_engine_error():
     # errors; the grid raises the same error after the valid points.
     spec = SchemeSpec(kind=SchemeKind.SPIRA)
     ts = [100.0, 2.0 * MAX_SECTION_TERMS + 2.0, 1e300]
-    assert_keys_match_scalar(SchemeEvaluator(spec), ts)
+    assert_keys_match_reference(SchemeEvaluator(spec), ts)
     with pytest.raises(ResourceLimitError) as scalar_error:
         for t in ts:
             SchemeEvaluator(spec).evaluate(t)
@@ -277,3 +305,65 @@ def test_earlier_convergence_error_wins_over_later_resource_limit():
 def test_empty_grid():
     values, hazards = evaluate_grid(SchemeEvaluator(SchemeSpec(kind=SchemeKind.SPIRA)), [])
     assert values.shape == (0,) and hazards == 0
+
+
+def test_cutoff_named_values():
+    def cutoff(t, **spec):
+        return SchemeEvaluator(SchemeSpec(**spec)).cutoff(t)
+
+    assert cutoff(412.0, kind=SchemeKind.AFE) == 8
+    assert cutoff(412.0, kind=SchemeKind.REFERENCE_RS) == 8
+    assert cutoff(3000.0, kind=SchemeKind.SPIRA) == 1500
+    assert cutoff(3000.0, kind=SchemeKind.ACCELERATED_COEFF) == 1500
+    assert cutoff(3000.0, kind=SchemeKind.ACCELERATED_TRIANGLE) == 1500
+    assert cutoff(991.7, kind=SchemeKind.SPIRA, n=205) == 205
+    assert cutoff(991.7, kind=SchemeKind.CUSTOM, alpha=CUSTOM_ALPHA) == 17
+    assert cutoff(991.7, kind=SchemeKind.ORACLE_EM) is None
+
+
+def test_cutoff_monotone_and_ordered():
+    """AFE cutoff <= Spira cutoff, both non-decreasing, Spira exact."""
+    afe_cutoff = SchemeEvaluator(SchemeSpec(kind=SchemeKind.AFE)).cutoff
+    spira_cutoff = SchemeEvaluator(SchemeSpec(kind=SchemeKind.SPIRA)).cutoff
+    prev_a = prev_s = -1
+    for t in np.linspace(10.0, 1.0e4, 2001).tolist():
+        na, ns = afe_cutoff(t), spira_cutoff(t)
+        assert na <= ns
+        assert na >= prev_a and ns >= prev_s
+        assert ns == math.floor(t / 2.0)
+        prev_a, prev_s = na, ns
+
+
+def test_cutoff_refusal_messages():
+    spira = SchemeEvaluator(SchemeSpec(kind=SchemeKind.SPIRA))
+    for t in (-1.0, math.nan, math.inf):
+        outside = f"^cutoff resolution requires finite t >= 0, got {t}$"
+        with pytest.raises(DomainError, match=outside):
+            spira.cutoff(t)
+    low = "^cutoff resolves to 0 at t = 1.5; scheme undefined this low$"
+    with pytest.raises(DomainError, match=low):
+        spira.cutoff(1.5)
+    with pytest.raises(DomainError, match=low):
+        evaluate_grid(spira, [100.0, 1.5])
+
+
+def test_scheme_spec_refusals():
+    refused = [
+        dict(kind=SchemeKind.SPIRA, n=0),
+        dict(kind=SchemeKind.AFE, n=-3),
+        dict(kind=SchemeKind.ORACLE_EM, n=5),
+        dict(kind=SchemeKind.REFERENCE_RS, n=5),
+        dict(kind=SchemeKind.CUSTOM),
+        dict(kind=SchemeKind.CUSTOM, alpha=()),
+        dict(kind=SchemeKind.CUSTOM, alpha=CUSTOM_ALPHA, n=17),
+        dict(kind=SchemeKind.SPIRA, alpha=CUSTOM_ALPHA),
+        dict(kind=SchemeKind.ORACLE_EM, alpha=CUSTOM_ALPHA),
+    ]
+    for kwargs in refused:
+        with pytest.raises(DomainError):
+            SchemeSpec(**kwargs)
+            pytest.fail(f"SchemeSpec accepted {kwargs}")
+    with pytest.raises(ValueError):
+        SchemeSpec(kind="nope")
+    SchemeSpec(kind=SchemeKind.SPIRA, n=1)
+    SchemeSpec(kind=SchemeKind.CUSTOM, alpha=CUSTOM_ALPHA)

@@ -1,4 +1,4 @@
-"""Tests for plain sections, cutoff policies, and the generalized Z(t; alpha)."""
+"""Tests for plain sections, the AFE and Spira schemes, and the generalized Z(t; alpha)."""
 
 import math
 
@@ -10,7 +10,6 @@ from zsections.errors import DomainError, ResourceLimitError
 from zsections.reference_engine import z_euler_maclaurin
 from zsections.sections_engine import (
     CoefficientVector,
-    CutoffPolicy,
     afe,
     cosine_terms,
     section,
@@ -54,33 +53,6 @@ class TestSection:
             section(5.0, -1)
         with pytest.raises(ResourceLimitError):
             cosine_terms(10.0, 10**6 + 1)
-
-
-class TestCutoffPolicy:
-    def test_named_values(self):
-        assert CutoffPolicy.afe().resolve(412.0) == 8
-        assert CutoffPolicy.spira().resolve(3000.0) == 1500
-        assert CutoffPolicy.fixed(205).resolve(991.7) == 205
-
-    def test_monotone_and_ordered(self):
-        """AFE cutoff <= Spira cutoff, both non-decreasing, Spira exact."""
-        pa, ps = CutoffPolicy.afe(), CutoffPolicy.spira()
-        ts = np.linspace(10.0, 1.0e4, 2001)
-        prev_a = prev_s = -1
-        for t in ts:
-            na, ns = pa.resolve(float(t)), ps.resolve(float(t))
-            assert na <= ns
-            assert na >= prev_a and ns >= prev_s
-            assert ns == math.floor(t / 2.0)
-            prev_a, prev_s = na, ns
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            CutoffPolicy(kind="nope")
-        with pytest.raises(DomainError):
-            CutoffPolicy.fixed(-3)
-        with pytest.raises(DomainError):
-            CutoffPolicy(kind="afe", n=5)
 
 
 class TestAfeAndSpira:
