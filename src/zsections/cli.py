@@ -10,9 +10,11 @@ pipe-clean.
 Exit codes: 0 on success, 2 on configuration errors, 3 when a numerical
 hazard was flagged (a remainder evaluation inside the cosine-denominator
 hazard window, or a tail that refused to converge).  RunConfig.validate
-refuses bad input, non-finite numbers included, before any numerical work.
-coeffs evaluates no scheme, so its subparser has no --scheme or
---oracle-terms, and its --n is the coefficient order.
+refuses bad input, non-finite numbers included, before any numerical work:
+the checks every command shares, then one check per subcommand
+(_COMMAND_CHECKS).  coeffs evaluates no scheme, so its subparser has no
+--scheme or --oracle-terms, and its --n is the coefficient order; figure
+fig4 is the same coefficient table, and its check refuses --oracle-terms.
 
 Grid work runs on the batched, single-threaded evaluate_grid.  --threads is
 accepted only for compatibility: it is validated (1 to MAX_THREADS) and
@@ -101,6 +103,7 @@ class RunConfig:
     out: Optional[str] = None
 
     def validate(self) -> None:
+        """The checks every command shares, then the command's own (_COMMAND_CHECKS)."""
         if not 1 <= self.threads <= MAX_THREADS:
             raise ConfigError(
                 f"--threads must lie in [1, {MAX_THREADS}], got {self.threads}")
@@ -116,53 +119,10 @@ class RunConfig:
                 raise ConfigError(f"--range needs a < b, got {self.a}:{self.b}")
             if self.step is None or not 0.0 < self.step < math.inf:
                 raise ConfigError(f"--range needs a finite positive step, got {self.step}")
-
-        if self.command == "eval":
-            if not self.schemes:
-                raise ConfigError("eval needs at least one --scheme")
-            if (self.t is None) == (self.a is None):
-                raise ConfigError("eval needs exactly one of --t or --range")
-        elif self.command == "figure":
-            if self.figure not in _FIGURE_IDS:
-                raise ConfigError(f"figure id must be one of {_FIGURE_IDS}")
-        elif self.command == "zeros":
-            if self.a is None:
-                raise ConfigError("zeros needs --range a:b:step")
-            if not self.schemes:
-                raise ConfigError("zeros needs at least one --scheme")
-        elif self.command == "conjecture":
-            if self.t_max is None or not math.isfinite(self.t_max):
-                raise ConfigError(f"conjecture needs a finite --t-max, got {self.t_max}")
-            if self.step is None or not 0.0 < self.step < math.inf:
-                raise ConfigError(f"conjecture needs a finite positive --step, got {self.step}")
-        elif self.command == "error-decay":
-            if not self.schemes:
-                raise ConfigError("error-decay needs at least one --scheme")
-            for spec in self.schemes:
-                if spec.is_reference:
-                    raise ConfigError(
-                        f"error-decay judges schemes against the oracle; "
-                        f"{spec.label} is itself a reference")
-            if self.t_list is None or len(self.t_list) < 3:
-                raise ConfigError("error-decay needs --t-list with at least 3 points")
-            if not all(math.isfinite(t) for t in self.t_list):
-                raise ConfigError(f"--t-list entries must be finite, got {list(self.t_list)}")
-            if any(t < 50.0 for t in self.t_list):
-                raise ConfigError("error-decay points must all be >= 50")
-            if any(u >= v for u, v in zip(self.t_list, self.t_list[1:])):
-                raise ConfigError("--t-list must be strictly ascending")
-        elif self.command == "coeffs":
-            if (self.n is None) == (self.sweep is None):
-                raise ConfigError("coeffs needs exactly one of --n or --sweep")
-            if self.n is not None and self.n < 1:
-                raise ConfigError(f"--n must be >= 1, got {self.n}")
-            if self.k_max is not None and not 1 <= self.k_max <= MAX_ACCELERATION_ORDER:
-                raise ConfigError(
-                    f"--k-max must lie in [1, {MAX_ACCELERATION_ORDER}], got {self.k_max}")
-            if self.sweep is not None and any(m < 1 for m in self.sweep):
-                raise ConfigError("--sweep orders must all be >= 1")
-        else:
+        check = _COMMAND_CHECKS.get(self.command)
+        if check is None:
             raise ConfigError(f"unknown command {self.command!r}")
+        check(self)
 
     def as_dict(self) -> dict:
         """JSON-friendly echo of the settings that shaped this run."""
@@ -197,6 +157,76 @@ class RunConfig:
         if self.out is not None:
             doc["out"] = self.out
         return doc
+
+
+def _check_eval(config: RunConfig) -> None:
+    if not config.schemes:
+        raise ConfigError("eval needs at least one --scheme")
+    if (config.t is None) == (config.a is None):
+        raise ConfigError("eval needs exactly one of --t or --range")
+
+
+def _check_figure(config: RunConfig) -> None:
+    if config.figure not in _FIGURE_IDS:
+        raise ConfigError(f"figure id must be one of {_FIGURE_IDS}")
+    if config.figure == "fig4" and config.oracle_terms is not None:
+        raise ConfigError("fig4 is a coefficient table and evaluates no oracle; "
+                          "it takes no --oracle-terms")
+
+
+def _check_zeros(config: RunConfig) -> None:
+    if config.a is None:
+        raise ConfigError("zeros needs --range a:b:step")
+    if not config.schemes:
+        raise ConfigError("zeros needs at least one --scheme")
+
+
+def _check_conjecture(config: RunConfig) -> None:
+    if config.t_max is None or not math.isfinite(config.t_max):
+        raise ConfigError(f"conjecture needs a finite --t-max, got {config.t_max}")
+    if config.step is None or not 0.0 < config.step < math.inf:
+        raise ConfigError(f"conjecture needs a finite positive --step, got {config.step}")
+
+
+def _check_error_decay(config: RunConfig) -> None:
+    if not config.schemes:
+        raise ConfigError("error-decay needs at least one --scheme")
+    for spec in config.schemes:
+        if spec.is_reference:
+            raise ConfigError(
+                f"error-decay judges schemes against the oracle; "
+                f"{spec.label} is itself a reference")
+    t_list = config.t_list
+    if t_list is None or len(t_list) < 3:
+        raise ConfigError("error-decay needs --t-list with at least 3 points")
+    if not all(math.isfinite(t) for t in t_list):
+        raise ConfigError(f"--t-list entries must be finite, got {list(t_list)}")
+    if any(t < 50.0 for t in t_list):
+        raise ConfigError("error-decay points must all be >= 50")
+    if any(u >= v for u, v in zip(t_list, t_list[1:])):
+        raise ConfigError("--t-list must be strictly ascending")
+
+
+def _check_coeffs(config: RunConfig) -> None:
+    if (config.n is None) == (config.sweep is None):
+        raise ConfigError("coeffs needs exactly one of --n or --sweep")
+    if config.n is not None and config.n < 1:
+        raise ConfigError(f"--n must be >= 1, got {config.n}")
+    if config.k_max is not None and not 1 <= config.k_max <= MAX_ACCELERATION_ORDER:
+        raise ConfigError(
+            f"--k-max must lie in [1, {MAX_ACCELERATION_ORDER}], got {config.k_max}")
+    if config.sweep is not None and any(m < 1 for m in config.sweep):
+        raise ConfigError("--sweep orders must all be >= 1")
+
+
+_COMMAND_CHECKS = {
+    "eval": _check_eval,
+    "figure": _check_figure,
+    "zeros": _check_zeros,
+    "conjecture": _check_conjecture,
+    "error-decay": _check_error_decay,
+    "coeffs": _check_coeffs,
+}
 
 
 @dataclass(frozen=True)

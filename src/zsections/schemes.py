@@ -26,6 +26,13 @@ residuals all go through evaluate_grid, and SchemeEvaluator.evaluate is
 the one-point chunk, the API for one height.  The rows functions share
 their kernel, reductions and per-point tails with the public scalar
 engines, so every value equals the scalar engine's bit for bit.
+
+The one exception is asked for by name: evaluate_grid(..., sign_only=True),
+which the zero scanner's bisection uses because it reads only signs.  The
+section kinds (AFE, SPIRA, ACCELERATED_COEFF, CUSTOM) then keep a row's
+plain float sum wherever an error bound certifies its sign, and fall back
+to fsum elsewhere (sections_engine.sum_rows); every value has the sign of
+the exact one.  The other kinds ignore the flag.
 """
 
 from __future__ import annotations
@@ -191,24 +198,30 @@ class SchemeEvaluator:
     def value(self, t: float) -> float:
         return self.evaluate(t).value
 
-    def _evaluate_run(self, ts: np.ndarray, thetas: np.ndarray, key: int):
-        """Values and hazard count of points that share one run key."""
+    def _evaluate_run(self, ts: np.ndarray, thetas: np.ndarray, key: int,
+                      sign_only: bool = False):
+        """Values and hazard count of points that share one run key.
+
+        With sign_only, the section kinds return values that only carry the
+        sign of the exact ones (sections_engine.sum_rows); the reference
+        engines and the triangle sum ignore it and return exact values.
+        """
         kind = self.spec.kind
         if kind is SchemeKind.REFERENCE_RS:
             return riemann_siegel_rows(ts, thetas, key)
         if kind is SchemeKind.ORACLE_EM:
             return euler_maclaurin_rows(ts, thetas, key, self.correction_order), 0
         if kind is SchemeKind.AFE:
-            return 2.0 * section_rows(ts, thetas, key), 0
+            return 2.0 * section_rows(ts, thetas, key, sign_only=sign_only), 0
         if kind is SchemeKind.SPIRA:
-            return section_rows(ts, thetas, key), 0
+            return section_rows(ts, thetas, key, sign_only=sign_only), 0
         if kind is SchemeKind.ACCELERATED_TRIANGLE:
             return accelerated_triangle_rows(ts, thetas, key), 0
         if kind is SchemeKind.ACCELERATED_COEFF:
-            return accelerated_vertical_rows(ts, thetas, key), 0
-        return section_rows(ts, thetas, key, self._alpha), 0
+            return accelerated_vertical_rows(ts, thetas, key, sign_only), 0
+        return section_rows(ts, thetas, key, self._alpha, sign_only), 0
 
-    def _evaluate_chunk(self, ts: np.ndarray, out: np.ndarray) -> int:
+    def _evaluate_chunk(self, ts: np.ndarray, out: np.ndarray, sign_only: bool = False) -> int:
         """Fill out with the values at ts; returns the hazard count.
 
         Points are keyed with the array rules of _keys.  The valid prefix,
@@ -221,26 +234,29 @@ class SchemeEvaluator:
         thetas = theta_grid(ts[:stop])
         hazards = 0
         for run in _key_runs(keys[:stop]):
-            out[run], h = self._evaluate_run(ts[run], thetas[run], int(keys[run.start]))
+            out[run], h = self._evaluate_run(ts[run], thetas[run], int(keys[run.start]),
+                                             sign_only)
             hazards += h
         if stop < len(ts):
             self._key(float(ts[stop]))  # raises: _keys refused this point
         return hazards
 
 
-def evaluate_grid(evaluator: SchemeEvaluator, ts, chunk: int = GRID_CHUNK):
+def evaluate_grid(evaluator: SchemeEvaluator, ts, chunk: int = GRID_CHUNK, *,
+                  sign_only: bool = False):
     """Evaluate a scheme over a grid of points: (values array, hazard count).
 
     Points are processed in fixed-size chunks, each as arrays (see
     SchemeEvaluator._evaluate_chunk); values are bit-for-bit those of
-    evaluator.evaluate at each point.
+    evaluator.evaluate at each point.  With sign_only, each value is only
+    guaranteed to have the sign of that one (and to be 0 where it is 0).
     """
     ts = np.asarray(ts, dtype=np.float64)
     values = np.empty(len(ts), dtype=np.float64)
     hazards = 0
     for start in range(0, len(ts), chunk):
         hazards += evaluator._evaluate_chunk(ts[start:start + chunk],
-                                             values[start:start + chunk])
+                                             values[start:start + chunk], sign_only)
     return values, hazards
 
 

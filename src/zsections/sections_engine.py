@@ -15,16 +15,21 @@ schemes are built from it:
     and to the accelerated section.
 
 All sums share one cosine-kernel routine and one accumulation discipline:
-terms are produced in ascending k and added with math.fsum (error-free
-transformation summation), so term-wise rounding is identical across schemes
-and cancels exactly in cross-scheme identity tests.
+terms are produced in ascending k and every value is added with math.fsum
+(error-free transformation summation, correctly rounded), so term-wise
+rounding is identical across schemes and cancels exactly in cross-scheme
+identity tests.
 
 The kernel is computed as a matrix with one row per evaluation point
 (cosine_rows); the scalar cosine_terms is its one-row case, and section_rows
-reduces each row of a batch with the same fsum, so a batched grid gives the
-scalar values bit for bit.  Likewise each cutoff rule is written once, as a
-numpy expression that takes a float or an array: afe and spira apply it to
-one height, and the scheme layer to a whole chunk of heights.
+reduces each row of a batch with sum_rows, the same fsum, so a batched grid
+gives the scalar values bit for bit.  A caller that reads only signs (the
+zero scanner's bisection) may ask sum_rows for sign_only rows: a row whose
+plain float sum is certified by the classical error bound keeps that sum,
+whose sign is the exact sum's and hence fsum's, and every other row still
+takes fsum.  Likewise each cutoff rule is written once, as a numpy
+expression that takes a float or an array: afe and spira apply it to one
+height, and the scheme layer to a whole chunk of heights.
 """
 
 from __future__ import annotations
@@ -43,6 +48,11 @@ MAX_SECTION_TERMS = 10**6
 
 # Element cap of one block of the batched kernel matrix (rows x terms, 512 kB).
 ROW_BLOCK_ELEMENTS = 1 << 16
+
+# sum_rows certifies signs only in matrices of at least this many elements;
+# below about 300 the fixed cost of the certificate exceeds that of fsum
+# (measured on a 2-core Intel Xeon VM, numpy 2.4).
+SIGN_ONLY_MIN_ELEMENTS = 256
 
 
 def _check_terms(n: int) -> int:
@@ -71,11 +81,38 @@ def row_blocks(rows: int, width: int):
         yield slice(start, min(start + step, rows))
 
 
-def section_rows(ts: np.ndarray, thetas: np.ndarray, n: int, weights=None) -> np.ndarray:
+def sum_rows(mat: np.ndarray, sign_only: bool = False) -> np.ndarray:
+    """math.fsum of every row of a matrix; with sign_only, a value of the same sign.
+
+    In sign_only mode each row is first added in float arithmetic.  In any
+    order, that sum s differs from the exact one by at most
+    gamma_{n-1} sum|x_i| (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 4.2), so where |s| exceeds twice n 2^-53 times the
+    float sum of |x_i| (the factor two absorbs the rounding of that sum and
+    of the product), s has the exact sum's sign, which is that of the
+    correctly rounded fsum; the row returns s.  Every other row, an exact
+    zero and a nan or inf included, returns fsum, and so does every row of
+    a matrix smaller than SIGN_ONLY_MIN_ELEMENTS.
+    """
+    if not sign_only or mat.size < SIGN_ONLY_MIN_ELEMENTS:
+        return np.array([math.fsum(row.tolist()) for row in mat], dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows take fsum below
+        fast = mat.sum(axis=1)
+        bound = np.abs(mat).sum(axis=1)
+    bound *= 2.0 * mat.shape[1] * 2.0**-53
+    slow = np.flatnonzero(~(np.abs(fast) > bound))
+    if slow.size:
+        fast[slow] = [math.fsum(row) for row in mat[slow].tolist()]
+    return fast
+
+
+def section_rows(ts: np.ndarray, thetas: np.ndarray, n: int, weights=None,
+                 sign_only: bool = False) -> np.ndarray:
     """section(t_i, n) for every point, or z_custom(t_i, weights) with a weight vector.
 
     Bit-identical to the scalar functions: the same kernel entries, weighted
-    by the same products, each row added with math.fsum.
+    by the same products, each row added with math.fsum.  With sign_only,
+    each value only has the sign of that one (see sum_rows).
     """
     n = _check_terms(n)
     out = np.empty(len(ts), dtype=np.float64)
@@ -83,7 +120,7 @@ def section_rows(ts: np.ndarray, thetas: np.ndarray, n: int, weights=None) -> np
         mat = cosine_rows(ts[block], thetas[block], n)
         if weights is not None:
             mat *= weights
-        out[block] = [math.fsum(row.tolist()) for row in mat]
+        out[block] = sum_rows(mat, sign_only)
     return out
 
 

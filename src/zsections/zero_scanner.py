@@ -29,9 +29,11 @@ Every value comes from the batched evaluate_grid: the grid, the finer grids
 of dip re-scans, and the refinement.  The brackets of one scan, the grid's
 and then each re-scan's, are bisected in lockstep, one evaluate_grid call
 per round over the midpoints of the brackets still open, and the residuals
-at the refined locations take one more call.  evaluate_grid gives each
-point's value bit for bit, so every bracket follows the path it would
-follow alone.
+at the refined locations take one more call.  The grid, the re-scans and
+the residuals get each point's value bit for bit.  Bisection reads only
+signs, so it asks evaluate_grid for sign_only values, which carry the sign
+of the exact value at every point; every bracket therefore still follows
+the path it would follow alone on exact values.
 """
 
 from __future__ import annotations
@@ -191,10 +193,10 @@ def _bisect(evaluator: SchemeEvaluator, brackets: list) -> list:
     """Refine brackets (lo, hi, f_lo) in lockstep; returns the (lo, hi) pairs.
 
     Each round evaluates the midpoints of the brackets still wider than
-    BRACKET_WIDTH with one evaluate_grid call, for at most MAX_BISECT_ITERS
-    rounds.  Every bracket takes the path it would take alone, since
-    evaluate_grid gives each point's value bit for bit.  The hazards of
-    refinement points are not counted.
+    BRACKET_WIDTH with one sign_only evaluate_grid call, for at most
+    MAX_BISECT_ITERS rounds.  Every bracket takes the path it would take
+    alone on exact values, since each midpoint's value has the exact
+    value's sign.  The hazards of refinement points are not counted.
     """
     lo = np.array([b[0] for b in brackets], dtype=np.float64)
     hi = np.array([b[1] for b in brackets], dtype=np.float64)
@@ -204,7 +206,7 @@ def _bisect(evaluator: SchemeEvaluator, brackets: list) -> list:
         if open_.size == 0:
             break
         mid = 0.5 * (lo[open_] + hi[open_])
-        vals, _ = evaluate_grid(evaluator, mid)
+        vals, _ = evaluate_grid(evaluator, mid, sign_only=True)
         to_lo = (vals < 0.0) == lo_neg[open_]
         lo[open_[to_lo]] = mid[to_lo]
         hi[open_[~to_lo]] = mid[~to_lo]

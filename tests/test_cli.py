@@ -221,6 +221,19 @@ def test_figure_rejects_unknown_id():
     assert exc.value.code == 2
 
 
+def test_fig4_refuses_oracle_terms():
+    # fig4 is a coefficient table: no oracle runs, so --oracle-terms would
+    # be echoed in the config without shaping anything.  Validation only;
+    # fig1-fig3 evaluate the oracle and keep the flag.
+    argv = ["figure", "fig4", "--oracle-terms", "60"]
+    with pytest.raises(ConfigError, match="fig4"):
+        config_from_args(build_parser().parse_args(argv))
+    assert main(argv) == 2
+    for fig in ("fig1", "fig2", "fig3"):
+        RunConfig(command="figure", figure=fig, oracle_terms=60).validate()
+    RunConfig(command="figure", figure="fig4").validate()
+
+
 # ---------------------------------------------------------------------------
 # zeros
 

@@ -8,15 +8,19 @@ import pytest
 
 from zsections.errors import DomainError, ResourceLimitError
 from zsections.reference_engine import z_euler_maclaurin
+from zsections.schemes import SchemeEvaluator, SchemeKind, SchemeSpec, evaluate_grid
 from zsections.sections_engine import (
+    SIGN_ONLY_MIN_ELEMENTS,
     CoefficientVector,
     afe,
     cosine_terms,
     section,
     spira,
+    sum_rows,
     z_custom,
 )
 from zsections.special_functions import TWO_PI, theta
+from zsections.zero_scanner import scan_zeros
 
 
 def mp_section(t, n, dps=30):
@@ -118,3 +122,68 @@ class TestZCustom:
             z_custom(10.0, np.ones((2, 2)))
         with pytest.raises(DomainError):
             CoefficientVector(alpha=(1.0, float("inf")))
+
+
+class TestSignOnlyRows:
+    """sum_rows(..., sign_only=True) gives every row the sign of its fsum."""
+
+    @staticmethod
+    def tiled(*rows):
+        """The rows repeated into a matrix of at least SIGN_ONLY_MIN_ELEMENTS entries."""
+        mat = np.array(rows, dtype=np.float64)
+        return np.tile(mat, (-(-SIGN_ONLY_MIN_ELEMENTS // mat.size), 1))
+
+    def test_fast_sum_of_the_wrong_sign_falls_back_to_fsum(self):
+        row = [1e16, -1.0, -1.0, -1e16, 1.0]
+        mat = self.tiled([1.0, 2.0, 3.0, 4.0, 5.0], row, [-5.0, -4.0, -3.0, -2.0, -1.0])
+        assert (np.sum(mat, axis=1)[1::3] == 1.0).all() and math.fsum(row) == -1.0
+        got = sum_rows(mat, sign_only=True)
+        assert got.tolist() == [15.0, -1.0, -15.0] * (len(mat) // 3)
+
+    def test_exact_zero_row_is_not_negative(self):
+        row = [-1e16, 1.0, 1.0, 1e16, -2.0]
+        mat = self.tiled(row)
+        assert (np.sum(mat, axis=1) < 0.0).all() and math.fsum(row) == 0.0
+        got = sum_rows(mat, sign_only=True)
+        assert not (got < 0.0).any() and (got == 0.0).all()
+
+    def test_small_matrix_takes_fsum(self):
+        row = [1e16, -1.0, -1.0, -1e16, 1.0]
+        assert sum_rows(np.array([row]), sign_only=True).tolist() == [-1.0]
+
+    def test_non_finite_rows_take_fsum(self):
+        for row in ([1.0, math.inf], [math.nan, 1.0]):
+            got = sum_rows(self.tiled(row), sign_only=True)
+            want = math.fsum(row)
+            assert (got == want).all() or (np.isnan(got).all() and math.isnan(want))
+        for row, error in (([math.inf, -math.inf], ValueError),
+                           ([1e308, 1e308, -1e308], OverflowError)):
+            with pytest.raises(error):
+                sum_rows(self.tiled(row))
+            with pytest.raises(error):
+                sum_rows(self.tiled(row), sign_only=True)
+
+    @pytest.mark.parametrize("spec", [
+        SchemeSpec(kind=SchemeKind.SPIRA),
+        SchemeSpec(kind=SchemeKind.AFE),
+        SchemeSpec(kind=SchemeKind.SPIRA, n=205),
+        SchemeSpec(kind=SchemeKind.ACCELERATED_COEFF),
+        SchemeSpec(kind=SchemeKind.CUSTOM,
+                   alpha=CoefficientVector(alpha=tuple(np.linspace(1.0, 0.25, 300)))),
+    ], ids=lambda spec: spec.label)
+    def test_signs_equal_exact_signs_near_zeros(self, spec):
+        evaluator = SchemeEvaluator(spec)
+        offsets = np.arange(-10, 11) * 1e-10
+        differs = 0
+        for t0 in (412.0, 2000.0, 4000.0):
+            records = scan_zeros(spec, t0, t0 + 2.0, 0.05).records
+            assert records, f"no zero of {spec.label} on [{t0}, {t0 + 2}]"
+            for rec in records:
+                pts = np.concatenate([rec.bracket, rec.location + offsets])
+                exact, _ = evaluate_grid(evaluator, pts)
+                signed, _ = evaluate_grid(evaluator, pts, sign_only=True)
+                assert (exact < 0.0).any() and (exact > 0.0).any(), (
+                    f"points around {rec.location} do not straddle a zero")
+                assert ((signed < 0.0) == (exact < 0.0)).all(), f"sign off near {rec.location}"
+                differs += int(np.count_nonzero(signed != exact))
+        assert differs > 0, "sign_only values all equal fsum's: the fast sum was never used"

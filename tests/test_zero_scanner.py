@@ -43,6 +43,7 @@ EM = SchemeSpec(kind=SchemeKind.ORACLE_EM)
 RS = SchemeSpec(kind=SchemeKind.REFERENCE_RS)
 SPIRA_205 = SchemeSpec(kind=SchemeKind.SPIRA, n=205)
 AFE = SchemeSpec(kind=SchemeKind.AFE)
+CUSTOM_300 = SchemeSpec(kind=SchemeKind.CUSTOM, alpha=tuple(np.linspace(1.0, 0.25, 300)))
 
 
 def assert_record_invariants(result):
@@ -194,7 +195,12 @@ class TestLockstepBisection:
         (RS, RS_HAZARD_T, RS_HAZARD_T + 4.0, 0.01),
         (SPIRA_205, 412.0, 419.0, 0.005),
         (SchemeSpec(kind=SchemeKind.SPIRA), 44.0, 52.0, 0.01),  # cutoff jump at t = 48
-    ], ids=["spira", "acc", "em", "afe", "rs", "spira@205", "spira-jump"])
+        # refine-like: long sections whose bisection rounds take sign_only values
+        (SchemeSpec(kind=SchemeKind.SPIRA), 2000.0, 2020.0, 0.1),
+        (SchemeSpec(kind=SchemeKind.ACCELERATED_COEFF), 2000.0, 2020.0, 0.1),
+        (CUSTOM_300, 2000.0, 2020.0, 0.1),
+    ], ids=["spira", "acc", "em", "afe", "rs", "spira@205", "spira-jump",
+            "spira-2000", "acc-2000", "custom-2000"])
     def test_records_equal_per_bracket_loop(self, spec, a, b, step):
         result = scan_zeros(spec, a, b, step)
         assert len(result) > 0
@@ -212,9 +218,9 @@ class TestLockstepBisection:
         # grid bracket near 7004.04 (width 0.2) refined beside them.
         calls = []
 
-        def counting(evaluator, ts):
+        def counting(evaluator, ts, sign_only=False):
             calls.append(len(ts))
-            return evaluate_grid(evaluator, ts)
+            return evaluate_grid(evaluator, ts, sign_only=sign_only)
 
         monkeypatch.setattr(zero_scanner, "evaluate_grid", counting)
         result = scan_zeros(EM, 7004.0, 7006.0, 0.2)
@@ -232,9 +238,9 @@ class TestLockstepBisection:
         spec = SchemeSpec(kind=SchemeKind.SPIRA, n=8)
         calls = []
 
-        def counting(evaluator, ts):
+        def counting(evaluator, ts, sign_only=False):
             calls.append(len(ts))
-            return evaluate_grid(evaluator, ts)
+            return evaluate_grid(evaluator, ts, sign_only=sign_only)
 
         monkeypatch.setattr(zero_scanner, "evaluate_grid", counting)
         result = scan_zeros(spec, 1.0e7, 1.0e7 + 1.0, 0.05)
@@ -262,7 +268,8 @@ class TestSignRule:
     @staticmethod
     def fake_scheme(monkeypatch, f):
         monkeypatch.setattr(zero_scanner, "evaluate_grid",
-                            lambda evaluator, ts: (f(np.asarray(ts, dtype=np.float64)), 0))
+                            lambda evaluator, ts, sign_only=False:
+                            (f(np.asarray(ts, dtype=np.float64)), 0))
 
     def test_exact_zero_on_grid_becomes_a_record(self, monkeypatch):
         self.fake_scheme(monkeypatch, lambda t: t - 2.5)
