@@ -38,6 +38,7 @@ Numerical discipline:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,6 +56,10 @@ from .sections_engine import (
 
 # Orders beyond this are refused (a 10^6-order triangle is ~5e11 cells).
 MAX_ACCELERATION_ORDER = 10**6
+
+# Coefficient vectors kept for reuse, least recently used out first: a zero
+# scan of a 20-wide window under the half cutoff uses about 11 orders.
+COEFF_CACHE_ORDERS = 64
 
 # Largest N handled by exact big-integer coefficient arithmetic.
 _EXACT_COEFF_MAX = 20000
@@ -135,9 +140,6 @@ class AcceleratedCoefficients:
     alpha: np.ndarray
 
 
-_coeff_cache: dict[int, np.ndarray] = {}
-
-
 def _binomial_tails_exact(order: int) -> np.ndarray:
     """alphatilde_k for k = 1..order by big-integer suffix sums (correctly rounded)."""
     m = order + 1  # number of fair coin flips
@@ -156,24 +158,28 @@ def _binomial_tails_exact(order: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=COEFF_CACHE_ORDERS)
+def _coefficient_vector(order: int) -> np.ndarray:
+    """Read-only alphatilde_1..alphatilde_N of a validated order."""
+    if order <= _EXACT_COEFF_MAX:
+        alpha = _binomial_tails_exact(order)
+    else:
+        ks = np.arange(1, order + 1, dtype=np.float64)
+        alpha = betainc(ks, order - ks + 2.0, 0.5)
+    alpha.setflags(write=False)
+    return alpha
+
+
 def accelerated_coefficients(order: int) -> AcceleratedCoefficients:
-    """Coefficient vector of the order-N accelerated section (cached per N).
+    """Coefficient vector of the order-N accelerated section.
 
     Entries are the fair binomial tails P[Binomial(N+1, 1/2) >= k]: exact
     big-integer arithmetic up to N = 20000, the regularized incomplete beta
-    function betainc(k, N-k+2, 1/2) beyond.
+    function betainc(k, N-k+2, 1/2) beyond.  The COEFF_CACHE_ORDERS orders
+    used last are kept.
     """
     order = _validate_order(order, minimum=1)
-    cached = _coeff_cache.get(order)
-    if cached is None:
-        if order <= _EXACT_COEFF_MAX:
-            cached = _binomial_tails_exact(order)
-        else:
-            ks = np.arange(1, order + 1, dtype=np.float64)
-            cached = betainc(ks, order - ks + 2.0, 0.5)
-        cached.setflags(write=False)
-        _coeff_cache[order] = cached
-    return AcceleratedCoefficients(order=order, alpha=cached)
+    return AcceleratedCoefficients(order=order, alpha=_coefficient_vector(order))
 
 
 def closing_coefficient(order: int) -> float:

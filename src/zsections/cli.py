@@ -2,8 +2,8 @@
 
 Every subcommand emits a CSV table (UTF-8, LF line endings, header row,
 floats at 17 significant digits so values round-trip exactly) plus a JSON
-summary document {command, config, summary, provenance}.  With --out the
-CSV goes to that path and the JSON to the same path with a .json suffix;
+summary document {command, config, summary, stats, provenance}.  With --out
+the CSV goes to that path and the JSON to the same path with a .json suffix;
 without it the CSV goes to stdout and the JSON to stderr, keeping stdout
 pipe-clean.
 
@@ -30,7 +30,7 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -247,10 +247,15 @@ class ErrorReport:
 
 @dataclass
 class CommandResult:
+    """A command's table and summary, plus stats: the points each zero scan
+    evaluated, by stage (ScanStats per scheme label; empty for commands that
+    scan nothing).  stats sits beside summary in the JSON, not inside it."""
+
     header: tuple
     rows: list
     summary: dict
     hazard_count: int = 0
+    stats: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +353,7 @@ def emit(result: CommandResult, config: RunConfig) -> None:
         "command": config.command,
         "config": config.as_dict(),
         "summary": result.summary,
+        "stats": result.stats,
         "provenance": provenance(),
     }
     json_text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -479,6 +485,7 @@ def cmd_zeros(config: RunConfig) -> CommandResult:
     rows = []
     summary: dict = {"interval": [config.a, config.b], "step": config.step,
                      "schemes": {}}
+    stats = {}
     hazards = 0
 
     if has_ref and len(config.schemes) >= 2:
@@ -493,8 +500,10 @@ def cmd_zeros(config: RunConfig) -> CommandResult:
         summary["reference"] = ref_scan.scheme.label
         summary["schemes"][ref_scan.scheme.label] = {
             "zero_count": len(ref_scan), "dip_count": len(ref_scan.dips)}
+        stats[ref_scan.scheme.label] = asdict(ref_scan.stats)
         for match in comparison.matches:
             scan = match.scan
+            stats[scan.scheme.label] = asdict(scan.stats)
             hazards += scan.hazard_count
             for rec in scan.records:
                 rows.append(_record_row(scan.scheme.label, rec))
@@ -513,13 +522,14 @@ def cmd_zeros(config: RunConfig) -> CommandResult:
             scan = scan_zeros(spec, config.a, config.b, config.step,
                               oracle_terms=config.oracle_terms)
             hazards += scan.hazard_count
+            stats[spec.label] = asdict(scan.stats)
             for rec in scan.records:
                 rows.append(_record_row(spec.label, rec))
             summary["schemes"][spec.label] = {
                 "zero_count": len(scan), "dip_count": len(scan.dips)}
 
     summary["hazard_count"] = hazards
-    return CommandResult(header, rows, summary, hazards)
+    return CommandResult(header, rows, summary, hazards, stats)
 
 
 def cmd_conjecture(config: RunConfig) -> CommandResult:
@@ -557,7 +567,8 @@ def cmd_conjecture(config: RunConfig) -> CommandResult:
         "hazard_count": sweep.hazard_count,
         "clean": sweep.clean,
     }
-    return CommandResult(header, rows, summary, sweep.hazard_count)
+    return CommandResult(header, rows, summary, sweep.hazard_count,
+                         {label: asdict(stats) for label, stats in sweep.stats})
 
 
 def error_decay_report(t_list, specs, oracle_terms: Optional[int] = None) -> ErrorReport:

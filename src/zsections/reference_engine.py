@@ -10,8 +10,9 @@ package can be scored against values whose own error is understood:
         (-1)^(Ntilde-1) (t/2pi)^(-1/4) cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p),
 
     p = sqrt(t/2pi) - Ntilde.  The quoted error bound is O(t^(-3/4)); we carry
-    the conservative constant 10 (measured agreement with the slow oracle is
-    better than 0.06 t^(-3/4) over [50, 5000]).
+    the conservative constant 10 (on 20,001-point grids the largest
+    |RS1 - EM| t^(3/4) is 0.123 over [50, 200], 0.122 over [200, 1000] and
+    0.122 over [1000, 5000]; Gabcke's constant is 0.127 for t >= 200).
 
   * z_euler_maclaurin: the slow oracle.  zeta(1/2 + it) by Euler-Maclaurin
     summation (partial sum, midpoint term, integral tail, Bernoulli
@@ -25,6 +26,15 @@ vanishes with it).  Inside a narrow guard window the quotient is replaced by
 a 4th-order Taylor expansion about the removable point; coefficients were
 computed symbolically (sympy series), and the p = 3/4 side uses the exact
 symmetry psi(p) = psi(1 - p).
+
+A third, array-only engine serves the zero scanner's bisection, which reads
+only signs of the oracle: riemann_siegel4_rows, the Riemann-Siegel formula
+with the corrections C0..C4, summed from their Taylor series in p - 1/2
+(_tables.RS_CORRECTION_SERIES; the series are entire, so there is no hazard
+window), together with a bound on its error: Gabcke's truncation bound
+0.017 t^(-11/4) for t >= 200 plus its own rounding.  euler_maclaurin_error
+bounds the distance of the oracle's computed value from Z.  Where |RS4|
+exceeds the sum of the two, RS4, Z and the computed oracle share one sign.
 """
 
 from __future__ import annotations
@@ -37,11 +47,24 @@ import numpy as np
 
 from . import _tables
 from .errors import ConvergenceError, DomainError, ResourceLimitError
-from .sections_engine import MAX_SECTION_TERMS, row_blocks, section, section_rows
+from .sections_engine import (
+    MAX_SECTION_TERMS,
+    cosine_rows,
+    row_blocks,
+    section,
+    section_rows,
+)
 from .special_functions import TWO_PI, theta
 
 # Error-bound constant for the first-order remainder path: |Z - RS1| <= RS_ERR_CONST * t^(-3/4).
 RS_ERR_CONST = 10.0
+
+# Gabcke (1979): for t >= RS4_T_MIN, |Z(t) - RS4(t)| <= RS4_ERR_CONST t^(-11/4).
+RS4_T_MIN = 200.0
+RS4_ERR_CONST = 0.017
+
+# Unit roundoff of float64.
+_U = 2.0**-53
 
 # Guard window for the removable singularities of the remainder quotient.
 HAZARD_COS_EPS = 1e-8
@@ -145,6 +168,87 @@ def riemann_siegel_rows(ts: np.ndarray, thetas: np.ndarray, cutoff: int):
         out[i] = 2.0 * main[i] + corr
         hazards += hazard
     return out, hazards
+
+
+def _series_matrix():
+    """RS_CORRECTION_SERIES as a (degree + 1) x 5 matrix in powers of y = x^2, and its
+    evaluation constants on |x| <= 1/2: (matrix, absolute, Lipschitz).
+
+    Column k holds the c_kj of C_k, zero-padded to the longest series, of
+    degree D.  With y^j formed by repeated multiplication (relative error
+    at most 2 j u) and the column sums taken in any order, a computed C_k is
+    within (3D + 5) u S_k of C_k at the computed p, where S_k = sum_j
+    |c_kj| 4^-j bounds |C_k|; the series cut adds under 2e-21.  |C_k'| is
+    at most L_k = sum_j (2j + k mod 2) |c_kj| 2^-(2j + k mod 2 - 1).  The
+    combination a^(-1/2) sum_k C_k a^-k adds at most 25 u sum_k S_k, so for
+    a >= 1 the correction's rounding is at most absolute / sqrt(a) +
+    Lipschitz sqrt(a), Lipschitz carrying the error 4 u a of the computed p.
+    """
+    series = _tables.RS_CORRECTION_SERIES
+    degree = max(len(c) for c in series) - 1
+    matrix = np.zeros((degree + 1, len(series)))
+    absolute, lipschitz = 0.0, 0.0
+    for k, coeffs in enumerate(series):
+        matrix[:len(coeffs), k] = coeffs
+        odd = k % 2
+        size = math.fsum(abs(c) * 4.0**-j for j, c in enumerate(coeffs))
+        absolute += ((3 * degree + 5) + 25) * _U * size + 2e-21
+        lipschitz += math.fsum((2 * j + odd) * abs(c) * 2.0 ** (1 - 2 * j - odd)
+                               for j, c in enumerate(coeffs))
+    return matrix, absolute, 4.0 * _U * lipschitz
+
+
+_RS4_SERIES, _RS4_CORR_ABS, _RS4_CORR_LIP = _series_matrix()
+
+
+def riemann_siegel4_rows(ts: np.ndarray, thetas: np.ndarray):
+    """Fourth-order Riemann-Siegel values at points t_i >= RS4_T_MIN, with bounds on their error.
+
+    z_i = 2 sum_{k<=N} cos(theta_i - t_i ln k)/sqrt(k)
+          + (-1)^(N-1) a^(-1/2) sum_{j=0..4} C_j(p) a^(-j),
+
+    a = sqrt(t_i/2pi), N = floor(a), p = a - N, thetas[i] = theta(ts[i]).
+    Returns (z, err) with |Z(t_i) - z_i| <= err_i.  err_i is Gabcke's
+    truncation bound RS4_ERR_CONST t^(-11/4) plus the rounding of every
+    step, under this floating-point model: theta within 2 ulps, ln k
+    within 1 ulp, cos and sin within 2u of the exact value at their
+    argument (tests/test_reference_engine.py checks all three),
+    every other operation within the unit roundoff u, and a sum of n terms,
+    in any order, within (n - 1) u sum|x| (Higham, Accuracy and Stability
+    of Numerical Algorithms, sec. 4.2).  A phase theta - t ln k is then off
+    by at most 5 u (|theta| + t ln N), and so is its term, over sqrt(k).
+    Where the computed p lies within 8 u a of 0 or 1, the exact p may lie
+    across an integer from it, and err is inf.
+    """
+    a = np.sqrt(ts / TWO_PI)
+    n = np.floor(a)
+    p = a - n
+    width = int(n.max()) if len(ts) else 0
+    main = np.empty(len(ts), dtype=np.float64)
+    for block in row_blocks(len(ts), width):
+        mat = cosine_rows(ts[block], thetas[block], width)
+        mat[np.arange(1, width + 1) > n[block, None]] = 0.0  # exact zeros add no rounding
+        main[block] = mat.sum(axis=1)
+    x = p - 0.5
+    powers = np.cumprod(np.broadcast_to((x * x)[:, None], (len(ts), len(_RS4_SERIES) - 1)),
+                        axis=1)
+    coeffs = _RS4_SERIES[0] + powers @ _RS4_SERIES[1:]
+    coeffs[:, 1::2] *= x[:, None]
+    inv_a = 1.0 / a
+    corr = coeffs[:, -1]
+    for k in range(coeffs.shape[1] - 2, -1, -1):
+        corr = corr * inv_a + coeffs[:, k]
+    corr *= np.sqrt(inv_a)
+    corr[n % 2.0 == 0.0] *= -1.0  # (-1)^(N-1)
+    z = 2.0 * main + corr
+
+    main_err = 4.0 * np.sqrt(n) * _U * (5.0 * (np.abs(thetas) + ts * np.log(n))
+                                        + 1.1 * width + 7.0)
+    corr_err = _RS4_CORR_ABS * np.sqrt(inv_a) + _RS4_CORR_LIP * np.sqrt(a)
+    err = RS4_ERR_CONST * ts**-2.75 + main_err + corr_err + 2.0 * _U * np.abs(z)
+    edge = 8.0 * _U * a
+    err[(p < edge) | (p > 1.0 - edge)] = np.inf
+    return z, err
 
 
 def euler_maclaurin_terms(t: float, terms: int | None = None,
@@ -258,3 +362,45 @@ def euler_maclaurin_rows(ts: np.ndarray, thetas: np.ndarray, m: int,
                 im.tolist(), thetas[block].tolist()):
             out[i] = _em_value(t, m, complex(acc_re, acc_im), correction_order, theta_t).z
     return out
+
+
+def euler_maclaurin_error(ts: np.ndarray, ms: np.ndarray, z_max: np.ndarray,
+                          correction_order: int = DEFAULT_CORRECTION_ORDER) -> np.ndarray:
+    """A bound on |EM(t_i) - Z(t_i)| wherever |Z(t_i)| <= z_max_i.
+
+    EM(t_i) is z_euler_maclaurin(t_i, m_i, correction_order).z.  For t_i > 0,
+    with the floating-point model of riemann_siegel4_rows:
+
+      * partial sums: a phase t ln n is off by at most 3.01 u t ln n, and
+        moves n^(-s) by as much; cos, sin, 1/sqrt(n), the product and the
+        sum of M terms add at most (M + 6) u per unit of sum n^(-1/2) to
+        either part.  With S_H = 2 sqrt(M) >= sum n^(-1/2) and
+        S_L = 2 sqrt(M) (ln M - 2) + 4.75 >= sum n^(-1/2) ln n (the
+        integral plus the peak 2/e of the unimodal summand), the complex
+        sum is off by at most 3.01 u t S_L + sqrt(2) (M + 6) u S_H;
+      * tail: the midpoint, integral and Bernoulli terms, of total size at
+        most T = M^(-1/2)/2 + M^(1/2)/t + sum_j |term_j|, each with the
+        phase error of M^(-s) and at most 150 further roundings; a term
+        is at most (4/(2 pi)^(2j)) ((|s| + 2j - 2)/M)^(2j-1) M^(-1/2),
+        since |B_2j|/(2j)! = 2 zeta(2j)/(2 pi)^(2j);
+      * truncation: at most |s + 2J + 1|/(2J + 3/2) times the first
+        omitted Bernoulli term (Edwards, Riemann's Zeta Function, sec. 6.4);
+      * the additions into the running sum and the rotation by
+        exp(i theta): at most 30 u (|Z| + T).  An error d in theta moves
+        the real part by Z (1 - cos d) only.
+
+    The factor 1.001 covers the second-order terms of the first three.
+    """
+    root_m = np.sqrt(ms)
+    s_abs = np.hypot(0.5, ts)
+    order = int(correction_order)
+    tail = 0.5 / root_m + root_m / ts
+    for j in range(1, order + 1):
+        tail += 4.0 / TWO_PI ** (2 * j) * ((s_abs + (2 * j - 2)) / ms) ** (2 * j - 1) / root_m
+    cut = ((s_abs + (2 * order + 1)) / (2 * order + 1.5) * 4.0 / TWO_PI ** (2 * order + 2)
+           * ((s_abs + 2 * order) / ms) ** (2 * order + 1) / root_m)
+    ln_m = np.log(ms)
+    sums = _U * (3.01 * ts * (2.0 * root_m * (ln_m - 2.0) + 4.75)
+                 + math.sqrt(2.0) * (ms + 6.0) * 2.0 * root_m)
+    rounding = tail * _U * (3.1 * ts * ln_m + 150.0)
+    return 1.001 * (sums + rounding + cut) + 30.0 * _U * (z_max + tail)

@@ -10,7 +10,9 @@ the plots hold N constant across a t window.
 
 SchemeEvaluator turns a spec into a callable object.  Evaluation is pure
 (no shared mutable state); per-point numerical-hazard flags are returned
-alongside values rather than counted in hidden state.
+alongside values rather than counted in hidden state.  The one counter an
+evaluator keeps, screened, tallies the points its oracle screen decided,
+for the statistics of the scan that owns it.
 
 There is one evaluation path.  Each point has a run key (the cutoff, the
 oracle's partial-sum length M, or the custom vector's length).
@@ -31,8 +33,14 @@ The one exception is asked for by name: evaluate_grid(..., sign_only=True),
 which the zero scanner's bisection uses because it reads only signs.  The
 section kinds (AFE, SPIRA, ACCELERATED_COEFF, CUSTOM) then keep a row's
 plain float sum wherever an error bound certifies its sign, and fall back
-to fsum elsewhere (sections_engine.sum_rows); every value has the sign of
-the exact one.  The other kinds ignore the flag.
+to fsum elsewhere (sections_engine.sum_rows).  The EM oracle at its default
+knobs (no pinned M, correction order 6) screens each chunk first: at
+t >= RS4_T_MIN a point takes the fourth-order Riemann-Siegel value where
+|RS4| exceeds RS4's error bound plus that of the oracle's computed value,
+and only the other points run the oracle (SchemeEvaluator._screen).  Either
+way every value has the sign of the exact one.  REFERENCE_RS,
+ACCELERATED_TRIANGLE and the oracle with pinned knobs ignore the flag; so
+the oracle never skips an evaluation that could raise.
 """
 
 from __future__ import annotations
@@ -46,7 +54,15 @@ import numpy as np
 
 from .acceleration_engine import accelerated_triangle_rows, accelerated_vertical_rows
 from .errors import DomainError
-from .reference_engine import euler_maclaurin_rows, euler_maclaurin_terms, riemann_siegel_rows
+from .reference_engine import (
+    DEFAULT_CORRECTION_ORDER,
+    RS4_T_MIN,
+    euler_maclaurin_error,
+    euler_maclaurin_rows,
+    euler_maclaurin_terms,
+    riemann_siegel4_rows,
+    riemann_siegel_rows,
+)
 from .sections_engine import (
     MAX_SECTION_TERMS,
     CoefficientVector,
@@ -129,12 +145,18 @@ class SchemeEvaluator:
     """Callable evaluation of one scheme, with per-point hazard flags."""
 
     def __init__(self, spec: SchemeSpec, *, oracle_terms: Optional[int] = None,
-                 correction_order: int = 6):
+                 correction_order: int = DEFAULT_CORRECTION_ORDER):
         self.spec = spec
         self.oracle_terms = oracle_terms
         self.correction_order = correction_order
         self._fixed = len(spec.alpha) if spec.alpha is not None else spec.n
         self._alpha = spec.alpha.as_array() if spec.alpha is not None else None
+        # The oracle's sign screen runs only with its default knobs, under
+        # which it cannot raise at t >= RS4_T_MIN; screened counts the points
+        # it decided, for the caller's statistics.
+        self._screens = (spec.kind is SchemeKind.ORACLE_EM and oracle_terms is None
+                         and correction_order == DEFAULT_CORRECTION_ORDER)
+        self.screened = 0
 
     def cutoff(self, t: float) -> Optional[int]:
         """The term count used at height t (None for the oracle, which has no cutoff)."""
@@ -204,7 +226,8 @@ class SchemeEvaluator:
 
         With sign_only, the section kinds return values that only carry the
         sign of the exact ones (sections_engine.sum_rows); the reference
-        engines and the triangle sum ignore it and return exact values.
+        engines and the triangle sum ignore it and return exact values (the
+        oracle's screen runs before, in _evaluate_chunk).
         """
         kind = self.spec.kind
         if kind is SchemeKind.REFERENCE_RS:
@@ -221,6 +244,26 @@ class SchemeEvaluator:
             return accelerated_vertical_rows(ts, thetas, key, sign_only), 0
         return section_rows(ts, thetas, key, self._alpha, sign_only), 0
 
+    def _screen(self, ts: np.ndarray, thetas: np.ndarray, keys: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+        """Write the oracle's sign where RS4 certifies it; returns the points still open.
+
+        At t >= RS4_T_MIN a point is decided where |RS4| exceeds RS4's own
+        error bound plus that of the oracle's computed value at M = keys:
+        RS4, Z and the oracle then share one sign, and out takes RS4.
+        """
+        high = np.flatnonzero(ts >= RS4_T_MIN)
+        if high.size == 0:
+            return np.arange(len(ts))
+        z, err = riemann_siegel4_rows(ts[high], thetas[high])
+        tau = err + euler_maclaurin_error(ts[high], keys[high], np.abs(z) + err)
+        sure = np.abs(z) > tau
+        out[high[sure]] = z[sure]
+        self.screened += int(np.count_nonzero(sure))
+        open_ = np.ones(len(ts), dtype=bool)
+        open_[high[sure]] = False
+        return np.flatnonzero(open_)
+
     def _evaluate_chunk(self, ts: np.ndarray, out: np.ndarray, sign_only: bool = False) -> int:
         """Fill out with the values at ts; returns the hazard count.
 
@@ -228,15 +271,24 @@ class SchemeEvaluator:
         up to the first point outside the scheme's domain, is evaluated
         first, a run of equal key at a time, so an error at an earlier point
         surfaces first; then _key raises the error of the refused point.
+        Under sign_only the oracle's screen first decides what it can of the
+        prefix, at once, since bisection midpoints seldom share M; the
+        points it leaves open go on in order.
         """
         keys, ok = self._keys(ts)
         stop = len(ts) if ok.all() else int(np.argmin(ok))
         thetas = theta_grid(ts[:stop])
+        at = slice(0, stop)
+        if sign_only and self._screens:
+            at = self._screen(ts[:stop], thetas, keys[:stop], out)
+        ts_at, thetas_at, keys_at = ts[at], thetas[at], keys[at]
+        vals = np.empty(len(ts_at), dtype=np.float64)
         hazards = 0
-        for run in _key_runs(keys[:stop]):
-            out[run], h = self._evaluate_run(ts[run], thetas[run], int(keys[run.start]),
-                                             sign_only)
+        for run in _key_runs(keys_at):
+            vals[run], h = self._evaluate_run(ts_at[run], thetas_at[run],
+                                              int(keys_at[run.start]), sign_only)
             hazards += h
+        out[at] = vals
         if stop < len(ts):
             self._key(float(ts[stop]))  # raises: _keys refused this point
         return hazards

@@ -33,7 +33,10 @@ at the refined locations take one more call.  The grid, the re-scans and
 the residuals get each point's value bit for bit.  Bisection reads only
 signs, so it asks evaluate_grid for sign_only values, which carry the sign
 of the exact value at every point; every bracket therefore still follows
-the path it would follow alone on exact values.
+the path it would follow alone on exact values.  For the EM oracle those
+signs come mostly from the fourth-order Riemann-Siegel screen (see
+schemes), which decides above 95% of the midpoints of a scan at
+t in [2000, 5000]; each ScanResult counts its points by stage (ScanStats).
 """
 
 from __future__ import annotations
@@ -86,6 +89,22 @@ class DipEvent:
 
 
 @dataclass(frozen=True)
+class ScanStats:
+    """Points a scan evaluated, by stage.
+
+    Bisection midpoints are split into those whose sign the oracle's RS4
+    screen decided (bisect_screened, 0 for every other scheme) and those
+    evaluated by the scheme itself (bisect_exact).
+    """
+
+    grid: int
+    dip_rescan: int
+    bisect_screened: int
+    bisect_exact: int
+    residual: int
+
+
+@dataclass(frozen=True)
 class ScanResult(Sequence):
     """Sorted zero records plus scan diagnostics; behaves as a sequence of records."""
 
@@ -96,6 +115,7 @@ class ScanResult(Sequence):
     records: tuple
     dips: tuple
     hazard_count: int
+    stats: ScanStats
 
     def __len__(self):
         return len(self.records)
@@ -189,8 +209,8 @@ def _sampled_zeros(scheme: SchemeSpec, ts: list, vals: np.ndarray):
     return brackets, exact
 
 
-def _bisect(evaluator: SchemeEvaluator, brackets: list) -> list:
-    """Refine brackets (lo, hi, f_lo) in lockstep; returns the (lo, hi) pairs.
+def _bisect(evaluator: SchemeEvaluator, brackets: list):
+    """Refine brackets (lo, hi, f_lo) in lockstep; returns the (lo, hi) pairs and the midpoints.
 
     Each round evaluates the midpoints of the brackets still wider than
     BRACKET_WIDTH with one sign_only evaluate_grid call, for at most
@@ -201,16 +221,18 @@ def _bisect(evaluator: SchemeEvaluator, brackets: list) -> list:
     lo = np.array([b[0] for b in brackets], dtype=np.float64)
     hi = np.array([b[1] for b in brackets], dtype=np.float64)
     lo_neg = np.array([b[2] < 0.0 for b in brackets], dtype=bool)
+    points = 0
     for _ in range(MAX_BISECT_ITERS):
         open_ = np.flatnonzero(hi - lo > BRACKET_WIDTH)
         if open_.size == 0:
             break
         mid = 0.5 * (lo[open_] + hi[open_])
         vals, _ = evaluate_grid(evaluator, mid, sign_only=True)
+        points += mid.size
         to_lo = (vals < 0.0) == lo_neg[open_]
         lo[open_[to_lo]] = mid[to_lo]
         hi[open_[~to_lo]] = mid[~to_lo]
-    return list(zip(lo.tolist(), hi.tolist()))
+    return list(zip(lo.tolist(), hi.tolist())), points
 
 
 def scan_zeros(scheme: SchemeSpec, a: float, b: float, step: float, *,
@@ -234,8 +256,10 @@ def scan_zeros(scheme: SchemeSpec, a: float, b: float, step: float, *,
     # Dip diagnostic: near-touch local minima without a sign change trigger
     # a tenfold-finer local re-scan.
     dips = []
+    dip_points = 0
     for i in _dips(vals).tolist():
         fine = grid_points(ts[i - 1], ts[i + 1], step / 10.0)
+        dip_points += len(fine)
         fvals, _ = evaluate_grid(evaluator, fine)
         fine_brackets, fine_zeros = _sampled_zeros(scheme, fine, fvals)
         brackets += fine_brackets
@@ -246,7 +270,7 @@ def scan_zeros(scheme: SchemeSpec, a: float, b: float, step: float, *,
     # Every bracket of the scan is refined together, and the residuals at
     # the refined locations take one more batched call; as before, only the
     # hazards of the grid are counted.
-    refined = _bisect(evaluator, [(lo, hi, f_lo) for lo, hi, f_lo, _ in brackets])
+    refined, midpoints = _bisect(evaluator, [(lo, hi, f_lo) for lo, hi, f_lo, _ in brackets])
     locations = [0.5 * (lo + hi) for lo, hi in refined]
     residuals, _ = evaluate_grid(evaluator, locations)
     # Both ends of every refined bracket are keyed at once; the oracle's M
@@ -265,8 +289,10 @@ def scan_zeros(scheme: SchemeSpec, a: float, b: float, step: float, *,
         if deduped and abs(rec.location - deduped[-1].location) <= 1e-8:
             continue
         deduped.append(rec)
-    return ScanResult(scheme=scheme, a=a, b=b, step=step,
-                      records=tuple(deduped), dips=tuple(dips), hazard_count=hazards)
+    stats = ScanStats(grid=len(ts), dip_rescan=dip_points, bisect_screened=evaluator.screened,
+                      bisect_exact=midpoints - evaluator.screened, residual=len(locations))
+    return ScanResult(scheme=scheme, a=a, b=b, step=step, records=tuple(deduped),
+                      dips=tuple(dips), hazard_count=hazards, stats=stats)
 
 
 def _greedy_match(ref_locs: tuple, locs: tuple, tol: float):
@@ -344,6 +370,7 @@ class ConjectureSummary:
     reference_dips: int
     scheme_dips: int
     hazard_count: int
+    stats: tuple = ()  # (label, ScanStats) of the reference scan, then the scheme's
 
     @property
     def clean(self) -> bool:
@@ -428,4 +455,5 @@ def conjecture_sweep(t_max: float, step: float, *, match_tol: float = DEFAULT_MA
         max_matched_discrepancy=match.max_matched_discrepancy,
         events=tuple(events),
         reference_dips=len(comparison.reference.dips), scheme_dips=len(scan.dips),
-        hazard_count=comparison.reference.hazard_count + scan.hazard_count)
+        hazard_count=comparison.reference.hazard_count + scan.hazard_count,
+        stats=((ref_spec.label, comparison.reference.stats), (spira_spec.label, scan.stats)))

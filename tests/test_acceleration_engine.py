@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from zsections import acceleration_engine
 from zsections.acceleration_engine import (
+    COEFF_CACHE_ORDERS,
     BetaTriangle,
     accelerated_coefficients,
     accelerated_triangle,
@@ -135,6 +137,19 @@ class TestCoefficients:
         assert a is b
         with pytest.raises(ValueError):
             a[0] = 0.0
+
+    def test_cache_stays_bounded(self):
+        """Scanning more orders than the cache holds keeps COEFF_CACHE_ORDERS of them."""
+        cache = acceleration_engine._coefficient_vector
+        orders = range(1000, 1000 + 2 * COEFF_CACHE_ORDERS)
+        for order in orders:
+            assert accelerated_coefficients(order).alpha.shape == (order,)
+        assert cache.cache_info().currsize == COEFF_CACHE_ORDERS
+        hits = cache.cache_info().hits
+        accelerated_coefficients(orders[-1])
+        assert cache.cache_info().hits == hits + 1
+        first = accelerated_coefficients(orders[0]).alpha  # evicted, rebuilt equal
+        assert np.array_equal(first, acceleration_engine._binomial_tails_exact(orders[0]))
 
     def test_validation(self):
         with pytest.raises(DomainError):

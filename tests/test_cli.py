@@ -438,9 +438,35 @@ def test_stdout_stderr_split(capsys):
 def test_json_sidecar_structure(tmp_path):
     rc, _, doc = run_cli(tmp_path, "meta.csv", ["coeffs", "--n", "3"])
     assert rc == 0
-    assert set(doc) == {"command", "config", "summary", "provenance"}
+    assert set(doc) == {"command", "config", "summary", "stats", "provenance"}
     assert doc["config"]["n"] == 3
     assert isinstance(doc["provenance"], str) and doc["provenance"]
+
+
+STAT_KEYS = {"grid", "dip_rescan", "bisect_screened", "bisect_exact", "residual"}
+
+
+def test_zeros_writes_stage_counts_beside_the_summary(tmp_path):
+    rc, rows, doc = run_cli(tmp_path, "z.csv", ["zeros", "--range", "412:419:0.1",
+                                                "--scheme", "em,spira"])
+    assert rc == 0
+    assert set(doc["stats"]) == {"ORACLE_EM", "SPIRA"}
+    assert "stats" not in doc["summary"]
+    for label, stats in doc["stats"].items():
+        assert set(stats) == STAT_KEYS
+        assert stats["grid"] == 71
+        assert stats["residual"] == doc["summary"]["schemes"][label]["zero_count"]
+    assert doc["stats"]["ORACLE_EM"]["bisect_screened"] > 0
+    assert doc["stats"]["SPIRA"]["bisect_screened"] == 0
+
+
+def test_conjecture_writes_stage_counts_of_both_scans(tmp_path):
+    rc, _, doc = run_cli(tmp_path, "c.csv", ["conjecture", "--t-max", "60", "--step", "0.01"])
+    assert rc == 0
+    assert set(doc["stats"]) == {doc["summary"]["reference"], doc["summary"]["scheme"]}
+    for stats in doc["stats"].values():
+        assert set(stats) == STAT_KEYS
+        assert stats["bisect_screened"] == 0  # below RS4_T_MIN the oracle runs everywhere
 
 
 def test_csv_uses_lf_line_endings(tmp_path):

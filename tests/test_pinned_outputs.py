@@ -1,0 +1,40 @@
+"""Recorded CLI outputs, byte for byte.
+
+perfbench/expected.json records the CSV SHA-256 and the JSON summary of
+every command the benchmark issues.  A few of them are rerun here through
+cli.main: three zero scans of the refine windows (EM, Spira and the
+accelerated section at step 0.1) and the (412, 419) scan of EM against
+Spira at n = 205.  The file is only read.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from zsections.cli import main
+
+EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
+
+COMMANDS = [
+    "zeros --range 2300:2320:0.1 --scheme em,spira,acc --threads 1",
+    "zeros --range 3700:3720:0.1 --scheme em,spira,acc --threads 1",
+    "zeros --range 4400:4420:0.1 --scheme em,spira,acc --threads 1",
+    "zeros --range 412:419:0.01 --scheme em,spira --n 205 --threads 1",
+]
+
+
+@pytest.fixture(scope="module")
+def expected():
+    return json.loads(EXPECTED.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_output_matches_the_recorded_one(tmp_path, expected, command):
+    want = expected[command]
+    out = tmp_path / "out.csv"
+    assert main(command.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want["csv_sha256"]
+    doc = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
+    assert doc["summary"] == want["summary"]

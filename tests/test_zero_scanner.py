@@ -10,8 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from zsections import zero_scanner
-from zsections.errors import DomainError, ResourceLimitError
+from zsections import schemes, zero_scanner
+from zsections.errors import ConvergenceError, DomainError, ResourceLimitError
 from zsections.schemes import SchemeEvaluator, SchemeKind, SchemeSpec, evaluate_grid
 from zsections.zero_scanner import (
     BRACKET_WIDTH,
@@ -199,8 +199,15 @@ class TestLockstepBisection:
         (SchemeSpec(kind=SchemeKind.SPIRA), 2000.0, 2020.0, 0.1),
         (SchemeSpec(kind=SchemeKind.ACCELERATED_COEFF), 2000.0, 2020.0, 0.1),
         (CUSTOM_300, 2000.0, 2020.0, 0.1),
+        # the oracle's bisection signs come from the RS4 screen above t = 200
+        (EM, 2000.0, 2020.0, 0.1),
+        (EM, 7000.0, 7010.0, 0.1),  # Lehmer's pair near 7005.08
+        (EM, 195.0, 215.0, 0.1),  # across RS4_T_MIN
+        (EM, 410.0, 420.0, 0.5),  # dips at 415.0
+        (EM, 1280.0, 1290.0, 0.5),  # a dip at 1283.0 with |Z| ~ 6e-4
     ], ids=["spira", "acc", "em", "afe", "rs", "spira@205", "spira-jump",
-            "spira-2000", "acc-2000", "custom-2000"])
+            "spira-2000", "acc-2000", "custom-2000",
+            "em-2000", "em-lehmer", "em-200", "em-dips-415", "em-dip-1283"])
     def test_records_equal_per_bracket_loop(self, spec, a, b, step):
         result = scan_zeros(spec, a, b, step)
         assert len(result) > 0
@@ -384,3 +391,57 @@ class TestConjectureSweep:
         a = conjecture_sweep(60.0, 0.01)
         b = conjecture_sweep(60.0, 0.01)
         assert a == b
+
+
+class TestOracleScreen:
+    """Bisection of the EM oracle takes RS4's sign where RS4's bound certifies it."""
+
+    @pytest.mark.parametrize("a, b, step", [(2000.0, 2020.0, 0.1), (410.0, 420.0, 0.5)])
+    def test_stage_counts(self, monkeypatch, a, b, step):
+        screened = scan_zeros(EM, a, b, step)
+        monkeypatch.setattr(schemes, "RS4_T_MIN", math.inf)  # the screen decides nothing
+        exact = scan_zeros(EM, a, b, step)
+        assert screened.records == exact.records and screened.dips == exact.dips
+        got, want = screened.stats, exact.stats
+        assert want.bisect_screened == 0
+        assert got.bisect_screened > 0.8 * want.bisect_exact
+        assert got.bisect_screened + got.bisect_exact == want.bisect_exact
+        assert (got.grid, got.dip_rescan, got.residual) == (want.grid, want.dip_rescan,
+                                                            want.residual)
+        assert got.grid == len(grid_points(a, b, step))
+        assert (got.dip_rescan > 0) == (step == 0.5) == bool(screened.dips)
+        assert got.residual == sum(1 for r in screened.records if r.bracket[0] < r.bracket[1])
+
+    def test_screened_signs_near_zeros_are_exact_signs(self):
+        evaluator = SchemeEvaluator(EM)
+        zeros = [loc for a, b in ((200.0, 215.0), (2000.0, 2020.0), (7000.0, 7010.0))
+                 for loc in scan_zeros(EM, a, b, 0.1).locations]
+        offsets = [sign * 10.0**-e for e in range(6, 12) for sign in (-1.0, 1.0)]
+        ts = [z + d for z in zeros for d in offsets]
+        signs, _ = evaluate_grid(evaluator, ts, sign_only=True)
+        exact, _ = evaluate_grid(SchemeEvaluator(EM), ts)
+        assert evaluator.screened >= len(ts) // 3
+        assert np.array_equal(np.sign(signs), np.sign(exact))
+
+    def test_no_screen_below_rs4_t_min(self):
+        evaluator = SchemeEvaluator(EM)
+        ts = np.linspace(30.0, schemes.RS4_T_MIN, 50, endpoint=False)
+        signs, _ = evaluate_grid(evaluator, ts, sign_only=True)
+        assert evaluator.screened == 0
+        assert np.array_equal(signs, evaluate_grid(SchemeEvaluator(EM), ts)[0])
+
+    def test_pinned_oracle_knobs_leave_the_screen_off(self):
+        scan = scan_zeros(EM, 2000.0, 2003.0, 0.1, oracle_terms=5000)
+        assert scan.stats.bisect_screened == 0 and scan.stats.bisect_exact > 0
+        # The exact path's errors survive under sign_only: a pinned M too
+        # small for the grid, and a tail that does not converge.
+        evaluator = SchemeEvaluator(EM, oracle_terms=1000)
+        with pytest.raises(DomainError) as exact_error:
+            evaluate_grid(evaluator, [250.0, 300.0, 1001.5])
+        with pytest.raises(DomainError) as sign_error:
+            evaluate_grid(evaluator, [250.0, 300.0, 1001.5], sign_only=True)
+        assert str(sign_error.value) == str(exact_error.value)
+        evaluator = SchemeEvaluator(EM, correction_order=1)
+        with pytest.raises(ConvergenceError):
+            evaluate_grid(evaluator, [3000.0], sign_only=True)
+        assert evaluator.screened == 0
