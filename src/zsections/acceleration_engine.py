@@ -269,25 +269,11 @@ def coefficient_direct_sum(order: int, k: int) -> float:
 def coefficient_l2_distance(order: int) -> float:
     """l2 gap between the accelerated and step coefficient vectors at length N.
 
-    sqrt(sum_{k=1..N} (alphatilde_k - 1)^2); the gaps 1 - alphatilde_k are the
-    lower binomial tails P[Binomial(N+1,1/2) <= k-1], computed exactly (big
-    integers) up to N = 20000 and via the incomplete beta function beyond.
+    sqrt(sum_{k=1..N} (alphatilde_k - 1)^2).  The gaps 1 - alphatilde_k are
+    the lower binomial tails P[Binomial(N+1,1/2) <= k-1], which by symmetry
+    are the upper tails P[... >= N+2-k]: the closing coefficient 2^-(N+1),
+    then alphatilde_N down to alphatilde_2, each as exact as the coefficients.
     """
     order = _validate_order(order, minimum=1)
-    m = order + 1
-    if order <= _EXACT_COEFF_MAX:
-        total = 1 << m
-        gaps = np.empty(order, dtype=np.float64)
-        c = 1  # C(m, 0)
-        prefix = 1
-        gaps[0] = prefix / total
-        for k in range(2, order + 1):
-            j = k - 1
-            c = c * (m - j + 1) // j
-            prefix += c
-            gaps[k - 1] = prefix / total
-    else:
-        ks = np.arange(1, order + 1, dtype=np.float64)
-        # P[X <= k-1] = P[X >= m-k+1] by the symmetry of the fair binomial.
-        gaps = betainc(m - ks + 1.0, ks, 0.5)
+    gaps = _vertical_weights(order)[:0:-1]
     return math.sqrt(math.fsum(gaps * gaps))

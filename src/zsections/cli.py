@@ -8,13 +8,14 @@ without it the CSV goes to stdout and the JSON to stderr, keeping stdout
 pipe-clean.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 when a numerical
-hazard was flagged (a remainder evaluation inside the cosine-denominator
-hazard window, or a tail that refused to converge).  RunConfig.validate
-refuses bad input, non-finite numbers included, before any numerical work:
-the checks every command shares, then one check per subcommand
-(_COMMAND_CHECKS).  coeffs evaluates no scheme, so its subparser has no
---scheme or --oracle-terms, and its --n is the coefficient order; figure
-fig4 is the same coefficient table, and its check refuses --oracle-terms.
+hazard was flagged (a Riemann-Siegel remainder evaluated inside the
+cosine-denominator hazard window).  The EM oracle runs at its one
+configuration, M = max(100, 2 ceil(t)) and J = 6 (see schemes), where its
+tail always converges, so its ConvergenceError, also mapped to 3, does not
+arise.  RunConfig.validate refuses bad input, non-finite numbers included,
+before any numerical work: the checks every command shares, then one check
+per subcommand (_COMMAND_CHECKS).  coeffs evaluates no scheme, so its
+subparser has no --scheme, and its --n is the coefficient order.
 
 Grid work runs on the batched, single-threaded evaluate_grid.  --threads is
 accepted only for compatibility: it is validated (1 to MAX_THREADS) and
@@ -52,7 +53,7 @@ from .schemes import (
     evaluate_grid,
     parse_scheme_kind,
 )
-from .sections_engine import MAX_SECTION_TERMS, CoefficientVector, cosine_terms
+from .sections_engine import CoefficientVector, cosine_terms
 from .zero_scanner import (
     DEFAULT_MATCH_TOL,
     compare_zero_sets,
@@ -98,7 +99,6 @@ class RunConfig:
     sweep: Optional[tuple] = None
     t_max: Optional[float] = None
     match_tol: float = DEFAULT_MATCH_TOL
-    oracle_terms: Optional[int] = None
     threads: int = 1
     out: Optional[str] = None
 
@@ -107,9 +107,6 @@ class RunConfig:
         if not 1 <= self.threads <= MAX_THREADS:
             raise ConfigError(
                 f"--threads must lie in [1, {MAX_THREADS}], got {self.threads}")
-        if self.oracle_terms is not None and not 50 <= self.oracle_terms <= MAX_SECTION_TERMS:
-            raise ConfigError(f"--oracle-terms must lie in [50, {MAX_SECTION_TERMS}], "
-                              f"got {self.oracle_terms}")
         if not (math.isfinite(self.match_tol) and self.match_tol > 0.0):
             raise ConfigError(f"--match-tol must be finite and positive, got {self.match_tol}")
         if self.t is not None and not math.isfinite(self.t):
@@ -151,8 +148,6 @@ class RunConfig:
             doc["t_max"] = self.t_max
         if self.command in ("zeros", "conjecture"):
             doc["match_tol"] = self.match_tol
-        if self.oracle_terms is not None:
-            doc["oracle_terms"] = self.oracle_terms
         doc["threads"] = self.threads
         if self.out is not None:
             doc["out"] = self.out
@@ -169,9 +164,6 @@ def _check_eval(config: RunConfig) -> None:
 def _check_figure(config: RunConfig) -> None:
     if config.figure not in _FIGURE_IDS:
         raise ConfigError(f"figure id must be one of {_FIGURE_IDS}")
-    if config.figure == "fig4" and config.oracle_terms is not None:
-        raise ConfigError("fig4 is a coefficient table and evaluates no oracle; "
-                          "it takes no --oracle-terms")
 
 
 def _check_zeros(config: RunConfig) -> None:
@@ -384,14 +376,12 @@ def cmd_eval(config: RunConfig) -> CommandResult:
     else:
         ts = grid_points(config.a, config.b, config.step)
 
-    ref_eval = SchemeEvaluator(SchemeSpec(kind=config.ref_kind),
-                               oracle_terms=config.oracle_terms)
+    ref_eval = SchemeEvaluator(SchemeSpec(kind=config.ref_kind))
     ref_vals, hazards = evaluate_grid(ref_eval, ts)
 
     columns = {}
     for spec in config.schemes:
-        ev = SchemeEvaluator(spec, oracle_terms=config.oracle_terms)
-        vals, h = evaluate_grid(ev, ts)
+        vals, h = evaluate_grid(SchemeEvaluator(spec), ts)
         hazards += h
         columns[spec.label] = vals
 
@@ -419,18 +409,6 @@ def cmd_eval(config: RunConfig) -> CommandResult:
                          rows, summary, hazards)
 
 
-def _figure_grid_columns(specs: list, a: float, b: float, step: float,
-                         oracle_terms: Optional[int]):
-    ts = grid_points(a, b, step)
-    cols = []
-    hazards = 0
-    for spec in specs:
-        vals, h = evaluate_grid(SchemeEvaluator(spec, oracle_terms=oracle_terms), ts)
-        hazards += h
-        cols.append(vals)
-    return ts, cols, hazards
-
-
 def cmd_figure(config: RunConfig) -> CommandResult:
     fig = config.figure
     if fig == "fig1":
@@ -438,7 +416,7 @@ def cmd_figure(config: RunConfig) -> CommandResult:
         # oracle value and its half; the half line is where the section sits
         # once the cutoff passes sqrt(t/2pi).
         t = 3000.0
-        ref = z_euler_maclaurin(t, terms=config.oracle_terms)
+        ref = z_euler_maclaurin(t)
         # section(t, n) for every n is the fsum of a prefix of one kernel row.
         terms = cosine_terms(t, 1500).tolist()
         rows = [(n, math.fsum(terms[:n]), ref.z, 0.5 * ref.z) for n in range(1, 1501)]
@@ -458,7 +436,13 @@ def cmd_figure(config: RunConfig) -> CommandResult:
             specs = [SchemeSpec(kind=SchemeKind.ORACLE_EM),
                      SchemeSpec(kind=SchemeKind.ACCELERATED_COEFF, n=205)]
             header = ("t", "ln_abs_reference", "ln_abs_accelerated_205")
-        ts, cols, hazards = _figure_grid_columns(specs, a, b, step, config.oracle_terms)
+        ts = grid_points(a, b, step)
+        cols = []
+        hazards = 0
+        for spec in specs:
+            vals, h = evaluate_grid(SchemeEvaluator(spec), ts)
+            hazards += h
+            cols.append(vals)
         rows = [tuple([t] + [_ln_abs(float(c[i])) for c in cols])
                 for i, t in enumerate(ts)]
         summary = {"figure": fig, "range": [a, b, step], "rows": len(rows),
@@ -490,8 +474,7 @@ def cmd_zeros(config: RunConfig) -> CommandResult:
 
     if has_ref and len(config.schemes) >= 2:
         comparison = compare_zero_sets(
-            (config.a, config.b), list(config.schemes), config.match_tol,
-            step=config.step, oracle_terms=config.oracle_terms)
+            (config.a, config.b), list(config.schemes), config.match_tol, step=config.step)
         summary["match_tol"] = config.match_tol
         ref_scan = comparison.reference
         hazards += ref_scan.hazard_count
@@ -519,8 +502,7 @@ def cmd_zeros(config: RunConfig) -> CommandResult:
             }
     else:
         for spec in config.schemes:
-            scan = scan_zeros(spec, config.a, config.b, config.step,
-                              oracle_terms=config.oracle_terms)
+            scan = scan_zeros(spec, config.a, config.b, config.step)
             hazards += scan.hazard_count
             stats[spec.label] = asdict(scan.stats)
             for rec in scan.records:
@@ -534,9 +516,7 @@ def cmd_zeros(config: RunConfig) -> CommandResult:
 
 def cmd_conjecture(config: RunConfig) -> CommandResult:
     """Run the Spira-vs-reference sweep; rows are the anomaly events."""
-    sweep = conjecture_sweep(config.t_max, config.step,
-                             match_tol=config.match_tol,
-                             oracle_terms=config.oracle_terms)
+    sweep = conjecture_sweep(config.t_max, config.step, match_tol=config.match_tol)
     header = ("kind", "location", "nearest_counterpart", "nearest_distance",
               "nearest_cutoff_boundary", "boundary_distance",
               "bracket_lo", "bracket_hi", "residual", "scale", "cutoff_jump")
@@ -571,18 +551,16 @@ def cmd_conjecture(config: RunConfig) -> CommandResult:
                          {label: asdict(stats) for label, stats in sweep.stats})
 
 
-def error_decay_report(t_list, specs, oracle_terms: Optional[int] = None) -> ErrorReport:
+def error_decay_report(t_list, specs) -> ErrorReport:
     """Absolute errors vs the EM oracle with least-squares decay fits."""
     ts = [float(t) for t in t_list]
-    ref_eval = SchemeEvaluator(SchemeSpec(kind=SchemeKind.ORACLE_EM),
-                               oracle_terms=oracle_terms)
-    ref_vals, _ = evaluate_grid(ref_eval, ts)
+    ref_vals, _ = evaluate_grid(SchemeEvaluator(SchemeSpec(kind=SchemeKind.ORACLE_EM)), ts)
 
     errors = {}
     summary = {}
     exponential_kinds = (SchemeKind.ACCELERATED_TRIANGLE, SchemeKind.ACCELERATED_COEFF)
     for spec in specs:
-        vals, _ = evaluate_grid(SchemeEvaluator(spec, oracle_terms=oracle_terms), ts)
+        vals, _ = evaluate_grid(SchemeEvaluator(spec), ts)
         errs = tuple(abs(float(v) - float(r)) for v, r in zip(vals, ref_vals))
         errors[spec.label] = errs
         ln_err = np.array([math.log(max(e, _LN_FLOOR)) for e in errs])
@@ -608,8 +586,7 @@ def error_decay_report(t_list, specs, oracle_terms: Optional[int] = None) -> Err
 
 
 def cmd_error_decay(config: RunConfig) -> CommandResult:
-    report = error_decay_report(config.t_list, config.schemes,
-                                oracle_terms=config.oracle_terms)
+    report = error_decay_report(config.t_list, config.schemes)
     rows = []
     for i, t in enumerate(report.ts):
         for label in report.labels:
@@ -699,17 +676,13 @@ def _parse_int_list(text: str) -> tuple:
         raise ConfigError(f"bad integer list {text!r}") from exc
 
 
-def _add_common(sub: argparse.ArgumentParser, *, schemes: bool = True,
-                oracle: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser, *, schemes: bool = True) -> None:
     if schemes:
         sub.add_argument("--scheme", action="append", metavar="NAME",
                          help="scheme name (repeatable or comma-joined): rs, em, "
                               "afe, spira, acc, acc-triangle, custom:<file>")
         sub.add_argument("--n", type=int, default=None,
                          help="fixed cutoff for schemes that take one")
-    if oracle:
-        sub.add_argument("--oracle-terms", type=int, default=None, dest="oracle_terms",
-                         help="partial-sum length override for the oracle")
     sub.add_argument("--out", default=None, metavar="PATH",
                      help="CSV output path (JSON summary lands beside it); "
                           "default stdout/stderr")
@@ -760,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", default=None, metavar="N1,N2,...",
                    help="emit l2 distance to the step vector for these orders")
     p.add_argument("--k-max", type=int, default=None, dest="k_max")
-    _add_common(p, schemes=False, oracle=False)
+    _add_common(p, schemes=False)
 
     return parser
 
@@ -801,7 +774,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         sweep=sweep,
         t_max=getattr(args, "t_max", None),
         match_tol=getattr(args, "match_tol", DEFAULT_MATCH_TOL),
-        oracle_terms=getattr(args, "oracle_terms", None),
         threads=getattr(args, "threads", 1),
         out=getattr(args, "out", None),
     )

@@ -33,14 +33,18 @@ The one exception is asked for by name: evaluate_grid(..., sign_only=True),
 which the zero scanner's bisection uses because it reads only signs.  The
 section kinds (AFE, SPIRA, ACCELERATED_COEFF, CUSTOM) then keep a row's
 plain float sum wherever an error bound certifies its sign, and fall back
-to fsum elsewhere (sections_engine.sum_rows).  The EM oracle at its default
-knobs (no pinned M, correction order 6) screens each chunk first: at
-t >= RS4_T_MIN a point takes the fourth-order Riemann-Siegel value where
-|RS4| exceeds RS4's error bound plus that of the oracle's computed value,
-and only the other points run the oracle (SchemeEvaluator._screen).  Either
-way every value has the sign of the exact one.  REFERENCE_RS,
-ACCELERATED_TRIANGLE and the oracle with pinned knobs ignore the flag; so
-the oracle never skips an evaluation that could raise.
+to fsum elsewhere (sections_engine.sum_rows).  The EM oracle screens each
+chunk first: at t >= RS4_T_MIN a point takes the fourth-order
+Riemann-Siegel value where |RS4| exceeds RS4's error bound plus that of the
+oracle's computed value, and only the other points run the oracle
+(SchemeEvaluator._screen).  Either way every value has the sign of the
+exact one.  REFERENCE_RS and ACCELERATED_TRIANGLE ignore the flag.
+
+The oracle has one configuration, that of the paper's experiments:
+M = max(100, 2 ceil(t)) terms and J = 6 Bernoulli corrections.  Its tail
+then converges at every accepted t, so a screened point never hides an
+error; M above MAX_SECTION_TERMS is refused before evaluation.  The
+engine's own knobs stay on z_euler_maclaurin and euler_maclaurin_rows.
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ import numpy as np
 from .acceleration_engine import accelerated_triangle_rows, accelerated_vertical_rows
 from .errors import DomainError
 from .reference_engine import (
-    DEFAULT_CORRECTION_ORDER,
     RS4_T_MIN,
     euler_maclaurin_error,
     euler_maclaurin_rows,
@@ -144,18 +147,11 @@ def _key_runs(keys: np.ndarray):
 class SchemeEvaluator:
     """Callable evaluation of one scheme, with per-point hazard flags."""
 
-    def __init__(self, spec: SchemeSpec, *, oracle_terms: Optional[int] = None,
-                 correction_order: int = DEFAULT_CORRECTION_ORDER):
+    def __init__(self, spec: SchemeSpec):
         self.spec = spec
-        self.oracle_terms = oracle_terms
-        self.correction_order = correction_order
         self._fixed = len(spec.alpha) if spec.alpha is not None else spec.n
         self._alpha = spec.alpha.as_array() if spec.alpha is not None else None
-        # The oracle's sign screen runs only with its default knobs, under
-        # which it cannot raise at t >= RS4_T_MIN; screened counts the points
-        # it decided, for the caller's statistics.
-        self._screens = (spec.kind is SchemeKind.ORACLE_EM and oracle_terms is None
-                         and correction_order == DEFAULT_CORRECTION_ORDER)
+        # The points the oracle's sign screen decided, for the caller's statistics.
         self.screened = 0
 
     def cutoff(self, t: float) -> Optional[int]:
@@ -176,7 +172,7 @@ class SchemeEvaluator:
         if ok[0]:
             return int(keys[0])
         if self.spec.kind is SchemeKind.ORACLE_EM:
-            euler_maclaurin_terms(t, self.oracle_terms, self.correction_order)
+            euler_maclaurin_terms(t)
             raise AssertionError(f"the array rules refuse t = {t}, which the oracle accepts")
         if not (math.isfinite(t) and t >= 0.0):
             raise DomainError(f"cutoff resolution requires finite t >= 0, got {t}")
@@ -188,21 +184,16 @@ class SchemeEvaluator:
 
         The one place that maps a kind to its rule: the square-root cutoff
         for AFE and REFERENCE_RS, the half cutoff for SPIRA and both
-        accelerated kinds, a pinned n or the custom vector's length, and M
-        for the oracle.  Section keys below 1 and points outside finite
-        t >= 0 are refused.
+        accelerated kinds, a pinned n or the custom vector's length, and
+        M = max(100, 2 ceil(t)) for the oracle.  Section keys below 1, oracle
+        keys above MAX_SECTION_TERMS and points outside finite t >= 0 are
+        refused.
         """
         ok = np.isfinite(ts) & (ts >= 0.0)
         safe = np.where(ok, ts, 0.0)
         if self.spec.kind is SchemeKind.ORACLE_EM:
-            ceil = np.ceil(safe)
-            if self.oracle_terms is None:
-                keys = np.maximum(100.0, 2.0 * ceil)
-            else:
-                keys = np.full(len(ts), float(int(self.oracle_terms)))
-            ok &= ((keys >= np.maximum(50.0, ceil)) & (keys <= MAX_SECTION_TERMS)
-                   & (1 <= int(self.correction_order) <= 10))
-            return keys, ok
+            keys = np.maximum(100.0, 2.0 * np.ceil(safe))
+            return keys, ok & (keys <= MAX_SECTION_TERMS)
         if self._fixed is not None:
             keys = np.full(len(ts), float(int(self._fixed)))
         elif self.spec.kind in (SchemeKind.AFE, SchemeKind.REFERENCE_RS):
@@ -233,7 +224,7 @@ class SchemeEvaluator:
         if kind is SchemeKind.REFERENCE_RS:
             return riemann_siegel_rows(ts, thetas, key)
         if kind is SchemeKind.ORACLE_EM:
-            return euler_maclaurin_rows(ts, thetas, key, self.correction_order), 0
+            return euler_maclaurin_rows(ts, thetas, key), 0
         if kind is SchemeKind.AFE:
             return 2.0 * section_rows(ts, thetas, key, sign_only=sign_only), 0
         if kind is SchemeKind.SPIRA:
@@ -279,7 +270,7 @@ class SchemeEvaluator:
         stop = len(ts) if ok.all() else int(np.argmin(ok))
         thetas = theta_grid(ts[:stop])
         at = slice(0, stop)
-        if sign_only and self._screens:
+        if sign_only and self.spec.kind is SchemeKind.ORACLE_EM:
             at = self._screen(ts[:stop], thetas, keys[:stop], out)
         ts_at, thetas_at, keys_at = ts[at], thetas[at], keys[at]
         vals = np.empty(len(ts_at), dtype=np.float64)

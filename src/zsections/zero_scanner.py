@@ -33,10 +33,11 @@ at the refined locations take one more call.  The grid, the re-scans and
 the residuals get each point's value bit for bit.  Bisection reads only
 signs, so it asks evaluate_grid for sign_only values, which carry the sign
 of the exact value at every point; every bracket therefore still follows
-the path it would follow alone on exact values.  For the EM oracle those
-signs come mostly from the fourth-order Riemann-Siegel screen (see
-schemes), which decides above 95% of the midpoints of a scan at
-t in [2000, 5000]; each ScanResult counts its points by stage (ScanStats).
+the path it would follow alone on exact values.  For the EM oracle, which
+runs at its one configuration (see schemes), those signs come mostly from
+the fourth-order Riemann-Siegel screen, which decides above 95% of the
+midpoints of a scan at t in [2000, 5000]; each ScanResult counts its points
+by stage (ScanStats).
 """
 
 from __future__ import annotations
@@ -235,8 +236,7 @@ def _bisect(evaluator: SchemeEvaluator, brackets: list):
     return list(zip(lo.tolist(), hi.tolist())), points
 
 
-def scan_zeros(scheme: SchemeSpec, a: float, b: float, step: float, *,
-               oracle_terms: Optional[int] = None) -> ScanResult:
+def scan_zeros(scheme: SchemeSpec, a: float, b: float, step: float) -> ScanResult:
     """All bracketed sign changes and exact zeros of a scheme on the grid a, a+step, ..., b."""
     a, b, step = float(a), float(b), float(step)
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(step)):
@@ -248,7 +248,7 @@ def scan_zeros(scheme: SchemeSpec, a: float, b: float, step: float, *,
     if step > (b - a) * (1.0 + 1e-12):
         raise DomainError(f"step {step} exceeds interval length {b - a}")
 
-    evaluator = SchemeEvaluator(scheme, oracle_terms=oracle_terms)
+    evaluator = SchemeEvaluator(scheme)
     ts = grid_points(a, b, step)
     vals, hazards = evaluate_grid(evaluator, ts)
     brackets, records = _sampled_zeros(scheme, ts, vals)
@@ -318,8 +318,13 @@ def _greedy_match(ref_locs: tuple, locs: tuple, tol: float):
     return tuple(pairs), missed, spurious
 
 
+def _check_match_tol(match_tol: float) -> None:
+    if not (math.isfinite(match_tol) and match_tol > 0.0):
+        raise DomainError(f"match_tol must be finite and positive, got {match_tol}")
+
+
 def compare_zero_sets(interval: tuple, schemes: list, match_tol: float = DEFAULT_MATCH_TOL, *,
-                      step: float = 0.005, oracle_terms: Optional[int] = None) -> ZeroComparison:
+                      step: float = 0.005) -> ZeroComparison:
     """Scan every scheme on the interval and match each against the reference.
 
     The first reference-kind entry (ORACLE_EM or REFERENCE_RS) is the
@@ -328,20 +333,19 @@ def compare_zero_sets(interval: tuple, schemes: list, match_tol: float = DEFAULT
     reference count.
     """
     a, b = float(interval[0]), float(interval[1])
-    if not (math.isfinite(match_tol) and match_tol > 0.0):
-        raise DomainError(f"match_tol must be finite and positive, got {match_tol}")
+    _check_match_tol(match_tol)
     specs = list(schemes)
     ref_index = next((i for i, s in enumerate(specs) if s.is_reference), None)
     if ref_index is None:
         raise DomainError("compare_zero_sets needs a reference scheme in the list")
     ref_spec = specs[ref_index]
 
-    ref_scan = scan_zeros(ref_spec, a, b, step, oracle_terms=oracle_terms)
+    ref_scan = scan_zeros(ref_spec, a, b, step)
     matches = []
     for i, spec in enumerate(specs):
         if i == ref_index:
             continue
-        scan = scan_zeros(spec, a, b, step, oracle_terms=oracle_terms)
+        scan = scan_zeros(spec, a, b, step)
         pairs, missed, spurious = _greedy_match(
             ref_scan.locations, scan.locations, match_tol)
         matches.append(SchemeMatch(scheme=spec, scan=scan, matched=pairs,
@@ -403,8 +407,8 @@ def _event(kind: str, location: float, other_locs: tuple, record: Optional[ZeroR
     return ev
 
 
-def conjecture_sweep(t_max: float, step: float, *, match_tol: float = DEFAULT_MATCH_TOL,
-                     oracle_terms: Optional[int] = None) -> ConjectureSummary:
+def conjecture_sweep(t_max: float, step: float, *,
+                     match_tol: float = DEFAULT_MATCH_TOL) -> ConjectureSummary:
     """Spira-scheme zeros (exact floor(t/2) cutoff) vs reference over [30, t_max].
 
     Every missed or spurious zero is reported as an event carrying its
@@ -412,12 +416,15 @@ def conjecture_sweep(t_max: float, step: float, *, match_tol: float = DEFAULT_MA
     boundary, bracket and flags when a record exists).  The sweep always
     completes and returns the summary; a clean run corroborates the
     real-zeros conjecture at desk scale, a dirty one is a finding to read.
+    A step or match_tol that is not finite and positive is refused first,
+    also on a window shorter than one step, where nothing is scanned.
     """
     t_max = float(t_max)
     if not SWEEP_T_MIN <= t_max <= SWEEP_CEILING:
         raise DomainError(f"t_max must lie in [{SWEEP_T_MIN}, {SWEEP_CEILING}], got {t_max}")
-    if step <= 0.0:
-        raise DomainError(f"step must be positive, got {step}")
+    if not 0.0 < step < math.inf:
+        raise DomainError(f"step must be finite and positive, got {step}")
+    _check_match_tol(match_tol)
 
     ref_kind = SchemeKind.ORACLE_EM if t_max <= RS_REFEREE_ABOVE else SchemeKind.REFERENCE_RS
     ref_spec = SchemeSpec(kind=ref_kind)
@@ -431,9 +438,8 @@ def conjecture_sweep(t_max: float, step: float, *, match_tol: float = DEFAULT_MA
             missed_count=0, spurious_count=0, max_matched_discrepancy=0.0,
             events=(), reference_dips=0, scheme_dips=0, hazard_count=0)
 
-    comparison = compare_zero_sets(
-        (SWEEP_T_MIN, t_max), [ref_spec, spira_spec], match_tol,
-        step=step, oracle_terms=oracle_terms)
+    comparison = compare_zero_sets((SWEEP_T_MIN, t_max), [ref_spec, spira_spec], match_tol,
+                                   step=step)
     match = comparison.matches[0]
     scan = match.scan
     by_location = {r.location: r for r in scan.records}

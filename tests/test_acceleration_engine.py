@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import betainc
 
 from zsections import acceleration_engine
 from zsections.acceleration_engine import (
@@ -233,6 +234,25 @@ class TestStepCoefficientsAndDistance:
         values = [coefficient_l2_distance(n) for n in (50, 100, 200, 400, 800)]
         assert all(math.isfinite(v) for v in values)
         assert all(b > a for a, b in zip(values, values[1:])), values
+
+    @pytest.mark.parametrize("order", [*range(1, 80), 399, 800, 2500, 20000, 20001, 25000])
+    def test_distance_equals_lower_tail_walk(self, order):
+        # The lower tails P[X <= k-1] by their own exact prefix walk (betainc
+        # beyond the exact range): the same doubles as the reversed upper
+        # tails that coefficient_l2_distance reads from the cached vector.
+        m = order + 1
+        if order <= 20000:
+            total, c, prefix = 1 << m, 1, 1
+            gaps = [prefix / total]
+            for j in range(1, order):
+                c = c * (m - j + 1) // j
+                prefix += c
+                gaps.append(prefix / total)
+            gaps = np.array(gaps)
+        else:
+            ks = np.arange(1, order + 1, dtype=np.float64)
+            gaps = betainc(m - ks + 1.0, ks, 0.5)
+        assert coefficient_l2_distance(order) == math.sqrt(math.fsum(gaps * gaps))
 
     def test_closing_coefficient(self):
         assert closing_coefficient(1) == 0.25

@@ -144,14 +144,26 @@ def test_oversized_grid_and_thread_count_exit_2():
 
 
 def test_oracle_length_bounded_by_max_section_terms():
-    # Refused before the referee builds its tables: by validation for
-    # --oracle-terms, and by the oracle's own check for M = 2 ceil(t) = 2e9.
-    for terms in (MAX_SECTION_TERMS + 1, 10**10):
-        assert main(["eval", "--t", "100", "--scheme", "spira",
-                     "--oracle-terms", str(terms)]) == 2
+    # Refused by the oracle's own check before the referee builds its
+    # tables: M = 2 ceil(t) is 2e9 at t = 1e9, and just past
+    # MAX_SECTION_TERMS above t = MAX_SECTION_TERMS / 2.
     assert main(["eval", "--t", "1e9", "--scheme", "afe"]) == 2
-    RunConfig(command="eval", t=100.0, schemes=(SchemeSpec(kind=SchemeKind.SPIRA),),
-              oracle_terms=MAX_SECTION_TERMS).validate()
+    assert main(["eval", "--t", repr(MAX_SECTION_TERMS / 2.0 + 0.5), "--scheme", "afe"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--t", "100", "--scheme", "spira"],
+    ["zeros", "--range", "412:419:0.01", "--scheme", "em,spira"],
+    ["conjecture", "--t-max", "100"],
+    ["error-decay", "--t-list", "100,200,400", "--scheme", "spira"],
+    *(["figure", f"fig{i}"] for i in range(1, 5)),
+], ids=lambda argv: argv[1] if argv[0] == "figure" else argv[0])
+def test_oracle_terms_flag_is_refused(argv):
+    # The oracle has one configuration; no subcommand takes --oracle-terms
+    # (coeffs: test_coeffs_refuses_flags_it_never_reads).
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--oracle-terms", "60"])
+    assert exc.value.code == 2
 
 
 def test_thread_bound_is_inclusive():
@@ -219,19 +231,6 @@ def test_figure_rejects_unknown_id():
     with pytest.raises(SystemExit) as exc:
         main(["figure", "fig9"])
     assert exc.value.code == 2
-
-
-def test_fig4_refuses_oracle_terms():
-    # fig4 is a coefficient table: no oracle runs, so --oracle-terms would
-    # be echoed in the config without shaping anything.  Validation only;
-    # fig1-fig3 evaluate the oracle and keep the flag.
-    argv = ["figure", "fig4", "--oracle-terms", "60"]
-    with pytest.raises(ConfigError, match="fig4"):
-        config_from_args(build_parser().parse_args(argv))
-    assert main(argv) == 2
-    for fig in ("fig1", "fig2", "fig3"):
-        RunConfig(command="figure", figure=fig, oracle_terms=60).validate()
-    RunConfig(command="figure", figure="fig4").validate()
 
 
 # ---------------------------------------------------------------------------

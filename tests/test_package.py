@@ -1,11 +1,42 @@
-"""The package's public surface: every exported name exists, and the README's import works."""
+"""The package's public surface and the documents that point into it.
 
+Every exported name exists, the README's import works, every example
+command of the README parses and validates, and every function the
+benchmark's tracer patches still exists.
+"""
+
+import ast
+import importlib
 import re
+import shlex
 from pathlib import Path
 
-import zsections
+import pytest
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+import zsections
+from zsections.cli import build_parser, config_from_args
+
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+TRACER = ROOT / "perfbench" / "tracer.py"
+
+
+def readme_example_commands() -> list:
+    """The argv of every `zsections ...` line in the README's Examples block."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"Examples:\n\n```sh\n(.*?)```", text, re.S)
+    assert block, "README has no Examples: ```sh block"
+    return [shlex.split(line)[1:] for line in block.group(1).splitlines()
+            if line.startswith("zsections ")]
+
+
+def tracer_targets() -> list:
+    """(module, attribute) of every entry of the tracer's TARGETS, read without importing it."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return [(entry.elts[1].value, entry.elts[2].value) for entry in node.value.elts]
+    raise AssertionError(f"{TRACER} assigns no TARGETS")
 
 
 def test_every_exported_name_resolves():
@@ -22,3 +53,24 @@ def test_readme_library_import_block_imports():
     namespace = {}
     exec(compile(block.group(1), str(README), "exec"), namespace)
     assert "scan_zeros" in namespace
+
+
+@pytest.mark.parametrize("argv", readme_example_commands(), ids=" ".join)
+def test_readme_example_parses_and_validates(argv):
+    # Parsing and validation only: nothing is evaluated or written.
+    config = config_from_args(build_parser().parse_args(argv))
+    assert config.command == argv[0]
+
+
+def test_readme_has_examples_of_every_command():
+    commands = {argv[0] for argv in readme_example_commands()}
+    assert commands == {"eval", "figure", "zeros", "conjecture", "error-decay", "coeffs"}
+
+
+@pytest.mark.parametrize("module, attribute", tracer_targets())
+def test_tracer_target_resolves(module, attribute):
+    owner = importlib.import_module(f"zsections.{module}")
+    for name in attribute.split("."):
+        assert hasattr(owner, name), f"zsections.{module} has no {attribute}"
+        owner = getattr(owner, name)
+    assert callable(owner)

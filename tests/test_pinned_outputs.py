@@ -3,8 +3,10 @@
 perfbench/expected.json records the CSV SHA-256 and the JSON summary of
 every command the benchmark issues.  A few of them are rerun here through
 cli.main: three zero scans of the refine windows (EM, Spira and the
-accelerated section at step 0.1) and the (412, 419) scan of EM against
-Spira at n = 205.  The file is only read.
+accelerated section at step 0.1), and every fixed command of the harness
+workload: the four figures, the error-decay fits, the coefficient l2 sweep
+and the (412, 419) scan of EM against Spira at n = 205.  The file is only
+read.
 """
 
 import hashlib
@@ -21,6 +23,12 @@ COMMANDS = [
     "zeros --range 2300:2320:0.1 --scheme em,spira,acc --threads 1",
     "zeros --range 3700:3720:0.1 --scheme em,spira,acc --threads 1",
     "zeros --range 4400:4420:0.1 --scheme em,spira,acc --threads 1",
+    "figure fig1 --threads 1",
+    "figure fig2 --threads 1",
+    "figure fig3 --threads 1",
+    "figure fig4 --threads 1",
+    "error-decay --t-list 100,200,400,800,1600 --scheme spira,acc --threads 1",
+    "coeffs --sweep 50,100,200,400,800 --threads 1",
     "zeros --range 412:419:0.01 --scheme em,spira --n 205 --threads 1",
 ]
 

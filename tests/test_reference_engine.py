@@ -77,6 +77,14 @@ class TestEulerMaclaurin:
             assert math.isfinite(ref.z)
             assert ref.err_estimate <= 1e-11, f"loose tail at t={t}: {ref.err_estimate}"
 
+    def test_default_tail_never_diverges(self):
+        # At M = max(100, 2 ceil(t)) and J = 6 the last correction peaks near
+        # 2.8e-14 at t = 50, far below the guard's 1e-12: the schemes' oracle
+        # can never raise ConvergenceError.
+        ts = np.linspace(0.0, 120.0, 241).tolist() + [1e3, 1e4, 1e5, 5e5]
+        worst = max(z_euler_maclaurin(t).err_estimate for t in ts)
+        assert 1e-14 < worst <= 3e-14
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             z_euler_maclaurin(-3.0)

@@ -8,17 +8,24 @@ one-point case of the same rows functions, so it is checked in turn against
 the public scalar engines, bit for bit.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from zsections import schemes
 from zsections.acceleration_engine import accelerated_triangle, accelerated_vertical
 from zsections.errors import ConvergenceError, DomainError, ResourceLimitError
-from zsections.reference_engine import euler_maclaurin_terms, z_euler_maclaurin, z_riemann_siegel
+from zsections.reference_engine import (
+    euler_maclaurin_rows,
+    euler_maclaurin_terms,
+    z_euler_maclaurin,
+    z_riemann_siegel,
+)
 from zsections.schemes import SchemeEvaluator, SchemeKind, SchemeSpec, evaluate_grid
 from zsections.sections_engine import MAX_SECTION_TERMS, CoefficientVector, section, z_custom
-from zsections.special_functions import TWO_PI
+from zsections.special_functions import TWO_PI, theta_grid
 from zsections.zero_scanner import grid_points
 
 CUSTOM_ALPHA = CoefficientVector(alpha=tuple(1.0 / (1.0 + 0.1 * k) for k in range(17)))
@@ -49,15 +56,15 @@ GRIDS = [
 ]
 
 
-def scalar(spec, ts, **kwargs):
-    evaluator = SchemeEvaluator(spec, **kwargs)
+def scalar(spec, ts):
+    evaluator = SchemeEvaluator(spec)
     points = [evaluator.evaluate(t) for t in ts]
     return [p.value for p in points], sum(p.hazard for p in points)
 
 
-def assert_bit_identical(spec, ts, chunk=None, **kwargs):
-    want, want_hazards = scalar(spec, ts, **kwargs)
-    evaluator = SchemeEvaluator(spec, **kwargs)
+def assert_bit_identical(spec, ts, chunk=None):
+    want, want_hazards = scalar(spec, ts)
+    evaluator = SchemeEvaluator(spec)
     if chunk is None:
         got, hazards = evaluate_grid(evaluator, ts)
     else:
@@ -83,7 +90,7 @@ def engine_point(evaluator, t):
         ref = z_riemann_siegel(t)
         return ref.z, ref.hazard
     if spec.kind is SchemeKind.ORACLE_EM:
-        return z_euler_maclaurin(t, evaluator.oracle_terms, evaluator.correction_order).z, False
+        return z_euler_maclaurin(t).z, False
     if spec.kind is SchemeKind.CUSTOM:
         return z_custom(t, spec.alpha), False
     if spec.n is not None:
@@ -95,8 +102,8 @@ def engine_point(evaluator, t):
     return SECTION_ENGINES[spec.kind](t, n), False
 
 
-def assert_evaluate_equals_engine(spec, ts, **kwargs):
-    evaluator = SchemeEvaluator(spec, **kwargs)
+def assert_evaluate_equals_engine(spec, ts):
+    evaluator = SchemeEvaluator(spec)
     got = [tuple(evaluator.evaluate(t)) for t in ts]
     want = [engine_point(evaluator, t) for t in ts]
     mismatches = [(t, g, w) for t, g, w in zip(ts, got, want) if g != w]
@@ -130,11 +137,16 @@ def test_long_rows_span_several_row_blocks():
 
 
 def test_oracle_knobs_and_irregular_points():
+    # The oracle runs at M = max(100, 2 ceil(t)) and J = 6, the engine's
+    # defaults, in any point order.
     ts = [100.0, 100.0, 35.5, 412.25, 99.999, 1000.0]
     spec = SchemeSpec(kind=SchemeKind.ORACLE_EM)
     assert_bit_identical(spec, ts)
-    assert_bit_identical(spec, ts, oracle_terms=2500, correction_order=8)
-    assert_evaluate_equals_engine(spec, ts, oracle_terms=2500, correction_order=8)
+    assert_evaluate_equals_engine(spec, ts)
+    evaluator = SchemeEvaluator(spec)
+    for t in ts:
+        pinned = z_euler_maclaurin(t, max(100, 2 * math.ceil(t)), correction_order=6)
+        assert evaluator.evaluate(t).value == pinned.z
 
 
 def test_rs_hazard_counts_match():
@@ -168,42 +180,57 @@ def test_grid_below_domain_raises_scalar_error(spec, ts):
     assert str(grid_error.value) == str(scalar_error.value)
 
 
-def test_error_raised_at_first_failing_point():
-    # A grid whose later points are out of range for a pinned oracle length
-    # fails with the scalar error of its first bad point, after valid ones.
-    spec = SchemeSpec(kind=SchemeKind.ORACLE_EM)
-    evaluator = SchemeEvaluator(spec, oracle_terms=400)
-    ts = [150.0, 190.0, 401.5, 450.0]
-    with pytest.raises(DomainError) as scalar_error:
+def test_error_raised_at_first_failing_point(monkeypatch):
+    # At t = 6e5 the oracle's M = 1.2e6 exceeds MAX_SECTION_TERMS: the grid
+    # evaluates t = 100 first, then fails with the scalar error of 6e5, not
+    # with that of the nan behind it.
+    evaluated = []
+
+    def spy(ts, thetas, m):
+        evaluated.extend(ts.tolist())
+        return euler_maclaurin_rows(ts, thetas, m)
+
+    evaluator = SchemeEvaluator(SchemeSpec(kind=SchemeKind.ORACLE_EM))
+    ts = [100.0, 6e5, math.nan]
+    with pytest.raises(ResourceLimitError) as scalar_error:
         for t in ts:
             evaluator.evaluate(t)
-    with pytest.raises(DomainError) as grid_error:
+    monkeypatch.setattr(schemes, "euler_maclaurin_rows", spy)
+    with pytest.raises(ResourceLimitError) as grid_error:
         evaluate_grid(evaluator, ts)
-    assert "401.5" in str(scalar_error.value)
+    assert "600000" in str(scalar_error.value)
     assert str(grid_error.value) == str(scalar_error.value)
+    assert evaluated == [100.0]
 
 
 def test_convergence_error_matches_scalar():
-    evaluator = SchemeEvaluator(SchemeSpec(kind=SchemeKind.ORACLE_EM),
-                                oracle_terms=60, correction_order=1)
-    ts = [40.0, 45.0, 50.0]
+    # The oracle's own knobs: at M = 60 and J = 1 the tail does not converge,
+    # and the rows raise the scalar error of the first point that fails.
+    ts = np.array([40.0, 45.0, 50.0])
     with pytest.raises(ConvergenceError) as scalar_error:
-        for t in ts:
-            evaluator.evaluate(t)
-    with pytest.raises(ConvergenceError) as grid_error:
-        evaluate_grid(evaluator, ts)
-    assert str(grid_error.value) == str(scalar_error.value)
+        for t in ts.tolist():
+            z_euler_maclaurin(t, 60, correction_order=1)
+    with pytest.raises(ConvergenceError) as rows_error:
+        euler_maclaurin_rows(ts, theta_grid(ts), 60, correction_order=1)
+    assert "at t = 40.0" in str(scalar_error.value)
+    assert str(rows_error.value) == str(scalar_error.value)
 
 
-def test_earlier_convergence_error_wins_over_later_domain_error():
-    # t = 61 needs more than 60 oracle terms, but the tail at t = 40 fails
-    # to converge first, and grid order decides which error surfaces.
-    evaluator = SchemeEvaluator(SchemeSpec(kind=SchemeKind.ORACLE_EM),
-                                oracle_terms=60, correction_order=1)
+@pytest.fixture
+def one_correction_oracle(monkeypatch):
+    """The evaluator's oracle with J = 1, whose tail fails to converge at t = 40."""
+    monkeypatch.setattr(schemes, "euler_maclaurin_rows",
+                        functools.partial(euler_maclaurin_rows, correction_order=1))
+    return SchemeEvaluator(SchemeSpec(kind=SchemeKind.ORACLE_EM))
+
+
+def test_earlier_convergence_error_wins_over_later_domain_error(one_correction_oracle):
+    # nan is outside the oracle's domain, but the tail at t = 40 fails to
+    # converge first, and grid order decides which error surfaces.
     with pytest.raises(DomainError):
-        evaluator.evaluate(61.0)
+        one_correction_oracle.evaluate(math.nan)
     with pytest.raises(ConvergenceError, match="at t = 40.0"):
-        evaluate_grid(evaluator, [40.0, 45.0, 61.0])
+        evaluate_grid(one_correction_oracle, [40.0, 45.0, math.nan])
 
 
 def reference_key(evaluator, t):
@@ -211,7 +238,7 @@ def reference_key(evaluator, t):
     spec = evaluator.spec
     if spec.kind is SchemeKind.ORACLE_EM:
         try:
-            return euler_maclaurin_terms(t, evaluator.oracle_terms, evaluator.correction_order)
+            return euler_maclaurin_terms(t)
         except (DomainError, ResourceLimitError):
             return None
     if not (math.isfinite(t) and t >= 0.0):
@@ -254,28 +281,19 @@ def around(points):
 
 HALF_T_JUMPS = around([2.0 * k for k in range(0, 40)])
 SQRT_JUMPS = around([2.0 * math.pi * k * k for k in range(0, 40)])
-M_JUMPS = around([float(k) for k in range(0, 120)] + [49.5, 50.5, 999.0, 1000.0, 5000.0])
+M_JUMPS = around([float(k) for k in range(0, 120)]
+                 + [49.5, 50.5, 999.0, 1000.0, 5000.0, MAX_SECTION_TERMS / 2.0])
 EDGES = [-math.inf, -1.0, -5e-324, -0.0, 0.0, 5e-324, math.nan, math.inf, 1e300]
 
 
 @pytest.mark.parametrize("spec", PER_POINT_SPECS + FIXED_SPECS, ids=lambda s: s.label)
 def test_array_keys_equal_scalar_keys_at_jumps(spec):
     # floor(t/2) jumps at t = 2k, floor(sqrt(t/2pi)) at t = 2 pi k^2, and the
-    # oracle's M = max(100, 2 ceil(t)) at every integer, leaving 100 at t = 50.
+    # oracle's M = max(100, 2 ceil(t)) at every integer, leaving 100 at t = 50
+    # and passing MAX_SECTION_TERMS, where it is refused, just above 5e5.
     # Below 2 (spira) and 2 pi (afe, rs) the cutoff is 0 and t is refused.
     evaluator = SchemeEvaluator(spec)
     assert_keys_match_reference(evaluator, HALF_T_JUMPS + SQRT_JUMPS + M_JUMPS + EDGES)
-
-
-@pytest.mark.parametrize("terms, order", [(60, 6), (400, 6), (50, 1), (2500, 8),
-                                          (49, 6), (MAX_SECTION_TERMS + 1, 6), (100, 11)])
-def test_array_keys_with_pinned_oracle_knobs(terms, order):
-    # A pinned M is refused above ceil(t) = M, and everywhere when M or the
-    # correction order is out of range.
-    evaluator = SchemeEvaluator(SchemeSpec(kind=SchemeKind.ORACLE_EM),
-                                oracle_terms=terms, correction_order=order)
-    ts = around([0.0, 49.0, 50.0, 59.5, 60.0, 399.0, 400.0, 2500.0]) + EDGES
-    assert_keys_match_reference(evaluator, ts)
 
 
 def test_keys_beyond_the_section_limit_raise_the_engine_error():
@@ -292,14 +310,13 @@ def test_keys_beyond_the_section_limit_raise_the_engine_error():
     assert str(grid_error.value) == str(scalar_error.value)
 
 
-def test_earlier_convergence_error_wins_over_later_resource_limit():
-    # At t = 6e5 the default M = 1.2e6 exceeds MAX_SECTION_TERMS; grid order
+def test_earlier_convergence_error_wins_over_later_resource_limit(one_correction_oracle):
+    # At t = 6e5 the oracle's M = 1.2e6 exceeds MAX_SECTION_TERMS; grid order
     # still decides, so the unconverged tail at t = 40 surfaces first.
-    evaluator = SchemeEvaluator(SchemeSpec(kind=SchemeKind.ORACLE_EM), correction_order=1)
     with pytest.raises(ResourceLimitError):
-        evaluator.evaluate(6e5)
+        one_correction_oracle.evaluate(6e5)
     with pytest.raises(ConvergenceError, match="at t = 40.0"):
-        evaluate_grid(evaluator, [40.0, 45.0, 6e5])
+        evaluate_grid(one_correction_oracle, [40.0, 45.0, 6e5])
 
 
 def test_empty_grid():

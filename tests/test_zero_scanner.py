@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from zsections import schemes, zero_scanner
-from zsections.errors import ConvergenceError, DomainError, ResourceLimitError
+from zsections.errors import DomainError, ResourceLimitError
 from zsections.schemes import SchemeEvaluator, SchemeKind, SchemeSpec, evaluate_grid
 from zsections.zero_scanner import (
     BRACKET_WIDTH,
@@ -356,6 +356,21 @@ class TestConjectureSweep:
         with pytest.raises(DomainError):
             conjecture_sweep(20.0, 0.01)
 
+    @pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -0.01])
+    def test_step_must_be_finite_and_positive(self, step):
+        # Refused before the short-window return, which would report a clean
+        # sweep of nothing.
+        for t_max in (1000.0, 30.0):
+            with pytest.raises(DomainError, match="step"):
+                conjecture_sweep(t_max, step)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -0.05])
+    def test_match_tol_must_be_finite_and_positive(self, tol):
+        # Also on a window shorter than a step, where no scan runs.
+        for t_max in (1000.0, 30.0):
+            with pytest.raises(DomainError, match="match_tol"):
+                conjecture_sweep(t_max, 0.01, match_tol=tol)
+
     def test_sweep_to_100(self):
         """Engine-derived expectations for the [30, 100] window.
 
@@ -430,18 +445,15 @@ class TestOracleScreen:
         assert evaluator.screened == 0
         assert np.array_equal(signs, evaluate_grid(SchemeEvaluator(EM), ts)[0])
 
-    def test_pinned_oracle_knobs_leave_the_screen_off(self):
-        scan = scan_zeros(EM, 2000.0, 2003.0, 0.1, oracle_terms=5000)
-        assert scan.stats.bisect_screened == 0 and scan.stats.bisect_exact > 0
-        # The exact path's errors survive under sign_only: a pinned M too
-        # small for the grid, and a tail that does not converge.
-        evaluator = SchemeEvaluator(EM, oracle_terms=1000)
-        with pytest.raises(DomainError) as exact_error:
-            evaluate_grid(evaluator, [250.0, 300.0, 1001.5])
-        with pytest.raises(DomainError) as sign_error:
-            evaluate_grid(evaluator, [250.0, 300.0, 1001.5], sign_only=True)
+    def test_refused_points_raise_under_sign_only(self):
+        # The screen decides only the accepted prefix of a chunk: the oracle's
+        # refusal of M > MAX_SECTION_TERMS at t = 6e5 still surfaces, with the
+        # exact path's error, after the points before it.
+        evaluator = SchemeEvaluator(EM)
+        ts = [2000.0, 2000.5, 6e5]
+        with pytest.raises(ResourceLimitError) as exact_error:
+            evaluate_grid(SchemeEvaluator(EM), ts)
+        with pytest.raises(ResourceLimitError) as sign_error:
+            evaluate_grid(evaluator, ts, sign_only=True)
         assert str(sign_error.value) == str(exact_error.value)
-        evaluator = SchemeEvaluator(EM, correction_order=1)
-        with pytest.raises(ConvergenceError):
-            evaluate_grid(evaluator, [3000.0], sign_only=True)
-        assert evaluator.screened == 0
+        assert evaluator.screened == 2
