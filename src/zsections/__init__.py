@@ -19,7 +19,7 @@ The ``zsections`` console script exposes the experiment harness.
 __version__ = "0.1.0"
 
 from .errors import ConfigError, ConvergenceError, DomainError, ResourceLimitError
-from .special_functions import log_gamma, theta, theta_grid
+from .special_functions import theta, theta_grid
 from .sections_engine import (
     CoefficientVector,
     afe,
@@ -31,7 +31,6 @@ from .sections_engine import (
 from .reference_engine import ReferenceValue, z_euler_maclaurin, z_riemann_siegel
 from .acceleration_engine import (
     AcceleratedCoefficients,
-    BetaTriangle,
     accelerated_coefficients,
     accelerated_triangle,
     accelerated_vertical,
@@ -63,11 +62,11 @@ from .zero_scanner import (
 __all__ = [
     "__version__",
     "ConfigError", "ConvergenceError", "DomainError", "ResourceLimitError",
-    "log_gamma", "theta", "theta_grid",
+    "theta", "theta_grid",
     "CoefficientVector", "afe", "cosine_terms", "section",
     "spira", "z_custom",
     "ReferenceValue", "z_euler_maclaurin", "z_riemann_siegel",
-    "AcceleratedCoefficients", "BetaTriangle", "accelerated_coefficients",
+    "AcceleratedCoefficients", "accelerated_coefficients",
     "accelerated_triangle", "accelerated_vertical", "closing_coefficient",
     "coefficient_direct_sum", "coefficient_l2_distance", "step_coefficients",
     "SchemeEvaluator", "SchemeKind", "SchemeSpec", "evaluate_grid",

@@ -107,31 +107,6 @@ def _row_longdouble(n: int) -> np.ndarray:
     return out
 
 
-class BetaTriangle:
-    """The coefficient triangle beta0[n, k] = 2^-(n+1) C(n, k), 0 <= k <= n <= N."""
-
-    def __init__(self, order: int):
-        self.order = _validate_order(order, minimum=0)
-
-    def row(self, n: int) -> np.ndarray:
-        """Row n as float64 (freshly rounded from the longdouble generator)."""
-        n = int(n)
-        if not 0 <= n <= self.order:
-            raise DomainError(f"row {n} outside triangle of order {self.order}")
-        return _row_longdouble(n).astype(np.float64)
-
-    def beta0(self, n: int, k: int) -> float:
-        row = self.row(n)
-        k = int(k)
-        if not 0 <= k <= n:
-            raise DomainError(f"cell ({n}, {k}) outside the triangle")
-        return float(row[k])
-
-    def row_sum(self, n: int) -> float:
-        """Every row sums to exactly 1/2 in exact arithmetic."""
-        return float(np.sum(_row_longdouble(int(n))))
-
-
 @dataclass(frozen=True)
 class AcceleratedCoefficients:
     """Sigmoid coefficient vector alphatilde_k = P[Binomial(N+1, 1/2) >= k], k = 1..N."""

@@ -11,11 +11,13 @@ Exit codes: 0 on success, 2 on configuration errors, 3 when a numerical
 hazard was flagged (a Riemann-Siegel remainder evaluated inside the
 cosine-denominator hazard window).  The EM oracle runs at its one
 configuration, M = max(100, 2 ceil(t)) and J = 6 (see schemes), where its
-tail always converges, so its ConvergenceError, also mapped to 3, does not
-arise.  RunConfig.validate refuses bad input, non-finite numbers included,
-before any numerical work: the checks every command shares, then one check
-per subcommand (_COMMAND_CHECKS).  coeffs evaluates no scheme, so its
-subparser has no --scheme, and its --n is the coefficient order.
+tail always converges, so main maps no ConvergenceError: RS1 hazard flags
+are the only source of exit code 3.  RunConfig.validate refuses bad input,
+non-finite numbers included, before any numerical work: the checks every
+command shares, then one check per subcommand (_COMMAND_CHECKS).  coeffs
+evaluates no scheme, so its subparser has no --scheme, and its --n is the
+coefficient order; --k-max, the last row of that order's table, is refused
+with --sweep, which tabulates distances only.
 
 Grid work runs on the batched, single-threaded evaluate_grid.  --threads is
 accepted only for compatibility: it is validated (1 to MAX_THREADS) and
@@ -44,7 +46,7 @@ from .acceleration_engine import (
     coefficient_l2_distance,
     step_coefficients,
 )
-from .errors import ConfigError, ConvergenceError, DomainError, ResourceLimitError
+from .errors import ConfigError, DomainError, ResourceLimitError
 from .reference_engine import z_euler_maclaurin
 from .schemes import (
     SchemeEvaluator,
@@ -204,6 +206,8 @@ def _check_coeffs(config: RunConfig) -> None:
         raise ConfigError("coeffs needs exactly one of --n or --sweep")
     if config.n is not None and config.n < 1:
         raise ConfigError(f"--n must be >= 1, got {config.n}")
+    if config.k_max is not None and config.n is None:
+        raise ConfigError("--k-max applies to the table of --n, not to --sweep")
     if config.k_max is not None and not 1 <= config.k_max <= MAX_ACCELERATION_ORDER:
         raise ConfigError(
             f"--k-max must lie in [1, {MAX_ACCELERATION_ORDER}], got {config.k_max}")
@@ -790,9 +794,6 @@ def main(argv=None) -> int:
     except (ConfigError, DomainError, ResourceLimitError) as exc:
         print(f"zsections: error: {exc}", file=sys.stderr)
         return 2
-    except ConvergenceError as exc:
-        print(f"zsections: numerical hazard: {exc}", file=sys.stderr)
-        return 3
     emit(result, config)
     if result.hazard_count > 0:
         print(f"zsections: numerical hazard: {result.hazard_count} flagged "

@@ -19,8 +19,8 @@ oracle's partial-sum length M, or the custom vector's length).
 evaluate_grid takes fixed-size chunks of points, computes theta once per
 chunk with theta_grid and keys the whole chunk with SchemeEvaluator._keys,
 the one place that maps a kind to its rule (sections_engine's sqrt_cutoff
-or half_cutoff, a fixed n, or M); the scalar _key and cutoff are its
-one-point case, and _key raises the error of a point outside the domain.
+or half_cutoff, a fixed n, or M); the scalar _key is its one-point
+case, and raises the error of a point outside the domain.
 Points that share a key are evaluated together by the engines'
 *_rows functions in SchemeEvaluator._evaluate_run, the only place that
 picks an engine by kind.  The zero scanner's grids, bisection rounds and
@@ -153,12 +153,6 @@ class SchemeEvaluator:
         self._alpha = spec.alpha.as_array() if spec.alpha is not None else None
         # The points the oracle's sign screen decided, for the caller's statistics.
         self.screened = 0
-
-    def cutoff(self, t: float) -> Optional[int]:
-        """The term count used at height t (None for the oracle, which has no cutoff)."""
-        if self.spec.kind is SchemeKind.ORACLE_EM:
-            return None
-        return self._key(float(t))
 
     def _key(self, t: float) -> int:
         """The run key at t, the one-point case of _keys.

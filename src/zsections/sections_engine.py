@@ -127,8 +127,10 @@ def section_rows(ts: np.ndarray, thetas: np.ndarray, n: int, weights=None,
 def cosine_terms(t: float, n: int) -> np.ndarray:
     """The kernel array cos(theta(t) - t ln k)/sqrt(k) for k = 1..n.
 
-    theta is evaluated once; every summation engine in the package consumes
-    this routine so that identical terms round identically everywhere.
+    theta is evaluated once.  The scalar engines (section, z_custom, both
+    accelerated forms) consume this routine; it is the one-row case of
+    cosine_rows, which the *_rows engines call directly, so identical terms
+    round identically everywhere.
     """
     t = float(t)
     if not math.isfinite(t) or t < 0.0:

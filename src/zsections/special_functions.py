@@ -1,4 +1,4 @@
-"""Log-gamma and the Riemann-Siegel theta function in extended precision.
+"""The Riemann-Siegel theta function in extended precision.
 
 theta(t) = Im log Gamma(1/4 + i t/2) - (t/2) ln(pi)
 
@@ -10,15 +10,16 @@ up to t = 1e5, where theta itself is ~4.3e5.  That target sits at a couple of
 ulps of float64, which is why the internals run in numpy's longdouble (80-bit
 extended on x86-64, eps ~ 1.1e-19) and round to float64 only on return.
 
-The evaluation is the classical recurrence-plus-Stirling scheme: shift z by
-integers until |z| >= 10, apply the asymptotic series
+The evaluation is the imaginary part of the classical recurrence-plus-Stirling
+scheme for log Gamma at z = 1/4 + i t/2: shift z by integers until |z| >= 10
+(only t below ~20 needs a shift), apply the asymptotic series
 
     log Gamma(z) ~ (z - 1/2) log z - z + ln(2 pi)/2 + sum_n c_n z^(1-2n),
 
 with c_n = B_2n / (2n (2n-1)) for n = 1..10, then subtract the accumulated
-log(z + k) terms.  With the shift radius at 10 the first omitted term is
-below 1e-30, far beyond longdouble resolution.  The imaginary parts produced
-this way form a continuous lift of arg Gamma (no branch snapping), which is
+arg(z + k) terms.  With the shift radius at 10 the first omitted term is
+below 1e-30, far beyond longdouble resolution.  The imaginary part produced
+this way is a continuous lift of arg Gamma (no branch snapping), which is
 exactly what theta requires.
 """
 
@@ -34,7 +35,6 @@ _LD = np.longdouble
 
 PI_LD = np.arccos(_LD(-1))
 LOG_PI_LD = np.log(PI_LD)
-_HALF_LN_2PI = _LD(0.5) * np.log(2 * PI_LD)
 
 TWO_PI = 2.0 * math.pi
 
@@ -45,48 +45,6 @@ _STIRLING_C = tuple(_LD(a) / _LD(b) for a, b in zip(_STIRLING_NUM, _STIRLING_DEN
 
 # Shift until |z|^2 >= 100 before applying the asymptotic series.
 _SHIFT_R2 = _LD(100)
-
-
-def log_gamma(z) -> complex:
-    """Principal-branch log Gamma with a continuous imaginary part, Re(z) > 0.
-
-    Returns complex(log|Gamma(z)|, arg-lift).  The imaginary part is the
-    continuous lift along the standard recurrence, matching the analytic
-    continuation of log Gamma from the positive real axis (it is NOT reduced
-    mod 2 pi).  Raises DomainError for Re(z) <= 0 or non-finite input.
-    """
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"log_gamma requires finite z, got {z!r}")
-    if z.real <= 0.0:
-        raise DomainError(f"log_gamma requires Re(z) > 0, got Re(z) = {z.real}")
-
-    zre = _LD(z.real)
-    zim = _LD(z.imag)
-    acc_re = _LD(0)
-    acc_im = _LD(0)
-    # log Gamma(z) = log Gamma(z + m) - sum_{k=0}^{m-1} log(z + k)
-    while zre * zre + zim * zim < _SHIFT_R2:
-        r2 = zre * zre + zim * zim
-        acc_re += _LD(0.5) * np.log(r2)
-        acc_im += np.arctan2(zim, zre)
-        zre += 1
-
-    r2 = zre * zre + zim * zim
-    lnr = _LD(0.5) * np.log(r2)
-    ang = np.arctan2(zim, zre)
-    sre = (zre - _LD(0.5)) * lnr - zim * ang - zre + _HALF_LN_2PI
-    sim = zim * lnr + (zre - _LD(0.5)) * ang - zim
-    # Powers z^(1-2n) by repeated multiplication with w = z^-2.
-    pre = zre / r2
-    pim = -zim / r2
-    wre = pre * pre - pim * pim
-    wim = _LD(2) * pre * pim
-    for c in _STIRLING_C:
-        sre += c * pre
-        sim += c * pim
-        pre, pim = pre * wre - pim * wim, pre * wim + pim * wre
-    return complex(float(sre - acc_re), float(sim - acc_im))
 
 
 def _theta_longdouble(ts: np.ndarray) -> np.ndarray:

@@ -10,7 +10,6 @@ from scipy.special import betainc
 from zsections import acceleration_engine
 from zsections.acceleration_engine import (
     COEFF_CACHE_ORDERS,
-    BetaTriangle,
     accelerated_coefficients,
     accelerated_triangle,
     accelerated_vertical,
@@ -31,35 +30,30 @@ def enumerate_tail(flips: int, k: int) -> float:
     return hits / 2.0**flips
 
 
-class TestBetaTriangle:
+class TestTriangleRows:
+    """_row_longdouble(n), the rows 2^-(n+1) C(n, k) that the triangle sum reads."""
+
     def test_row_sums_are_half(self):
-        tri = BetaTriangle(500)
         for n in (0, 1, 2, 17, 100, 499, 500):
-            assert abs(tri.row_sum(n) - 0.5) <= 1e-14, f"row {n}"
+            row_sum = float(np.sum(acceleration_engine._row_longdouble(n)))
+            assert abs(row_sum - 0.5) <= 1e-14, f"row {n}"
 
     def test_row_sum_beyond_exact_seed_range(self):
         # Rows with 2^-(n+1) below the extended-precision exponent range are
         # seeded at their center instead; the invariant must survive that.
-        tri = BetaTriangle(17000)
-        assert abs(tri.row_sum(17000) - 0.5) <= 1e-11
+        row_sum = float(np.sum(acceleration_engine._row_longdouble(17000)))
+        assert abs(row_sum - 0.5) <= 1e-11
 
     def test_entries(self):
-        tri = BetaTriangle(10)
-        assert tri.beta0(0, 0) == 0.5
-        assert tri.beta0(3, 1) == 3.0 / 16.0
-        row = tri.row(7)
-        assert row.shape == (8,)
-        assert np.all(row > 0.0) and np.all(row <= 1.0)
-        assert row[2] == row[5]  # symmetry of C(7, k)
+        def row(n):
+            return acceleration_engine._row_longdouble(n).astype(np.float64)
 
-    def test_bounds_checks(self):
-        tri = BetaTriangle(5)
-        with pytest.raises(DomainError):
-            tri.row(6)
-        with pytest.raises(DomainError):
-            tri.beta0(3, 4)
-        with pytest.raises(ResourceLimitError):
-            BetaTriangle(10**6 + 1)
+        assert row(0)[0] == 0.5
+        assert row(3)[1] == 3.0 / 16.0
+        row7 = row(7)
+        assert row7.shape == (8,)
+        assert np.all(row7 > 0.0) and np.all(row7 <= 1.0)
+        assert row7[2] == row7[5]  # symmetry of C(7, k)
 
 
 class TestCoefficients:

@@ -410,6 +410,10 @@ def test_coeffs_validation():
     assert main(["coeffs", "--n", "5", "--k-max", "1000000000"]) == 2
     assert main(["coeffs", "--n", "5", "--k-max", str(MAX_ACCELERATION_ORDER + 1)]) == 2
     RunConfig(command="coeffs", n=5, k_max=MAX_ACCELERATION_ORDER).validate()
+    # --k-max is the last row of the --n table; a sweep tabulates distances only.
+    assert main(["coeffs", "--sweep", "50,100", "--k-max", "5"]) == 2
+    with pytest.raises(ConfigError, match="--k-max"):
+        RunConfig(command="coeffs", sweep=(50, 100), k_max=5).validate()
 
 
 @pytest.mark.parametrize("flag", [["--scheme", "custom:/nonexistent"], ["--oracle-terms", "10"]])

@@ -1,8 +1,9 @@
 """The package's public surface and the documents that point into it.
 
 Every exported name exists, the README's import works, every example
-command of the README parses and validates, and every function the
-benchmark's tracer patches still exists.
+command of the README parses and validates, every command the benchmark
+issues parses and validates, and every function the benchmark's tracer
+patches still exists.
 """
 
 import ast
@@ -19,6 +20,8 @@ from zsections.cli import build_parser, config_from_args
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 TRACER = ROOT / "perfbench" / "tracer.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+WORKER = ROOT / "perfbench" / "worker.py"
 
 
 def readme_example_commands() -> list:
@@ -37,6 +40,22 @@ def tracer_targets() -> list:
         if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
             return [(entry.elts[1].value, entry.elts[2].value) for entry in node.value.elts]
     raise AssertionError(f"{TRACER} assigns no TARGETS")
+
+
+def benchmark_commands() -> list:
+    """Every argv the benchmark can pass to the CLI: its workloads' commands and the warm-up.
+
+    workloads.py imports only the standard library, so its source is run for
+    all_commands(); worker.py's WARMUP is read with ast.  Neither is imported.
+    """
+    namespace = {"__name__": "workloads"}
+    exec(compile(WORKLOADS.read_text(encoding="utf-8"), str(WORKLOADS), "exec"), namespace)
+    commands = namespace["all_commands"]()
+    tree = ast.parse(WORKER.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["WARMUP"]:
+            return commands + [ast.literal_eval(node.value)]
+    raise AssertionError(f"{WORKER} assigns no WARMUP")
 
 
 def test_every_exported_name_resolves():
@@ -59,6 +78,13 @@ def test_readme_library_import_block_imports():
 def test_readme_example_parses_and_validates(argv):
     # Parsing and validation only: nothing is evaluated or written.
     config = config_from_args(build_parser().parse_args(argv))
+    assert config.command == argv[0]
+
+
+@pytest.mark.parametrize("argv", benchmark_commands(), ids=" ".join)
+def test_benchmark_command_parses_and_validates(argv):
+    # The worker adds --out; a command refused here would fail the benchmark run.
+    config = config_from_args(build_parser().parse_args(argv + ["--out", "bench.csv"]))
     assert config.command == argv[0]
 
 

@@ -326,7 +326,7 @@ def test_empty_grid():
 
 def test_cutoff_named_values():
     def cutoff(t, **spec):
-        return SchemeEvaluator(SchemeSpec(**spec)).cutoff(t)
+        return SchemeEvaluator(SchemeSpec(**spec))._key(t)
 
     assert cutoff(412.0, kind=SchemeKind.AFE) == 8
     assert cutoff(412.0, kind=SchemeKind.REFERENCE_RS) == 8
@@ -335,13 +335,14 @@ def test_cutoff_named_values():
     assert cutoff(3000.0, kind=SchemeKind.ACCELERATED_TRIANGLE) == 1500
     assert cutoff(991.7, kind=SchemeKind.SPIRA, n=205) == 205
     assert cutoff(991.7, kind=SchemeKind.CUSTOM, alpha=CUSTOM_ALPHA) == 17
-    assert cutoff(991.7, kind=SchemeKind.ORACLE_EM) is None
+    # The oracle has no cutoff; its key is the partial-sum length M.
+    assert cutoff(991.7, kind=SchemeKind.ORACLE_EM) == 1984
 
 
 def test_cutoff_monotone_and_ordered():
     """AFE cutoff <= Spira cutoff, both non-decreasing, Spira exact."""
-    afe_cutoff = SchemeEvaluator(SchemeSpec(kind=SchemeKind.AFE)).cutoff
-    spira_cutoff = SchemeEvaluator(SchemeSpec(kind=SchemeKind.SPIRA)).cutoff
+    afe_cutoff = SchemeEvaluator(SchemeSpec(kind=SchemeKind.AFE))._key
+    spira_cutoff = SchemeEvaluator(SchemeSpec(kind=SchemeKind.SPIRA))._key
     prev_a = prev_s = -1
     for t in np.linspace(10.0, 1.0e4, 2001).tolist():
         na, ns = afe_cutoff(t), spira_cutoff(t)
@@ -356,10 +357,10 @@ def test_cutoff_refusal_messages():
     for t in (-1.0, math.nan, math.inf):
         outside = f"^cutoff resolution requires finite t >= 0, got {t}$"
         with pytest.raises(DomainError, match=outside):
-            spira.cutoff(t)
+            spira._key(t)
     low = "^cutoff resolves to 0 at t = 1.5; scheme undefined this low$"
     with pytest.raises(DomainError, match=low):
-        spira.cutoff(1.5)
+        spira._key(1.5)
     with pytest.raises(DomainError, match=low):
         evaluate_grid(spira, [100.0, 1.5])
 

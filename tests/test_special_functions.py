@@ -1,9 +1,8 @@
-"""Tests for log_gamma and theta.
+"""Tests for theta.
 
 Frozen reference values in this file were computed with mpmath at 50
-significant digits (mp.loggamma, mp.siegeltheta); the live-oracle sweep
-re-derives a sample of them at run time so a stale freeze cannot hide a
-regression.
+significant digits (mp.siegeltheta); the live-oracle sweep re-derives a
+sample of them at run time so a stale freeze cannot hide a regression.
 """
 
 import math
@@ -13,13 +12,7 @@ import numpy as np
 import pytest
 
 from zsections.errors import DomainError
-from zsections.special_functions import log_gamma, theta, theta_grid
-
-# mpmath, 50 digits: loggamma(0.25 + 10j)
-LOGGAMMA_QUARTER_10I = complex(
-    -15.364592760295240140500617302032858553399773839904,
-    12.634193666938485786247030063020267167850725734337,
-)
+from zsections.special_functions import theta, theta_grid
 
 # mpmath, 50 digits: siegeltheta at assorted points
 THETA_1 = -1.7675479528122903883022164992643870423194838631438
@@ -29,53 +22,6 @@ THETA_1E6 = 5488816.3530784034448828231543656631841155420033166
 
 # mpmath, 50 digits: smallest positive root of theta
 THETA_ROOT = 17.845599540410860816826338412519097035693287433696
-
-
-class TestLogGamma:
-    def test_frozen_value_on_critical_line_abscissa(self):
-        got = log_gamma(0.25 + 10j)
-        rel = abs(got - LOGGAMMA_QUARTER_10I) / abs(LOGGAMMA_QUARTER_10I)
-        assert rel <= 1e-13, f"log_gamma(1/4+10i) relative error {rel:.3e}"
-
-    def test_classical_values(self):
-        assert abs(log_gamma(1.0)) <= 1e-15
-        assert abs(log_gamma(2.0)) <= 1e-15
-        # Gamma(1/2) = sqrt(pi)
-        assert abs(log_gamma(0.5) - 0.5 * math.log(math.pi)) <= 1e-15
-
-    def test_recurrence_identity(self):
-        """log Gamma(z+1) - log Gamma(z) = log z across the right half plane."""
-        rng = np.random.default_rng(1848)
-        for _ in range(50):
-            z = complex(rng.uniform(0.05, 30.0), rng.uniform(-40.0, 40.0))
-            lhs = log_gamma(z + 1) - log_gamma(z)
-            rhs = complex(math.log(abs(z)), math.atan2(z.imag, z.real))
-            assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs)), f"recurrence off at z={z}"
-
-    def test_conjugate_symmetry(self):
-        rng = np.random.default_rng(21)
-        for _ in range(20):
-            z = complex(rng.uniform(0.1, 5.0), rng.uniform(0.1, 50.0))
-            a = log_gamma(z)
-            b = log_gamma(z.conjugate())
-            assert abs(a - b.conjugate()) <= 1e-13 * (1 + abs(a))
-
-    def test_live_oracle_sample(self):
-        mpmath.mp.dps = 30
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            z = complex(rng.uniform(0.05, 8.0), rng.uniform(-60.0, 60.0))
-            want = complex(mpmath.loggamma(mpmath.mpc(z.real, z.imag)))
-            got = log_gamma(z)
-            assert abs(got - want) <= 1e-13 * (1 + abs(want)), f"mismatch at z={z}"
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            log_gamma(0.0 + 5j)
-        with pytest.raises(DomainError):
-            log_gamma(-1.5 + 0.1j)
-        with pytest.raises(DomainError):
-            log_gamma(complex(float("nan"), 1.0))
 
 
 class TestTheta:
@@ -100,10 +46,12 @@ class TestTheta:
         assert worst <= 1e-10, f"worst theta error {worst:.3e} on log-spaced sweep"
 
     def test_matches_loggamma_definition(self):
+        mpmath.mp.dps = 30
         rng = np.random.default_rng(99)
         for _ in range(30):
             t = rng.uniform(0.5, 5000.0)
-            want = log_gamma(0.25 + 0.5j * t).imag - 0.5 * t * math.log(math.pi)
+            want = float(mpmath.loggamma(mpmath.mpc(0.25, 0.5 * t)).imag
+                         - 0.5 * t * mpmath.log(mpmath.pi))
             assert abs(theta(t) - want) <= 1e-9 * (1 + abs(want))
 
     def test_derivative_against_asymptotic_form(self):

@@ -151,9 +151,9 @@ def reference_records(spec, a, b, step):
             else:
                 hi = mid
         location = 0.5 * (lo + hi)
-        c_lo, c_hi = evaluator.cutoff(lo), evaluator.cutoff(hi)
-        return (location, (lo, hi), abs(evaluator.value(location)), scale,
-                c_lo is not None and c_lo != c_hi)
+        jump = (spec.kind is not SchemeKind.ORACLE_EM
+                and evaluator._key(lo) != evaluator._key(hi))
+        return (location, (lo, hi), abs(evaluator.value(location)), scale, jump)
 
     def brackets(ts):
         vals = [evaluator.value(t) for t in ts]
