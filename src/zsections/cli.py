@@ -9,15 +9,17 @@ pipe-clean.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 when a numerical
 hazard was flagged (a Riemann-Siegel remainder evaluated inside the
-cosine-denominator hazard window).  The EM oracle runs at its one
-configuration, M = max(100, 2 ceil(t)) and J = 6 (see schemes), where its
-tail always converges, so main maps no ConvergenceError: RS1 hazard flags
-are the only source of exit code 3.  RunConfig.validate refuses bad input,
-non-finite numbers included, before any numerical work: the checks every
-command shares, then one check per subcommand (_COMMAND_CHECKS).  coeffs
-evaluates no scheme, so its subparser has no --scheme, and its --n is the
-coefficient order; --k-max, the last row of that order's table, is refused
-with --sweep, which tabulates distances only.
+cosine-denominator hazard window).  The EM oracle has one configuration,
+set in reference_engine, where its tail always converges, so main maps no
+ConvergenceError: RS1 hazard flags are the only source of exit code 3.
+Bad input is refused before any numerical work: a pinned --n whose scheme
+would sum more than MAX_SECTION_TERMS terms by SchemeSpec, everything else
+(non-finite numbers, an --out whose directory does not exist) by
+RunConfig.validate, with the checks every command shares, then one check
+per subcommand (_COMMAND_CHECKS).  coeffs evaluates no scheme, so its
+subparser has no --scheme, and its --n is the coefficient order; --k-max,
+the last row of that order's table, is refused with --sweep, which
+tabulates distances only.
 
 Grid work runs on the batched, single-threaded evaluate_grid.  --threads is
 accepted only for compatibility: it is validated (1 to MAX_THREADS) and
@@ -113,6 +115,8 @@ class RunConfig:
             raise ConfigError(f"--match-tol must be finite and positive, got {self.match_tol}")
         if self.t is not None and not math.isfinite(self.t):
             raise ConfigError("--t must be finite")
+        if self.out is not None and not Path(self.out).parent.is_dir():
+            raise ConfigError(f"--out {self.out!r}: its directory does not exist")
         if self.a is not None:
             if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
                 raise ConfigError(f"--range needs a < b, got {self.a}:{self.b}")
@@ -469,50 +473,36 @@ def cmd_zeros(config: RunConfig) -> CommandResult:
     """Scan zeros per scheme; with a reference present, also match sets."""
     header = ("scheme", "location", "bracket_lo", "bracket_hi",
               "residual", "scale", "cutoff_jump")
-    has_ref = any(s.is_reference for s in config.schemes)
     rows = []
     summary: dict = {"interval": [config.a, config.b], "step": config.step,
                      "schemes": {}}
     stats = {}
     hazards = 0
 
-    if has_ref and len(config.schemes) >= 2:
+    if any(s.is_reference for s in config.schemes) and len(config.schemes) >= 2:
         comparison = compare_zero_sets(
             (config.a, config.b), list(config.schemes), config.match_tol, step=config.step)
         summary["match_tol"] = config.match_tol
-        ref_scan = comparison.reference
-        hazards += ref_scan.hazard_count
-        for rec in ref_scan.records:
-            rows.append(_record_row(ref_scan.scheme.label, rec))
-        summary["reference"] = ref_scan.scheme.label
-        summary["schemes"][ref_scan.scheme.label] = {
-            "zero_count": len(ref_scan), "dip_count": len(ref_scan.dips)}
-        stats[ref_scan.scheme.label] = asdict(ref_scan.stats)
-        for match in comparison.matches:
-            scan = match.scan
-            stats[scan.scheme.label] = asdict(scan.stats)
-            hazards += scan.hazard_count
-            for rec in scan.records:
-                rows.append(_record_row(scan.scheme.label, rec))
-            summary["schemes"][scan.scheme.label] = {
-                "zero_count": len(scan),
-                "dip_count": len(scan.dips),
-                "matched": len(match.matched),
-                "missed": len(match.missed),
-                "spurious": len(match.spurious),
-                "missed_locations": list(match.missed),
-                "spurious_locations": list(match.spurious),
-                "max_matched_discrepancy": match.max_matched_discrepancy,
-            }
+        summary["reference"] = comparison.reference.scheme.label
+        scans = [(comparison.reference, None)]
+        scans += [(match.scan, match) for match in comparison.matches]
     else:
-        for spec in config.schemes:
-            scan = scan_zeros(spec, config.a, config.b, config.step)
-            hazards += scan.hazard_count
-            stats[spec.label] = asdict(scan.stats)
-            for rec in scan.records:
-                rows.append(_record_row(spec.label, rec))
-            summary["schemes"][spec.label] = {
-                "zero_count": len(scan), "dip_count": len(scan.dips)}
+        scans = [(scan_zeros(spec, config.a, config.b, config.step), None)
+                 for spec in config.schemes]
+
+    for scan, match in scans:
+        label = scan.scheme.label
+        hazards += scan.hazard_count
+        stats[label] = asdict(scan.stats)
+        rows.extend(_record_row(label, rec) for rec in scan.records)
+        entry = {"zero_count": len(scan), "dip_count": len(scan.dips)}
+        if match is not None:
+            entry.update(matched=len(match.matched), missed=len(match.missed),
+                         spurious=len(match.spurious),
+                         missed_locations=list(match.missed),
+                         spurious_locations=list(match.spurious),
+                         max_matched_discrepancy=match.max_matched_discrepancy)
+        summary["schemes"][label] = entry
 
     summary["hazard_count"] = hazards
     return CommandResult(header, rows, summary, hazards, stats)

@@ -18,7 +18,7 @@ package can be scored against values whose own error is understood:
     summation (partial sum, midpoint term, integral tail, Bernoulli
     corrections), rotated by exp(i theta(t)).  The rotation must land on the
     real axis, so |Im| of the rotated value is returned as a self-consistency
-    diagnostic; it sits at the 1e-12 level for t <= 5000 with default knobs.
+    diagnostic; it sits at the 1e-12 level for t <= 5000.
 
 The remainder quotient is a removable 0/0 at p = 1/4 and p = 3/4 (the
 denominator cos(2 pi p) vanishes only there on [0, 1), and the numerator
@@ -79,9 +79,7 @@ _PSI_TAYLOR = (
     5.0 * math.pi**4 / 48.0 - math.pi**2,
 )
 
-DEFAULT_CORRECTION_ORDER = 6
-
-# Bernoulli numbers B_2, B_4, ..., B_20 as exact rationals.
+# Bernoulli numbers B_2, B_4, ..., B_12: the oracle's J = 6 corrections.
 _BERNOULLI_2J = (
     1.0 / 6.0,
     -1.0 / 30.0,
@@ -89,10 +87,6 @@ _BERNOULLI_2J = (
     -1.0 / 30.0,
     5.0 / 66.0,
     -691.0 / 2730.0,
-    7.0 / 6.0,
-    -3617.0 / 510.0,
-    43867.0 / 798.0,
-    -174611.0 / 330.0,
 )
 
 
@@ -251,24 +245,22 @@ def riemann_siegel4_rows(ts: np.ndarray, thetas: np.ndarray):
     return z, err
 
 
-def euler_maclaurin_terms(t: float, terms: int | None = None,
-                          correction_order: int = DEFAULT_CORRECTION_ORDER) -> int:
-    """The oracle's partial-sum length M at t, after validating every knob."""
-    t = float(t)
+def euler_maclaurin_terms(t):
+    """The oracle's partial-sum length M = max(100, 2 ceil(t)), of a float or of an array.
+
+    t is taken as validated (finite, >= 0); see validated_terms.
+    """
+    return np.maximum(100.0, 2.0 * np.ceil(t))
+
+
+def validated_terms(t: float) -> int:
+    """M at one height t, after refusing t outside finite t >= 0 or M above MAX_SECTION_TERMS."""
     if not math.isfinite(t) or t < 0.0:
         raise DomainError(f"z_euler_maclaurin requires finite t >= 0, got {t}")
-    if terms is None:
-        terms = max(100, 2 * math.ceil(t))
-    terms = int(terms)
-    if terms < max(50, math.ceil(t)):
-        raise DomainError(
-            f"terms = {terms} too small at t = {t}; need at least max(50, ceil(t))")
+    terms = int(euler_maclaurin_terms(t))
     if terms > MAX_SECTION_TERMS:
         raise ResourceLimitError(
             f"terms = {terms} at t = {t} exceeds MAX_SECTION_TERMS = {MAX_SECTION_TERMS}")
-    correction_order = int(correction_order)
-    if not 1 <= correction_order <= 10:
-        raise DomainError(f"correction_order must lie in [1, 10], got {correction_order}")
     return terms
 
 
@@ -289,8 +281,7 @@ def _em_partial_sums(ts: np.ndarray, m: int):
     return re, -np.sum(terms, axis=1)
 
 
-def _em_value(t: float, m: int, acc: complex, correction_order: int,
-              theta_t: float) -> ReferenceValue:
+def _em_value(t: float, m: int, acc: complex, theta_t: float) -> ReferenceValue:
     """Finish the oracle at t from its partial sum acc: tail, check, rotation."""
     s = complex(0.5, t)
     m_pow = cmath.exp(-s * math.log(m))  # M^(-s)
@@ -303,7 +294,7 @@ def _em_value(t: float, m: int, acc: complex, correction_order: int,
     factorial = 2.0  # (2j)! at j = 1
     power = m_pow / m  # M^(-s-1) at j = 1
     last = 0.0
-    for j, b2j in enumerate(_BERNOULLI_2J[:correction_order], start=1):
+    for j, b2j in enumerate(_BERNOULLI_2J, start=1):
         term = (b2j / factorial) * rising * power
         acc += term
         last = abs(term)
@@ -313,7 +304,7 @@ def _em_value(t: float, m: int, acc: complex, correction_order: int,
     if last > 1e-12 * max(1.0, abs(acc)):
         raise ConvergenceError(
             f"Euler-Maclaurin tail not converged at t = {t}: last correction "
-            f"{last:.3e} vs value {abs(acc):.3e}; raise terms or correction_order")
+            f"{last:.3e} vs value {abs(acc):.3e}; M = {m} is too short")
 
     rotated = cmath.exp(1j * theta_t) * acc
     return ReferenceValue(
@@ -325,50 +316,47 @@ def _em_value(t: float, m: int, acc: complex, correction_order: int,
     )
 
 
-def z_euler_maclaurin(t: float, terms: int | None = None,
-                      correction_order: int = DEFAULT_CORRECTION_ORDER) -> ReferenceValue:
+def z_euler_maclaurin(t: float) -> ReferenceValue:
     """Euler-Maclaurin oracle for Z(t), t >= 0.
 
     zeta(1/2 + it) = sum_{n=1..M} n^(-s) - M^(-s)/2 + M^(1-s)/(s-1)
                      + sum_{j=1..J} B_2j/(2j)! (s)_(2j-1) M^(-s-2j+1),
 
-    with s = 1/2 + it, M = terms, J = correction_order, then rotated by
-    exp(i theta(t)).  Defaults: M = max(100, 2 ceil(t)), J = 6, which keeps
-    the last correction (and the roundoff floor) below 1e-10 for t <= 1e4.
-    Raises ConvergenceError when the last Bernoulli correction exceeds 1e-12
-    of the running value (scaled by max(1, |zeta|) so genuine zeros of Z
-    cannot false-alarm the guard).
+    with s = 1/2 + it, M = euler_maclaurin_terms(t) = max(100, 2 ceil(t))
+    and J = 6, then rotated by exp(i theta(t)).  The last correction (and
+    the roundoff floor) then stays below 1e-10 for t <= 1e4.  Raises
+    ConvergenceError when the last Bernoulli correction exceeds 1e-12 of
+    the running value (scaled by max(1, |zeta|) so genuine zeros of Z
+    cannot false-alarm the guard); at this M that never happens.
     """
-    m = euler_maclaurin_terms(t, terms, correction_order)
     t = float(t)
+    m = validated_terms(t)
     re, im = _em_partial_sums(np.array([t]), m)
-    return _em_value(t, m, complex(re[0], im[0]), int(correction_order), theta(t))
+    return _em_value(t, m, complex(re[0], im[0]), theta(t))
 
 
-def euler_maclaurin_rows(ts: np.ndarray, thetas: np.ndarray, m: int,
-                         correction_order: int = DEFAULT_CORRECTION_ORDER) -> np.ndarray:
-    """z_euler_maclaurin(t_i, m, correction_order).z for validated points sharing M = m.
+def euler_maclaurin_rows(ts: np.ndarray, thetas: np.ndarray, m: int) -> np.ndarray:
+    """The oracle at validated points t_i sharing the partial-sum length M = m.
 
-    The partial sums are reduced a row block at a time; the tail, the
-    convergence check and the rotation run per point, in order, so the
-    first point that fails raises the scalar path's ConvergenceError.
+    At m = euler_maclaurin_terms(t_i) these are z_euler_maclaurin(t_i).z,
+    bit for bit.  The partial sums are reduced a row block at a time; the
+    tail, the convergence check and the rotation run per point, in order,
+    so a short m raises the ConvergenceError of the first point that fails.
     """
-    correction_order = int(correction_order)
     out = np.empty(len(ts), dtype=np.float64)
     for block in row_blocks(len(ts), 2 * m):
         re, im = _em_partial_sums(ts[block], m)
         for i, t, acc_re, acc_im, theta_t in zip(
                 range(block.start, block.stop), ts[block].tolist(), re.tolist(),
                 im.tolist(), thetas[block].tolist()):
-            out[i] = _em_value(t, m, complex(acc_re, acc_im), correction_order, theta_t).z
+            out[i] = _em_value(t, m, complex(acc_re, acc_im), theta_t).z
     return out
 
 
-def euler_maclaurin_error(ts: np.ndarray, ms: np.ndarray, z_max: np.ndarray,
-                          correction_order: int = DEFAULT_CORRECTION_ORDER) -> np.ndarray:
+def euler_maclaurin_error(ts: np.ndarray, ms: np.ndarray, z_max: np.ndarray) -> np.ndarray:
     """A bound on |EM(t_i) - Z(t_i)| wherever |Z(t_i)| <= z_max_i.
 
-    EM(t_i) is z_euler_maclaurin(t_i, m_i, correction_order).z.  For t_i > 0,
+    EM(t_i) is euler_maclaurin_rows at t_i and M = m_i.  For t_i > 0,
     with the floating-point model of riemann_siegel4_rows:
 
       * partial sums: a phase t ln n is off by at most 3.01 u t ln n, and
@@ -393,7 +381,7 @@ def euler_maclaurin_error(ts: np.ndarray, ms: np.ndarray, z_max: np.ndarray,
     """
     root_m = np.sqrt(ms)
     s_abs = np.hypot(0.5, ts)
-    order = int(correction_order)
+    order = len(_BERNOULLI_2J)
     tail = 0.5 / root_m + root_m / ts
     for j in range(1, order + 1):
         tail += 4.0 / TWO_PI ** (2 * j) * ((s_abs + (2 * j - 2)) / ms) ** (2 * j - 1) / root_m

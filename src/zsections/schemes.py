@@ -19,8 +19,9 @@ oracle's partial-sum length M, or the custom vector's length).
 evaluate_grid takes fixed-size chunks of points, computes theta once per
 chunk with theta_grid and keys the whole chunk with SchemeEvaluator._keys,
 the one place that maps a kind to its rule (sections_engine's sqrt_cutoff
-or half_cutoff, a fixed n, or M); the scalar _key is its one-point
-case, and raises the error of a point outside the domain.
+or half_cutoff, a fixed n, or the oracle's euler_maclaurin_terms); the
+scalar _key is its one-point case, and raises the error of a point outside
+the domain.
 Points that share a key are evaluated together by the engines'
 *_rows functions in SchemeEvaluator._evaluate_run, the only place that
 picks an engine by kind.  The zero scanner's grids, bisection rounds and
@@ -40,11 +41,12 @@ oracle's computed value, and only the other points run the oracle
 (SchemeEvaluator._screen).  Either way every value has the sign of the
 exact one.  REFERENCE_RS and ACCELERATED_TRIANGLE ignore the flag.
 
-The oracle has one configuration, that of the paper's experiments:
-M = max(100, 2 ceil(t)) terms and J = 6 Bernoulli corrections.  Its tail
-then converges at every accepted t, so a screened point never hides an
-error; M above MAX_SECTION_TERMS is refused before evaluation.  The
-engine's own knobs stay on z_euler_maclaurin and euler_maclaurin_rows.
+The oracle has one configuration, that of the paper's experiments, and
+reference_engine alone states it: M = euler_maclaurin_terms(t) terms and
+J = 6 Bernoulli corrections.  Its tail then converges at every accepted t,
+so a screened point never hides an error; M above MAX_SECTION_TERMS is
+refused before evaluation.  A pinned cutoff whose scheme would sum more
+than MAX_SECTION_TERMS terms is refused when the SchemeSpec is built.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .acceleration_engine import accelerated_triangle_rows, accelerated_vertical_rows
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .reference_engine import (
     RS4_T_MIN,
     euler_maclaurin_error,
@@ -65,6 +67,7 @@ from .reference_engine import (
     euler_maclaurin_terms,
     riemann_siegel4_rows,
     riemann_siegel_rows,
+    validated_terms,
 )
 from .sections_engine import (
     MAX_SECTION_TERMS,
@@ -90,6 +93,9 @@ class SchemeKind(str, enum.Enum):
 
 
 _REFERENCE_KINDS = (SchemeKind.REFERENCE_RS, SchemeKind.ORACLE_EM)
+
+# Kinds that sum n + 1 terms at cutoff n: the closing coefficient 2^-(n+1) adds one.
+_ACCELERATED_KINDS = (SchemeKind.ACCELERATED_TRIANGLE, SchemeKind.ACCELERATED_COEFF)
 
 
 @dataclass(frozen=True)
@@ -117,6 +123,11 @@ class SchemeSpec:
                 raise DomainError(f"{kind.value} does not accept a fixed cutoff")
             if self.n is not None and int(self.n) < 1:
                 raise DomainError(f"fixed cutoff must be >= 1, got {self.n}")
+            limit = MAX_SECTION_TERMS - (kind in _ACCELERATED_KINDS)
+            if self.n is not None and int(self.n) > limit:
+                raise ResourceLimitError(
+                    f"fixed cutoff n = {self.n} exceeds {limit}, the largest {kind.value} "
+                    f"cutoff within MAX_SECTION_TERMS = {MAX_SECTION_TERMS}")
 
     @property
     def label(self) -> str:
@@ -157,17 +168,16 @@ class SchemeEvaluator:
     def _key(self, t: float) -> int:
         """The run key at t, the one-point case of _keys.
 
-        Where _keys refuses t, raises the scheme's error: the oracle's comes
-        from its scalar validator euler_maclaurin_terms, a section's from its
+        Where _keys refuses t, raises the scheme's error: the oracle's is that
+        of z_euler_maclaurin (validated_terms), a section's comes from its
         domain or from a cutoff below 1 (for REFERENCE_RS the square-root
         cutoff reaches 1 exactly at t = 2 pi).
         """
+        if self.spec.kind is SchemeKind.ORACLE_EM:
+            return validated_terms(t)
         keys, ok = self._keys(np.array([t]))
         if ok[0]:
             return int(keys[0])
-        if self.spec.kind is SchemeKind.ORACLE_EM:
-            euler_maclaurin_terms(t)
-            raise AssertionError(f"the array rules refuse t = {t}, which the oracle accepts")
         if not (math.isfinite(t) and t >= 0.0):
             raise DomainError(f"cutoff resolution requires finite t >= 0, got {t}")
         raise DomainError(
@@ -179,14 +189,14 @@ class SchemeEvaluator:
         The one place that maps a kind to its rule: the square-root cutoff
         for AFE and REFERENCE_RS, the half cutoff for SPIRA and both
         accelerated kinds, a pinned n or the custom vector's length, and
-        M = max(100, 2 ceil(t)) for the oracle.  Section keys below 1, oracle
+        euler_maclaurin_terms for the oracle.  Section keys below 1, oracle
         keys above MAX_SECTION_TERMS and points outside finite t >= 0 are
         refused.
         """
         ok = np.isfinite(ts) & (ts >= 0.0)
         safe = np.where(ok, ts, 0.0)
         if self.spec.kind is SchemeKind.ORACLE_EM:
-            keys = np.maximum(100.0, 2.0 * np.ceil(safe))
+            keys = euler_maclaurin_terms(safe)
             return keys, ok & (keys <= MAX_SECTION_TERMS)
         if self._fixed is not None:
             keys = np.full(len(ts), float(int(self._fixed)))
@@ -279,11 +289,10 @@ class SchemeEvaluator:
         return hazards
 
 
-def evaluate_grid(evaluator: SchemeEvaluator, ts, chunk: int = GRID_CHUNK, *,
-                  sign_only: bool = False):
+def evaluate_grid(evaluator: SchemeEvaluator, ts, *, sign_only: bool = False):
     """Evaluate a scheme over a grid of points: (values array, hazard count).
 
-    Points are processed in fixed-size chunks, each as arrays (see
+    Points are processed in chunks of GRID_CHUNK, each as arrays (see
     SchemeEvaluator._evaluate_chunk); values are bit-for-bit those of
     evaluator.evaluate at each point.  With sign_only, each value is only
     guaranteed to have the sign of that one (and to be 0 where it is 0).
@@ -291,9 +300,9 @@ def evaluate_grid(evaluator: SchemeEvaluator, ts, chunk: int = GRID_CHUNK, *,
     ts = np.asarray(ts, dtype=np.float64)
     values = np.empty(len(ts), dtype=np.float64)
     hazards = 0
-    for start in range(0, len(ts), chunk):
-        hazards += evaluator._evaluate_chunk(ts[start:start + chunk],
-                                             values[start:start + chunk], sign_only)
+    for start in range(0, len(ts), GRID_CHUNK):
+        stop = start + GRID_CHUNK
+        hazards += evaluator._evaluate_chunk(ts[start:stop], values[start:stop], sign_only)
     return values, hazards
 
 

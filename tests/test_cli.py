@@ -24,7 +24,7 @@ from zsections.cli import (
     error_decay_report,
     main,
 )
-from zsections.errors import ConfigError
+from zsections.errors import ConfigError, ResourceLimitError
 from zsections.schemes import SchemeKind, SchemeSpec
 from zsections.sections_engine import MAX_SECTION_TERMS, section
 from zsections.special_functions import theta
@@ -149,6 +149,38 @@ def test_oracle_length_bounded_by_max_section_terms():
     # MAX_SECTION_TERMS above t = MAX_SECTION_TERMS / 2.
     assert main(["eval", "--t", "1e9", "--scheme", "afe"]) == 2
     assert main(["eval", "--t", repr(MAX_SECTION_TERMS / 2.0 + 0.5), "--scheme", "afe"]) == 2
+
+
+def parse_config(argv):
+    return config_from_args(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv, n, limit", [
+    (["eval", "--range", "1000:1100:0.01", "--scheme", "spira"], 2 * MAX_SECTION_TERMS,
+     MAX_SECTION_TERMS),
+    (["eval", "--t", "100", "--scheme", "afe"], MAX_SECTION_TERMS + 1, MAX_SECTION_TERMS),
+    (["eval", "--t", "100", "--scheme", "acc"], MAX_SECTION_TERMS, MAX_SECTION_TERMS - 1),
+    (["zeros", "--range", "412:419:0.01", "--scheme", "em,acc-triangle"], MAX_SECTION_TERMS,
+     MAX_SECTION_TERMS - 1),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else str(x))
+def test_oversized_pinned_cutoff_refused_while_parsing(argv, n, limit):
+    # Refused when the scheme is built, before the referee's grid runs, with
+    # the n the user typed: the accelerated kinds sum n + 1 terms.
+    with pytest.raises(ResourceLimitError, match=f"^fixed cutoff n = {n} exceeds {limit},"):
+        parse_config(argv + ["--n", str(n)])
+    parse_config(argv + ["--n", str(limit)])
+
+
+def test_out_directory_must_exist(tmp_path):
+    # Refused by validation, before any evaluation; a file is no directory.
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    argv = ["eval", "--t", "100", "--scheme", "spira", "--out"]
+    for out in (tmp_path / "missing" / "x.csv", tmp_path / "file" / "x.csv"):
+        with pytest.raises(ConfigError, match="^--out .*: its directory does not exist$"):
+            parse_config(argv + [str(out)])
+        assert main(argv + [str(out)]) == 2
+    assert not (tmp_path / "missing").exists()
+    parse_config(argv + [str(tmp_path / "x.csv")])
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,10 +3,11 @@
 perfbench/expected.json records the CSV SHA-256 and the JSON summary of
 every command the benchmark issues.  A few of them are rerun here through
 cli.main: three zero scans of the refine windows (EM, Spira and the
-accelerated section at step 0.1), and every fixed command of the harness
+accelerated section at step 0.1), every fixed command of the harness
 workload: the four figures, the error-decay fits, the coefficient l2 sweep
-and the (412, 419) scan of EM against Spira at n = 205.  The file is only
-read.
+and the (412, 419) scan of EM against Spira at n = 205, the sweep workload's
+conjecture sweep to t = 100, and one Riemann-Siegel-refereed eval near
+t = 1000.  The file is only read.
 """
 
 import hashlib
@@ -30,6 +31,8 @@ COMMANDS = [
     "error-decay --t-list 100,200,400,800,1600 --scheme spira,acc --threads 1",
     "coeffs --sweep 50,100,200,400,800 --threads 1",
     "zeros --range 412:419:0.01 --scheme em,spira --n 205 --threads 1",
+    "conjecture --t-max 100 --step 0.005 --threads 1",
+    "eval --range 975:1025:0.01 --scheme afe,spira --ref rs --threads 1",
 ]
 
 

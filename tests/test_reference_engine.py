@@ -22,6 +22,7 @@ from zsections.reference_engine import (
     euler_maclaurin_rows,
     euler_maclaurin_terms,
     riemann_siegel4_rows,
+    validated_terms,
     z_euler_maclaurin,
     z_riemann_siegel,
 )
@@ -66,10 +67,11 @@ class TestEulerMaclaurin:
         assert worst <= 1e-8, f"worst imaginary residual {worst:.3e}"
 
     def test_convergence_guard(self):
-        # Minimal term count with a single Bernoulli correction leaves a
-        # last term around 1e-3 at t = 3000: the guard must fire.
-        with pytest.raises(ConvergenceError):
-            z_euler_maclaurin(3000.0, terms=3000, correction_order=1)
+        # A partial sum shorter than t leaves the sixth correction far above
+        # 1e-12 of the value at M = 45, t = 40: the guard must fire.
+        ts = np.array([40.0])
+        with pytest.raises(ConvergenceError, match="at t = 40.0"):
+            euler_maclaurin_rows(ts, theta_grid(ts), 45)
 
     def test_defaults_converge_up_to_5000(self):
         for t in (0.0, 14.13, 500.0, 2718.28, 5000.0):
@@ -86,27 +88,18 @@ class TestEulerMaclaurin:
         assert 1e-14 < worst <= 3e-14
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            z_euler_maclaurin(-3.0)
-        with pytest.raises(DomainError):
-            z_euler_maclaurin(100.0, terms=49)
-        with pytest.raises(DomainError):
-            z_euler_maclaurin(1000.0, terms=600)  # below ceil(t)
-        with pytest.raises(DomainError):
-            z_euler_maclaurin(100.0, correction_order=0)
-        with pytest.raises(DomainError):
-            z_euler_maclaurin(100.0, correction_order=11)
+        for t in (-3.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="requires finite t >= 0"):
+                z_euler_maclaurin(t)
 
     def test_partial_sum_length_is_bounded(self):
-        # Refused while validating, before any table is built: M = 2e9 or
-        # 1e10 would ask for ln k and 1/sqrt(k) tables of 16-80 GB.
+        # Refused while validating, before any table is built: M = 2e9
+        # would ask for ln k and 1/sqrt(k) tables of 16 GB each.
         with pytest.raises(ResourceLimitError):
-            euler_maclaurin_terms(1e9)
+            validated_terms(1e9)
         with pytest.raises(ResourceLimitError):
-            euler_maclaurin_terms(100.0, 10**10)
-        with pytest.raises(ResourceLimitError):
-            euler_maclaurin_terms(100.0, MAX_SECTION_TERMS + 1)
-        assert euler_maclaurin_terms(100.0, MAX_SECTION_TERMS) == MAX_SECTION_TERMS
+            z_euler_maclaurin(1e9)
+        assert validated_terms(MAX_SECTION_TERMS / 2) == MAX_SECTION_TERMS
         assert euler_maclaurin_terms(MAX_SECTION_TERMS / 2) == MAX_SECTION_TERMS
 
 

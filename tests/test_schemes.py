@@ -8,7 +8,6 @@ one-point case of the same rows functions, so it is checked in turn against
 the public scalar engines, bit for bit.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -17,12 +16,7 @@ import pytest
 from zsections import schemes
 from zsections.acceleration_engine import accelerated_triangle, accelerated_vertical
 from zsections.errors import ConvergenceError, DomainError, ResourceLimitError
-from zsections.reference_engine import (
-    euler_maclaurin_rows,
-    euler_maclaurin_terms,
-    z_euler_maclaurin,
-    z_riemann_siegel,
-)
+from zsections.reference_engine import euler_maclaurin_rows, z_euler_maclaurin, z_riemann_siegel
 from zsections.schemes import SchemeEvaluator, SchemeKind, SchemeSpec, evaluate_grid
 from zsections.sections_engine import MAX_SECTION_TERMS, CoefficientVector, section, z_custom
 from zsections.special_functions import TWO_PI, theta_grid
@@ -62,13 +56,9 @@ def scalar(spec, ts):
     return [p.value for p in points], sum(p.hazard for p in points)
 
 
-def assert_bit_identical(spec, ts, chunk=None):
+def assert_bit_identical(spec, ts):
     want, want_hazards = scalar(spec, ts)
-    evaluator = SchemeEvaluator(spec)
-    if chunk is None:
-        got, hazards = evaluate_grid(evaluator, ts)
-    else:
-        got, hazards = evaluate_grid(evaluator, ts, chunk=chunk)
+    got, hazards = evaluate_grid(SchemeEvaluator(spec), ts)
     assert got.dtype == np.float64 and got.shape == (len(ts),)
     mismatches = [(t, g, w) for t, g, w in zip(ts, got.tolist(), want) if g != w]
     assert not mismatches, f"{spec.label}: {len(mismatches)} values differ, first {mismatches[0]}"
@@ -123,9 +113,10 @@ def test_evaluate_equals_public_engine_bit_for_bit(spec, grid):
 
 
 @pytest.mark.parametrize("spec", PER_POINT_SPECS, ids=lambda s: s.label)
-def test_small_chunks_split_runs(spec):
+def test_small_chunks_split_runs(spec, monkeypatch):
     # Chunks of 37 points cut most constant-cutoff runs in two.
-    assert_bit_identical(spec, GRIDS[0], chunk=37)
+    monkeypatch.setattr(schemes, "GRID_CHUNK", 37)
+    assert_bit_identical(spec, GRIDS[0])
 
 
 def test_long_rows_span_several_row_blocks():
@@ -136,17 +127,17 @@ def test_long_rows_span_several_row_blocks():
         assert_bit_identical(SchemeSpec(kind=kind), ts)
 
 
-def test_oracle_knobs_and_irregular_points():
-    # The oracle runs at M = max(100, 2 ceil(t)) and J = 6, the engine's
-    # defaults, in any point order.
+def test_oracle_configuration_and_irregular_points():
+    # The oracle runs at M = max(100, 2 ceil(t)), in any point order.
     ts = [100.0, 100.0, 35.5, 412.25, 99.999, 1000.0]
     spec = SchemeSpec(kind=SchemeKind.ORACLE_EM)
     assert_bit_identical(spec, ts)
     assert_evaluate_equals_engine(spec, ts)
     evaluator = SchemeEvaluator(spec)
     for t in ts:
-        pinned = z_euler_maclaurin(t, max(100, 2 * math.ceil(t)), correction_order=6)
-        assert evaluator.evaluate(t).value == pinned.z
+        pinned = euler_maclaurin_rows(np.array([t]), theta_grid(np.array([t])),
+                                      max(100, 2 * math.ceil(t)))
+        assert evaluator.evaluate(t).value == pinned[0]
 
 
 def test_rs_hazard_counts_match():
@@ -204,45 +195,44 @@ def test_error_raised_at_first_failing_point(monkeypatch):
 
 
 def test_convergence_error_matches_scalar():
-    # The oracle's own knobs: at M = 60 and J = 1 the tail does not converge,
-    # and the rows raise the scalar error of the first point that fails.
+    # At the short M = 45 the tail does not converge, and the rows raise the
+    # one-point error of the first point that fails.
     ts = np.array([40.0, 45.0, 50.0])
+    thetas = theta_grid(ts)
     with pytest.raises(ConvergenceError) as scalar_error:
-        for t in ts.tolist():
-            z_euler_maclaurin(t, 60, correction_order=1)
+        for i in range(len(ts)):
+            euler_maclaurin_rows(ts[i:i + 1], thetas[i:i + 1], 45)
     with pytest.raises(ConvergenceError) as rows_error:
-        euler_maclaurin_rows(ts, theta_grid(ts), 60, correction_order=1)
+        euler_maclaurin_rows(ts, thetas, 45)
     assert "at t = 40.0" in str(scalar_error.value)
     assert str(rows_error.value) == str(scalar_error.value)
 
 
 @pytest.fixture
-def one_correction_oracle(monkeypatch):
-    """The evaluator's oracle with J = 1, whose tail fails to converge at t = 40."""
+def short_oracle(monkeypatch):
+    """The evaluator's oracle run at M = 45, whose tail fails to converge at t = 40."""
     monkeypatch.setattr(schemes, "euler_maclaurin_rows",
-                        functools.partial(euler_maclaurin_rows, correction_order=1))
+                        lambda ts, thetas, m: euler_maclaurin_rows(ts, thetas, 45))
     return SchemeEvaluator(SchemeSpec(kind=SchemeKind.ORACLE_EM))
 
 
-def test_earlier_convergence_error_wins_over_later_domain_error(one_correction_oracle):
+def test_earlier_convergence_error_wins_over_later_domain_error(short_oracle):
     # nan is outside the oracle's domain, but the tail at t = 40 fails to
     # converge first, and grid order decides which error surfaces.
     with pytest.raises(DomainError):
-        one_correction_oracle.evaluate(math.nan)
+        short_oracle.evaluate(math.nan)
     with pytest.raises(ConvergenceError, match="at t = 40.0"):
-        evaluate_grid(one_correction_oracle, [40.0, 45.0, math.nan])
+        evaluate_grid(short_oracle, [40.0, 45.0, math.nan])
 
 
 def reference_key(evaluator, t):
     """The run key at t, written with math apart from the package's rules; None if t is refused."""
     spec = evaluator.spec
-    if spec.kind is SchemeKind.ORACLE_EM:
-        try:
-            return euler_maclaurin_terms(t)
-        except (DomainError, ResourceLimitError):
-            return None
     if not (math.isfinite(t) and t >= 0.0):
         return None
+    if spec.kind is SchemeKind.ORACLE_EM:
+        m = max(100, 2 * math.ceil(t))
+        return m if m <= MAX_SECTION_TERMS else None
     if spec.alpha is not None:
         n = len(spec.alpha)
     elif spec.n is not None:
@@ -310,13 +300,13 @@ def test_keys_beyond_the_section_limit_raise_the_engine_error():
     assert str(grid_error.value) == str(scalar_error.value)
 
 
-def test_earlier_convergence_error_wins_over_later_resource_limit(one_correction_oracle):
+def test_earlier_convergence_error_wins_over_later_resource_limit(short_oracle):
     # At t = 6e5 the oracle's M = 1.2e6 exceeds MAX_SECTION_TERMS; grid order
     # still decides, so the unconverged tail at t = 40 surfaces first.
     with pytest.raises(ResourceLimitError):
-        one_correction_oracle.evaluate(6e5)
+        short_oracle.evaluate(6e5)
     with pytest.raises(ConvergenceError, match="at t = 40.0"):
-        evaluate_grid(one_correction_oracle, [40.0, 45.0, 6e5])
+        evaluate_grid(short_oracle, [40.0, 45.0, 6e5])
 
 
 def test_empty_grid():
