@@ -43,7 +43,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import DomainError, ResourceLimitError
 from .sections_engine import (
@@ -139,6 +138,10 @@ def _coefficient_vector(order: int) -> np.ndarray:
     if order <= _EXACT_COEFF_MAX:
         alpha = _binomial_tails_exact(order)
     else:
+        # Imported here: scipy.special costs every run about 0.3 s and 25 MB,
+        # and only orders above _EXACT_COEFF_MAX need it.
+        from scipy.special import betainc
+
         ks = np.arange(1, order + 1, dtype=np.float64)
         alpha = betainc(ks, order - ks + 2.0, 0.5)
     alpha.setflags(write=False)

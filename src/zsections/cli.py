@@ -12,14 +12,17 @@ hazard was flagged (a Riemann-Siegel remainder evaluated inside the
 cosine-denominator hazard window).  The EM oracle has one configuration,
 set in reference_engine, where its tail always converges, so main maps no
 ConvergenceError: RS1 hazard flags are the only source of exit code 3.
-Bad input is refused before any numerical work: a pinned --n whose scheme
-would sum more than MAX_SECTION_TERMS terms by SchemeSpec, everything else
-(non-finite numbers, an --out whose directory does not exist) by
-RunConfig.validate, with the checks every command shares, then one check
-per subcommand (_COMMAND_CHECKS).  coeffs evaluates no scheme, so its
-subparser has no --scheme, and its --n is the coefficient order; --k-max,
-the last row of that order's table, is refused with --sweep, which
-tabulates distances only.
+Bad input is refused before any numerical work: a pinned --n or a custom:
+file whose scheme would sum more than MAX_SECTION_TERMS terms by
+SchemeSpec, everything else (non-finite numbers, an --out whose directory
+does not exist) by RunConfig.validate, with the checks every command
+shares, then the subcommand's own check.  A height outside a scheme's
+domain, such as the oracle's past t = 5e5, is refused by evaluate_grid
+before any point of that scheme's grid is evaluated.  Each subcommand is
+declared once, as its check and its runner in _COMMANDS.  coeffs evaluates
+no scheme, so its subparser has no --scheme, and its --n is the
+coefficient order; --k-max, the last row of that order's table, is refused
+with --sweep, which tabulates distances only.
 
 Grid work runs on the batched, single-threaded evaluate_grid.  --threads is
 accepted only for compatibility: it is validated (1 to MAX_THREADS) and
@@ -35,7 +38,7 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -107,7 +110,7 @@ class RunConfig:
     out: Optional[str] = None
 
     def validate(self) -> None:
-        """The checks every command shares, then the command's own (_COMMAND_CHECKS)."""
+        """The checks every command shares, then the command's own (_COMMANDS)."""
         if not 1 <= self.threads <= MAX_THREADS:
             raise ConfigError(
                 f"--threads must lie in [1, {MAX_THREADS}], got {self.threads}")
@@ -122,42 +125,29 @@ class RunConfig:
                 raise ConfigError(f"--range needs a < b, got {self.a}:{self.b}")
             if self.step is None or not 0.0 < self.step < math.inf:
                 raise ConfigError(f"--range needs a finite positive step, got {self.step}")
-        check = _COMMAND_CHECKS.get(self.command)
-        if check is None:
+        if self.command not in _COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        check(self)
+        _COMMANDS[self.command][0](self)
 
     def as_dict(self) -> dict:
-        """JSON-friendly echo of the settings that shaped this run."""
-        doc: dict = {"command": self.command}
-        if self.t is not None:
-            doc["t"] = self.t
+        """JSON-friendly echo of the settings that shaped this run.
+
+        Every field that is set, except that the range is one entry
+        [a, b, step], schemes are echoed by label, the referee (reference)
+        only where it judges the schemes, and match_tol only where zero sets
+        are matched.
+        """
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        del doc["ref_kind"]
+        doc["schemes"] = [s.label for s in self.schemes] or None
         if self.a is not None:
-            doc["range"] = [self.a, self.b, self.step]
-        elif self.step is not None:
-            doc["step"] = self.step
-        if self.t_list is not None:
-            doc["t_list"] = list(self.t_list)
-        if self.schemes:
-            doc["schemes"] = [s.label for s in self.schemes]
+            doc["range"] = [doc.pop("a"), doc.pop("b"), doc.pop("step")]
         if self.command in ("eval", "error-decay"):
             doc["reference"] = SchemeSpec(kind=self.ref_kind).label
-        if self.figure is not None:
-            doc["figure"] = self.figure
-        if self.n is not None:
-            doc["n"] = self.n
-        if self.k_max is not None:
-            doc["k_max"] = self.k_max
-        if self.sweep is not None:
-            doc["sweep"] = list(self.sweep)
-        if self.t_max is not None:
-            doc["t_max"] = self.t_max
-        if self.command in ("zeros", "conjecture"):
-            doc["match_tol"] = self.match_tol
-        doc["threads"] = self.threads
-        if self.out is not None:
-            doc["out"] = self.out
-        return doc
+        if self.command not in ("zeros", "conjecture"):
+            del doc["match_tol"]
+        return {key: list(value) if isinstance(value, tuple) else value
+                for key, value in doc.items() if value is not None}
 
 
 def _check_eval(config: RunConfig) -> None:
@@ -217,16 +207,6 @@ def _check_coeffs(config: RunConfig) -> None:
             f"--k-max must lie in [1, {MAX_ACCELERATION_ORDER}], got {config.k_max}")
     if config.sweep is not None and any(m < 1 for m in config.sweep):
         raise ConfigError("--sweep orders must all be >= 1")
-
-
-_COMMAND_CHECKS = {
-    "eval": _check_eval,
-    "figure": _check_figure,
-    "zeros": _check_zeros,
-    "conjecture": _check_conjecture,
-    "error-decay": _check_error_decay,
-    "coeffs": _check_coeffs,
-}
 
 
 @dataclass(frozen=True)
@@ -298,7 +278,7 @@ def parse_scheme_args(raw: Optional[list], n: Optional[int]) -> tuple:
                 continue
             if name.startswith("custom:"):
                 vec = load_coefficient_file(name[len("custom:"):])
-                specs.append(SchemeSpec(kind=SchemeKind.CUSTOM, alpha=vec.alpha))
+                specs.append(SchemeSpec(kind=SchemeKind.CUSTOM, alpha=vec))
                 continue
             try:
                 kind = parse_scheme_kind(name)
@@ -373,6 +353,16 @@ def _ln_abs(value: float) -> float:
     return math.log(max(abs(value), _LN_FLOOR))
 
 
+def _evaluate_schemes(specs, ts) -> tuple:
+    """Each scheme on the grid ts, in order: ({label: values}, hazard count)."""
+    columns = {}
+    hazards = 0
+    for spec in specs:
+        columns[spec.label], h = evaluate_grid(SchemeEvaluator(spec), ts)
+        hazards += h
+    return columns, hazards
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -384,14 +374,9 @@ def cmd_eval(config: RunConfig) -> CommandResult:
     else:
         ts = grid_points(config.a, config.b, config.step)
 
-    ref_eval = SchemeEvaluator(SchemeSpec(kind=config.ref_kind))
-    ref_vals, hazards = evaluate_grid(ref_eval, ts)
-
-    columns = {}
-    for spec in config.schemes:
-        vals, h = evaluate_grid(SchemeEvaluator(spec), ts)
-        hazards += h
-        columns[spec.label] = vals
+    ref = SchemeSpec(kind=config.ref_kind)
+    columns, hazards = _evaluate_schemes((ref, *config.schemes), ts)
+    ref_vals = columns[ref.label]
 
     labels = [spec.label for spec in config.schemes]
     values = [columns[label].tolist() for label in labels]
@@ -403,7 +388,7 @@ def cmd_eval(config: RunConfig) -> CommandResult:
 
     summary: dict = {
         "points": len(ts),
-        "reference": ref_eval.spec.label,
+        "reference": ref.label,
         "hazard_count": hazards,
         "schemes": {},
     }
@@ -445,12 +430,8 @@ def cmd_figure(config: RunConfig) -> CommandResult:
                      SchemeSpec(kind=SchemeKind.ACCELERATED_COEFF, n=205)]
             header = ("t", "ln_abs_reference", "ln_abs_accelerated_205")
         ts = grid_points(a, b, step)
-        cols = []
-        hazards = 0
-        for spec in specs:
-            vals, h = evaluate_grid(SchemeEvaluator(spec), ts)
-            hazards += h
-            cols.append(vals)
+        columns, hazards = _evaluate_schemes(specs, ts)
+        cols = list(columns.values())
         rows = [tuple([t] + [_ln_abs(float(c[i])) for c in cols])
                 for i, t in enumerate(ts)]
         summary = {"figure": fig, "range": [a, b, step], "rows": len(rows),
@@ -462,11 +443,6 @@ def cmd_figure(config: RunConfig) -> CommandResult:
     rows = _coefficient_rows(200, 400)
     summary = {"figure": fig, "order": 200, "k_max": 400, "rows": len(rows)}
     return CommandResult(_COEFFICIENT_HEADER, rows, summary, 0)
-
-
-def _record_row(label: str, record) -> tuple:
-    return (label, record.location, record.bracket[0], record.bracket[1],
-            record.residual, record.scale, record.cutoff_jump)
 
 
 def cmd_zeros(config: RunConfig) -> CommandResult:
@@ -494,7 +470,8 @@ def cmd_zeros(config: RunConfig) -> CommandResult:
         label = scan.scheme.label
         hazards += scan.hazard_count
         stats[label] = asdict(scan.stats)
-        rows.extend(_record_row(label, rec) for rec in scan.records)
+        rows.extend((label, rec.location, rec.bracket[0], rec.bracket[1],
+                     rec.residual, rec.scale, rec.cutoff_jump) for rec in scan.records)
         entry = {"zero_count": len(scan), "dip_count": len(scan.dips)}
         if match is not None:
             entry.update(matched=len(match.matched), missed=len(match.missed),
@@ -548,16 +525,17 @@ def cmd_conjecture(config: RunConfig) -> CommandResult:
 def error_decay_report(t_list, specs) -> ErrorReport:
     """Absolute errors vs the EM oracle with least-squares decay fits."""
     ts = [float(t) for t in t_list]
-    ref_vals, _ = evaluate_grid(SchemeEvaluator(SchemeSpec(kind=SchemeKind.ORACLE_EM)), ts)
+    ref = SchemeSpec(kind=SchemeKind.ORACLE_EM)
+    columns, _ = _evaluate_schemes((ref, *specs), ts)
 
     errors = {}
     summary = {}
     exponential_kinds = (SchemeKind.ACCELERATED_TRIANGLE, SchemeKind.ACCELERATED_COEFF)
     for spec in specs:
-        vals, _ = evaluate_grid(SchemeEvaluator(spec), ts)
-        errs = tuple(abs(float(v) - float(r)) for v, r in zip(vals, ref_vals))
+        errs = tuple(abs(float(v) - float(r))
+                     for v, r in zip(columns[spec.label], columns[ref.label]))
         errors[spec.label] = errs
-        ln_err = np.array([math.log(max(e, _LN_FLOOR)) for e in errs])
+        ln_err = np.array([_ln_abs(e) for e in errs])
         if spec.kind in exponential_kinds:
             model = "exponential"
             x = np.array(ts)
@@ -631,13 +609,14 @@ def cmd_coeffs(config: RunConfig) -> CommandResult:
                          {"orders": list(config.sweep), "l2_distances": distances}, 0)
 
 
-_DISPATCH = {
-    "eval": cmd_eval,
-    "figure": cmd_figure,
-    "zeros": cmd_zeros,
-    "conjecture": cmd_conjecture,
-    "error-decay": cmd_error_decay,
-    "coeffs": cmd_coeffs,
+# Each subcommand's check (run by RunConfig.validate) and runner.
+_COMMANDS = {
+    "eval": (_check_eval, cmd_eval),
+    "figure": (_check_figure, cmd_figure),
+    "zeros": (_check_zeros, cmd_zeros),
+    "conjecture": (_check_conjecture, cmd_conjecture),
+    "error-decay": (_check_error_decay, cmd_error_decay),
+    "coeffs": (_check_coeffs, cmd_coeffs),
 }
 
 
@@ -656,18 +635,11 @@ def _parse_range(text: str) -> tuple:
     return a, b, step
 
 
-def _parse_float_list(text: str) -> tuple:
+def _parse_list(text: str, kind: type, noun: str) -> tuple:
     try:
-        return tuple(float(p) for p in text.split(",") if p.strip())
+        return tuple(kind(p) for p in text.split(",") if p.strip())
     except ValueError as exc:
-        raise ConfigError(f"bad numeric list {text!r}") from exc
-
-
-def _parse_int_list(text: str) -> tuple:
-    try:
-        return tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad integer list {text!r}") from exc
+        raise ConfigError(f"bad {noun} list {text!r}") from exc
 
 
 def _add_common(sub: argparse.ArgumentParser, *, schemes: bool = True) -> None:
@@ -733,44 +705,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    a = b = step = None
-    range_text = getattr(args, "range", None)
-    if range_text is not None:
-        a, b, step = _parse_range(range_text)
-    if getattr(args, "step", None) is not None:
-        step = args.step
-    t_list = None
-    if getattr(args, "t_list", None) is not None:
-        t_list = _parse_float_list(args.t_list)
-    sweep = None
-    if getattr(args, "sweep", None) is not None:
-        sweep = _parse_int_list(args.sweep)
-    ref_kind = SchemeKind.ORACLE_EM
-    if getattr(args, "ref", "em") == "rs":
-        ref_kind = SchemeKind.REFERENCE_RS
-
-    command = args.command
-    schemes = ()
-    n = getattr(args, "n", None)
-    if hasattr(args, "scheme"):
-        schemes = parse_scheme_args(args.scheme, n)
-
-    config = RunConfig(
-        command=command,
-        t=getattr(args, "t", None),
-        a=a, b=b, step=step,
-        t_list=t_list,
-        schemes=schemes,
-        ref_kind=ref_kind,
-        figure=getattr(args, "figure", None) if command == "figure" else None,
-        n=n if command == "coeffs" else None,
-        k_max=getattr(args, "k_max", None),
-        sweep=sweep,
-        t_max=getattr(args, "t_max", None),
-        match_tol=getattr(args, "match_tol", DEFAULT_MATCH_TOL),
-        threads=getattr(args, "threads", 1),
-        out=getattr(args, "out", None),
-    )
+    opts = vars(args)
+    # Flags that are config fields as they are; each subparser defines some.
+    kwargs = {key: opts[key] for key in ("command", "t", "step", "figure", "k_max", "t_max",
+                                         "match_tol", "threads", "out") if key in opts}
+    if opts.get("range") is not None:
+        kwargs["a"], kwargs["b"], kwargs["step"] = _parse_range(opts["range"])
+    if opts.get("t_list") is not None:
+        kwargs["t_list"] = _parse_list(opts["t_list"], float, "numeric")
+    if opts.get("sweep") is not None:
+        kwargs["sweep"] = _parse_list(opts["sweep"], int, "integer")
+    if opts.get("ref") == "rs":
+        kwargs["ref_kind"] = SchemeKind.REFERENCE_RS
+    if "scheme" in opts:  # --n pins the schemes' cutoffs
+        kwargs["schemes"] = parse_scheme_args(opts["scheme"], opts["n"])
+    else:  # coeffs' --n is its coefficient order
+        kwargs["n"] = opts.get("n")
+    config = RunConfig(**kwargs)
     config.validate()
     return config
 
@@ -780,7 +731,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = config_from_args(args)
-        result = _DISPATCH[config.command](config)
+        result = _COMMANDS[config.command][1](config)
     except (ConfigError, DomainError, ResourceLimitError) as exc:
         print(f"zsections: error: {exc}", file=sys.stderr)
         return 2

@@ -16,12 +16,13 @@ for the statistics of the scan that owns it.
 
 There is one evaluation path.  Each point has a run key (the cutoff, the
 oracle's partial-sum length M, or the custom vector's length).
-evaluate_grid takes fixed-size chunks of points, computes theta once per
-chunk with theta_grid and keys the whole chunk with SchemeEvaluator._keys,
-the one place that maps a kind to its rule (sections_engine's sqrt_cutoff
-or half_cutoff, a fixed n, or the oracle's euler_maclaurin_terms); the
-scalar _key is its one-point case, and raises the error of a point outside
-the domain.
+evaluate_grid keys the whole grid with SchemeEvaluator._keys, the one
+place that maps a kind to its rule (sections_engine's sqrt_cutoff or
+half_cutoff, a fixed n, or the oracle's euler_maclaurin_terms), and refuses
+a grid with a point outside the domain before evaluating any point: the
+scalar _key, the one-point case, raises that point's error.  It then takes
+fixed-size chunks of points and computes theta once per chunk with
+theta_grid.
 Points that share a key are evaluated together by the engines'
 *_rows functions in SchemeEvaluator._evaluate_run, the only place that
 picks an engine by kind.  The zero scanner's grids, bisection rounds and
@@ -45,8 +46,9 @@ The oracle has one configuration, that of the paper's experiments, and
 reference_engine alone states it: M = euler_maclaurin_terms(t) terms and
 J = 6 Bernoulli corrections.  Its tail then converges at every accepted t,
 so a screened point never hides an error; M above MAX_SECTION_TERMS is
-refused before evaluation.  A pinned cutoff whose scheme would sum more
-than MAX_SECTION_TERMS terms is refused when the SchemeSpec is built.
+refused before evaluation.  A pinned cutoff or a custom vector whose scheme
+would sum more than MAX_SECTION_TERMS terms is refused when the SchemeSpec
+is built.
 """
 
 from __future__ import annotations
@@ -123,11 +125,13 @@ class SchemeSpec:
                 raise DomainError(f"{kind.value} does not accept a fixed cutoff")
             if self.n is not None and int(self.n) < 1:
                 raise DomainError(f"fixed cutoff must be >= 1, got {self.n}")
-            limit = MAX_SECTION_TERMS - (kind in _ACCELERATED_KINDS)
-            if self.n is not None and int(self.n) > limit:
-                raise ResourceLimitError(
-                    f"fixed cutoff n = {self.n} exceeds {limit}, the largest {kind.value} "
-                    f"cutoff within MAX_SECTION_TERMS = {MAX_SECTION_TERMS}")
+        # A custom vector's length is its fixed cutoff; the limit is on terms summed.
+        n = len(self.alpha) if kind is SchemeKind.CUSTOM else self.n
+        limit = MAX_SECTION_TERMS - (kind in _ACCELERATED_KINDS)
+        if n is not None and int(n) > limit:
+            raise ResourceLimitError(
+                f"fixed cutoff n = {n} exceeds {limit}, the largest {kind.value} "
+                f"cutoff within MAX_SECTION_TERMS = {MAX_SECTION_TERMS}")
 
     @property
     def label(self) -> str:
@@ -207,10 +211,9 @@ class SchemeEvaluator:
         return keys, ok & (keys >= 1.0)
 
     def evaluate(self, t: float) -> EvalPoint:
-        """The scheme at one point: the one-point case of _evaluate_chunk."""
-        value = np.empty(1, dtype=np.float64)
-        hazards = self._evaluate_chunk(np.array([float(t)]), value)
-        return EvalPoint(float(value[0]), hazards > 0)
+        """The scheme at one point: the one-point grid of evaluate_grid."""
+        values, hazards = evaluate_grid(self, [float(t)])
+        return EvalPoint(float(values[0]), hazards > 0)
 
     def value(self, t: float) -> float:
         return self.evaluate(t).value
@@ -259,23 +262,20 @@ class SchemeEvaluator:
         open_[high[sure]] = False
         return np.flatnonzero(open_)
 
-    def _evaluate_chunk(self, ts: np.ndarray, out: np.ndarray, sign_only: bool = False) -> int:
-        """Fill out with the values at ts; returns the hazard count.
+    def _evaluate_chunk(self, ts: np.ndarray, keys: np.ndarray, out: np.ndarray,
+                        sign_only: bool = False) -> int:
+        """Fill out with the values at ts, whose run keys are accepted; returns the hazard count.
 
-        Points are keyed with the array rules of _keys.  The valid prefix,
-        up to the first point outside the scheme's domain, is evaluated
-        first, a run of equal key at a time, so an error at an earlier point
-        surfaces first; then _key raises the error of the refused point.
-        Under sign_only the oracle's screen first decides what it can of the
-        prefix, at once, since bisection midpoints seldom share M; the
-        points it leaves open go on in order.
+        Runs of equal key are evaluated in grid order, so an error raised by
+        an engine (an unconverged oracle tail, a cutoff the engine refuses)
+        is that of the earliest point.  Under sign_only the oracle's screen
+        first decides what it can of the chunk, at once, since bisection
+        midpoints seldom share M; the points it leaves open go on in order.
         """
-        keys, ok = self._keys(ts)
-        stop = len(ts) if ok.all() else int(np.argmin(ok))
-        thetas = theta_grid(ts[:stop])
-        at = slice(0, stop)
+        thetas = theta_grid(ts)
+        at = slice(None)
         if sign_only and self.spec.kind is SchemeKind.ORACLE_EM:
-            at = self._screen(ts[:stop], thetas, keys[:stop], out)
+            at = self._screen(ts, thetas, keys, out)
         ts_at, thetas_at, keys_at = ts[at], thetas[at], keys[at]
         vals = np.empty(len(ts_at), dtype=np.float64)
         hazards = 0
@@ -284,25 +284,29 @@ class SchemeEvaluator:
                                               int(keys_at[run.start]), sign_only)
             hazards += h
         out[at] = vals
-        if stop < len(ts):
-            self._key(float(ts[stop]))  # raises: _keys refused this point
         return hazards
 
 
 def evaluate_grid(evaluator: SchemeEvaluator, ts, *, sign_only: bool = False):
     """Evaluate a scheme over a grid of points: (values array, hazard count).
 
-    Points are processed in chunks of GRID_CHUNK, each as arrays (see
+    The whole grid is keyed first (SchemeEvaluator._keys), and a grid with a
+    point outside the scheme's domain is refused before any point is
+    evaluated, with the error _key raises at the first such point.  Points
+    are then processed in chunks of GRID_CHUNK, each as arrays (see
     SchemeEvaluator._evaluate_chunk); values are bit-for-bit those of
     evaluator.evaluate at each point.  With sign_only, each value is only
     guaranteed to have the sign of that one (and to be 0 where it is 0).
     """
     ts = np.asarray(ts, dtype=np.float64)
+    keys, ok = evaluator._keys(ts)
+    if not ok.all():
+        evaluator._key(float(ts[np.argmin(ok)]))  # raises: _keys refused this point
     values = np.empty(len(ts), dtype=np.float64)
     hazards = 0
     for start in range(0, len(ts), GRID_CHUNK):
-        stop = start + GRID_CHUNK
-        hazards += evaluator._evaluate_chunk(ts[start:stop], values[start:stop], sign_only)
+        at = slice(start, start + GRID_CHUNK)
+        hazards += evaluator._evaluate_chunk(ts[at], keys[at], values[at], sign_only)
     return values, hazards
 
 

@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+from zsections import schemes
 from zsections.acceleration_engine import (
     MAX_ACCELERATION_ORDER,
     accelerated_coefficients,
@@ -25,6 +26,7 @@ from zsections.cli import (
     main,
 )
 from zsections.errors import ConfigError, ResourceLimitError
+from zsections.reference_engine import euler_maclaurin_rows
 from zsections.schemes import SchemeKind, SchemeSpec
 from zsections.sections_engine import MAX_SECTION_TERMS, section
 from zsections.special_functions import theta
@@ -169,6 +171,32 @@ def test_oversized_pinned_cutoff_refused_while_parsing(argv, n, limit):
     with pytest.raises(ResourceLimitError, match=f"^fixed cutoff n = {n} exceeds {limit},"):
         parse_config(argv + ["--n", str(n)])
     parse_config(argv + ["--n", str(limit)])
+
+
+def test_oversized_custom_file_refused_while_parsing(tmp_path):
+    # A custom vector's length is its cutoff, under the same limit as a pinned n.
+    path = tmp_path / "ones.txt"
+    argv = ["eval", "--range", "1000:1100:0.01", "--scheme", f"custom:{path}"]
+    path.write_text("1\n" * (MAX_SECTION_TERMS + 1), encoding="utf-8")
+    with pytest.raises(ResourceLimitError, match=f"^fixed cutoff n = {MAX_SECTION_TERMS + 1} "
+                                                 f"exceeds {MAX_SECTION_TERMS}, the largest CUSTOM"):
+        parse_config(argv)
+    path.write_text("1\n" * MAX_SECTION_TERMS, encoding="utf-8")
+    parse_config(argv)
+
+
+def test_grid_past_the_oracle_limit_refused_before_any_evaluation(monkeypatch):
+    # M = max(100, 2 ceil(t)) passes MAX_SECTION_TERMS above t = 5e5: the
+    # referee's grid is refused before any of its points is evaluated.
+    evaluated = []
+
+    def spy(ts, thetas, m):
+        evaluated.extend(ts.tolist())
+        return euler_maclaurin_rows(ts, thetas, m)
+
+    monkeypatch.setattr(schemes, "euler_maclaurin_rows", spy)
+    assert main(["eval", "--range", "499980:500010:1", "--scheme", "spira"]) == 2
+    assert evaluated == []
 
 
 def test_out_directory_must_exist(tmp_path):
@@ -479,6 +507,37 @@ def test_json_sidecar_structure(tmp_path):
 
 
 STAT_KEYS = {"grid", "dip_rescan", "bisect_screened", "bisect_exact", "residual"}
+
+
+@pytest.mark.parametrize("argv, echo", [
+    ("eval --t 100 --scheme spira,afe,acc,em,rs",
+     {"command": "eval", "reference": "ORACLE_EM", "t": 100.0, "threads": 1,
+      "schemes": ["SPIRA", "AFE", "ACCELERATED_COEFF", "ORACLE_EM", "REFERENCE_RS"]}),
+    ("eval --range 100:101:0.25 --scheme afe,spira --ref rs --threads 2",
+     {"command": "eval", "range": [100.0, 101.0, 0.25], "reference": "REFERENCE_RS",
+      "schemes": ["AFE", "SPIRA"], "threads": 2}),
+    ("eval --t 100 --scheme spira --n 12",
+     {"command": "eval", "reference": "ORACLE_EM", "schemes": ["SPIRA@12"], "t": 100.0,
+      "threads": 1}),
+    ("figure fig2", {"command": "figure", "figure": "fig2", "threads": 1}),
+    ("zeros --range 412:419:0.05 --scheme em,spira --n 205 --match-tol 0.1",
+     {"command": "zeros", "match_tol": 0.1, "range": [412.0, 419.0, 0.05],
+      "schemes": ["ORACLE_EM", "SPIRA@205"], "threads": 1}),
+    ("conjecture --t-max 60 --step 0.01",
+     {"command": "conjecture", "match_tol": 0.05, "step": 0.01, "t_max": 60.0, "threads": 1}),
+    ("error-decay --t-list 100,200,400 --scheme spira,acc,afe",
+     {"command": "error-decay", "reference": "ORACLE_EM",
+      "schemes": ["SPIRA", "ACCELERATED_COEFF", "AFE"], "t_list": [100.0, 200.0, 400.0],
+      "threads": 1}),
+    ("coeffs --n 10 --k-max 14", {"command": "coeffs", "k_max": 14, "n": 10, "threads": 1}),
+    ("coeffs --sweep 5,10,20", {"command": "coeffs", "sweep": [5, 10, 20], "threads": 1}),
+], ids=lambda x: x if isinstance(x, str) else "")
+def test_config_echo_is_pinned(argv, echo):
+    # The JSON "config" key, which emit writes with sorted keys: its values,
+    # the field names and which fields each command echoes.
+    assert parse_config(argv.split()).as_dict() == echo
+    out = parse_config(argv.split() + ["--out", "x.csv"]).as_dict()
+    assert out == {**echo, "out": "x.csv"}
 
 
 def test_zeros_writes_stage_counts_beside_the_summary(tmp_path):

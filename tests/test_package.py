@@ -2,14 +2,17 @@
 
 Every exported name exists, the README's import works, every example
 command of the README parses and validates, every command the benchmark
-issues parses and validates, and every function the benchmark's tracer
-patches still exists.
+issues parses and validates, every function the benchmark's tracer
+patches still exists, and importing the CLI leaves scipy.special unloaded.
 """
 
 import ast
 import importlib
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,6 +65,16 @@ def test_every_exported_name_resolves():
     missing = [name for name in zsections.__all__ if not hasattr(zsections, name)]
     assert not missing, f"zsections.__all__ names missing attributes: {missing}"
     assert len(set(zsections.__all__)) == len(zsections.__all__)
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # Only coefficient orders above 20,000 use scipy.special; every other run
+    # would pay for its import (about 0.3 s and 25 MB).
+    src = str(Path(zsections.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", "import zsections.cli, sys; "
+                    "assert 'scipy.special' not in sys.modules"], env=env, check=True)
 
 
 def test_readme_library_import_block_imports():

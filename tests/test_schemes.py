@@ -173,8 +173,8 @@ def test_grid_below_domain_raises_scalar_error(spec, ts):
 
 def test_error_raised_at_first_failing_point(monkeypatch):
     # At t = 6e5 the oracle's M = 1.2e6 exceeds MAX_SECTION_TERMS: the grid
-    # evaluates t = 100 first, then fails with the scalar error of 6e5, not
-    # with that of the nan behind it.
+    # is refused with the scalar error of 6e5, not with that of the nan
+    # behind it, before any point is evaluated, t = 100 included.
     evaluated = []
 
     def spy(ts, thetas, m):
@@ -191,7 +191,7 @@ def test_error_raised_at_first_failing_point(monkeypatch):
         evaluate_grid(evaluator, ts)
     assert "600000" in str(scalar_error.value)
     assert str(grid_error.value) == str(scalar_error.value)
-    assert evaluated == [100.0]
+    assert evaluated == []
 
 
 def test_convergence_error_matches_scalar():
@@ -216,13 +216,16 @@ def short_oracle(monkeypatch):
     return SchemeEvaluator(SchemeSpec(kind=SchemeKind.ORACLE_EM))
 
 
-def test_earlier_convergence_error_wins_over_later_domain_error(short_oracle):
-    # nan is outside the oracle's domain, but the tail at t = 40 fails to
-    # converge first, and grid order decides which error surfaces.
-    with pytest.raises(DomainError):
-        short_oracle.evaluate(math.nan)
+def test_domain_refusal_comes_before_an_earlier_convergence_error(short_oracle):
+    # The tail at t = 40 fails to converge, but nan is outside the oracle's
+    # domain, and the grid is refused before any point is evaluated.
     with pytest.raises(ConvergenceError, match="at t = 40.0"):
+        evaluate_grid(short_oracle, [40.0, 45.0])
+    with pytest.raises(DomainError) as scalar_error:
+        short_oracle.evaluate(math.nan)
+    with pytest.raises(DomainError) as grid_error:
         evaluate_grid(short_oracle, [40.0, 45.0, math.nan])
+    assert str(grid_error.value) == str(scalar_error.value)
 
 
 def reference_key(evaluator, t):
@@ -300,13 +303,14 @@ def test_keys_beyond_the_section_limit_raise_the_engine_error():
     assert str(grid_error.value) == str(scalar_error.value)
 
 
-def test_earlier_convergence_error_wins_over_later_resource_limit(short_oracle):
-    # At t = 6e5 the oracle's M = 1.2e6 exceeds MAX_SECTION_TERMS; grid order
-    # still decides, so the unconverged tail at t = 40 surfaces first.
-    with pytest.raises(ResourceLimitError):
+def test_resource_refusal_comes_before_an_earlier_convergence_error(short_oracle):
+    # At t = 6e5 the oracle's M = 1.2e6 exceeds MAX_SECTION_TERMS; the grid
+    # is refused before the unconverged tail at t = 40 is evaluated.
+    with pytest.raises(ResourceLimitError) as scalar_error:
         short_oracle.evaluate(6e5)
-    with pytest.raises(ConvergenceError, match="at t = 40.0"):
+    with pytest.raises(ResourceLimitError) as grid_error:
         evaluate_grid(short_oracle, [40.0, 45.0, 6e5])
+    assert str(grid_error.value) == str(scalar_error.value)
 
 
 def test_empty_grid():

@@ -446,9 +446,8 @@ class TestOracleScreen:
         assert np.array_equal(signs, evaluate_grid(SchemeEvaluator(EM), ts)[0])
 
     def test_refused_points_raise_under_sign_only(self):
-        # The screen decides only the accepted prefix of a chunk: the oracle's
-        # refusal of M > MAX_SECTION_TERMS at t = 6e5 still surfaces, with the
-        # exact path's error, after the points before it.
+        # The oracle's refusal of M > MAX_SECTION_TERMS at t = 6e5 surfaces
+        # with the exact path's error, before the screen decides any point.
         evaluator = SchemeEvaluator(EM)
         ts = [2000.0, 2000.5, 6e5]
         with pytest.raises(ResourceLimitError) as exact_error:
@@ -456,4 +455,4 @@ class TestOracleScreen:
         with pytest.raises(ResourceLimitError) as sign_error:
             evaluate_grid(evaluator, ts, sign_only=True)
         assert str(sign_error.value) == str(exact_error.value)
-        assert evaluator.screened == 2
+        assert evaluator.screened == 0
