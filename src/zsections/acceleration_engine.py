@@ -32,8 +32,8 @@ Numerical discipline:
     the regularized incomplete beta function beyond; never from naive
     alternating accumulation of huge binomials.
   * The vertical form reuses the same cosine kernel as every other section
-    sum and accumulates with math.fsum (or, for a caller that reads only
-    signs, with sections_engine.sum_rows' certified sign_only sum).
+    sum and accumulates with math.fsum (or, beyond a caller's exact_below
+    threshold, with sections_engine.sum_rows' certified float sum).
 """
 
 from __future__ import annotations
@@ -208,10 +208,10 @@ def accelerated_vertical(t: float, order: int) -> float:
 
 
 def accelerated_vertical_rows(ts: np.ndarray, thetas: np.ndarray, order: int,
-                              sign_only: bool = False) -> np.ndarray:
-    """accelerated_vertical(t_i, order) for every point: bit for bit, or in sign with sign_only."""
+                              exact_below=math.inf):
+    """accelerated_vertical(t_i, order) for every point: (values, exact), as section_rows."""
     order = _validate_order(order, minimum=1)
-    return section_rows(ts, thetas, order + 1, _vertical_weights(order), sign_only)
+    return section_rows(ts, thetas, order + 1, _vertical_weights(order), exact_below)
 
 
 def step_coefficients(order: int) -> CoefficientVector:

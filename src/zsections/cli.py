@@ -17,8 +17,8 @@ file whose scheme would sum more than MAX_SECTION_TERMS terms by
 SchemeSpec, everything else (non-finite numbers, an --out whose directory
 does not exist) by RunConfig.validate, with the checks every command
 shares, then the subcommand's own check.  A height outside a scheme's
-domain, such as the oracle's past t = 5e5, is refused by evaluate_grid
-before any point of that scheme's grid is evaluated.  Each subcommand is
+domain, such as the oracle's past t = 5e5, is refused before any scheme's
+grid is evaluated: every scheme keys the grid first.  Each subcommand is
 declared once, as its check and its runner in _COMMANDS.  coeffs evaluates
 no scheme, so its subparser has no --scheme, and its --n is the
 coefficient order; --k-max, the last row of that order's table, is refused
@@ -205,6 +205,8 @@ def _check_coeffs(config: RunConfig) -> None:
     if config.k_max is not None and not 1 <= config.k_max <= MAX_ACCELERATION_ORDER:
         raise ConfigError(
             f"--k-max must lie in [1, {MAX_ACCELERATION_ORDER}], got {config.k_max}")
+    if config.sweep is not None and not config.sweep:
+        raise ConfigError("--sweep needs at least one order")
     if config.sweep is not None and any(m < 1 for m in config.sweep):
         raise ConfigError("--sweep orders must all be >= 1")
 
@@ -354,13 +356,15 @@ def _ln_abs(value: float) -> float:
 
 
 def _evaluate_schemes(specs, ts) -> tuple:
-    """Each scheme on the grid ts, in order: ({label: values}, hazard count)."""
-    columns = {}
-    hazards = 0
-    for spec in specs:
-        columns[spec.label], h = evaluate_grid(SchemeEvaluator(spec), ts)
-        hazards += h
-    return columns, hazards
+    """Each scheme on the grid ts, in order: ({label: values}, hazard count).
+
+    Every scheme keys the grid, and may refuse it, before any evaluates it."""
+    grid = np.asarray(ts, dtype=np.float64)
+    evaluators = [SchemeEvaluator(spec) for spec in specs]
+    for evaluator in evaluators:
+        evaluator.grid_keys(grid)
+    runs = [evaluate_grid(evaluator, grid) for evaluator in evaluators]
+    return {spec.label: run[0] for spec, run in zip(specs, runs)}, sum(run[1] for run in runs)
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,7 @@ def riemann_siegel_rows(ts: np.ndarray, thetas: np.ndarray, cutoff: int):
 
     Returns (values, hazard count), bit-identical to the scalar path.
     """
-    main = section_rows(ts, thetas, cutoff)
+    main, _ = section_rows(ts, thetas, cutoff)
     out = np.empty(len(ts), dtype=np.float64)
     hazards = 0
     for i, t in enumerate(ts.tolist()):
@@ -392,3 +392,29 @@ def euler_maclaurin_error(ts: np.ndarray, ms: np.ndarray, z_max: np.ndarray) -> 
                  + math.sqrt(2.0) * (ms + 6.0) * 2.0 * root_m)
     rounding = tail * _U * (3.1 * ts * ln_m + 150.0)
     return 1.001 * (sums + rounding + cut) + 30.0 * _U * (z_max + tail)
+
+
+def em_tail_rows(ts: np.ndarray, thetas: np.ndarray, ns: np.ndarray, z_max: np.ndarray):
+    """Re(e^(i theta_i) T), T the tail _em_value adds at M = n_i, and a bound: (tail, err).
+
+    section(t_i, n_i) = Z(t_i) - tail_i up to the Euler-Maclaurin remainder
+    (Titchmarsh, Theorem 4.11, made explicit), and err_i bounds the gap
+    wherever |Z(t_i)| <= z_max_i: euler_maclaurin_error at M = n_i bounds the
+    remainder and the tail's rounding; by the model of riemann_siegel4_rows
+    the section is off by at most 2 sqrt(n) u (5 (|theta| + t ln n) + 6), and
+    the rotation, with theta off by up to 4 u |theta|, by 8 u (|theta| + 1) |T|.
+    """
+    s = 0.5 + 1j * ts
+    n_pow = np.exp(-s * np.log(ns))  # n^(-s)
+    tail = n_pow * (ns / (s - 1.0) - 0.5)
+    rising, power, factorial = s, n_pow / ns, 2.0
+    for j, b2j in enumerate(_BERNOULLI_2J, start=1):
+        tail += (b2j / factorial) * rising * power
+        rising = rising * (s + (2 * j - 1)) * (s + 2 * j)
+        factorial *= (2 * j + 1) * (2 * j + 2)
+        power = power / (ns * ns)
+    em_err = euler_maclaurin_error(ts, ns, z_max)
+    size = np.abs(thetas)
+    err = em_err + _U * (2.0 * np.sqrt(ns) * (5.0 * (size + ts * np.log(ns)) + 6.0)
+                         + 8.0 * (size + 1.0) * (np.abs(tail) + em_err))
+    return np.cos(thetas) * tail.real - np.sin(thetas) * tail.imag, err

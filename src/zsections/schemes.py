@@ -11,8 +11,8 @@ the plots hold N constant across a t window.
 SchemeEvaluator turns a spec into a callable object.  Evaluation is pure
 (no shared mutable state); per-point numerical-hazard flags are returned
 alongside values rather than counted in hidden state.  The one counter an
-evaluator keeps, screened, tallies the points its oracle screen decided,
-for the statistics of the scan that owns it.
+evaluator keeps, screened, tallies the points its screen answered, for the
+statistics of the scan that owns it.
 
 There is one evaluation path.  Each point has a run key (the cutoff, the
 oracle's partial-sum length M, or the custom vector's length).
@@ -25,22 +25,23 @@ fixed-size chunks of points and computes theta once per chunk with
 theta_grid.
 Points that share a key are evaluated together by the engines'
 *_rows functions in SchemeEvaluator._evaluate_run, the only place that
-picks an engine by kind.  The zero scanner's grids, bisection rounds and
-residuals all go through evaluate_grid, and SchemeEvaluator.evaluate is
+picks an exact engine by kind.  The zero scanner's grids, bisection rounds
+and residuals all go through evaluate_grid, and SchemeEvaluator.evaluate is
 the one-point chunk, the API for one height.  The rows functions share
 their kernel, reductions and per-point tails with the public scalar
-engines, so every value equals the scalar engine's bit for bit.
+engines, so every exact value equals the scalar engine's bit for bit.
 
-The one exception is asked for by name: evaluate_grid(..., sign_only=True),
-which the zero scanner's bisection uses because it reads only signs.  The
-section kinds (AFE, SPIRA, ACCELERATED_COEFF, CUSTOM) then keep a row's
-plain float sum wherever an error bound certifies its sign, and fall back
-to fsum elsewhere (sections_engine.sum_rows).  The EM oracle screens each
-chunk first: at t >= RS4_T_MIN a point takes the fourth-order
-Riemann-Siegel value where |RS4| exceeds RS4's error bound plus that of the
-oracle's computed value, and only the other points run the oracle
-(SchemeEvaluator._screen).  Either way every value has the sign of the
-exact one.  REFERENCE_RS and ACCELERATED_TRIANGLE ignore the flag.
+A caller that needs a value only within x of zero, and elsewhere only its
+sign, asks evaluate_grid(..., exact_below=x), which also returns a mask of
+the exact points; every other point carries a cheap value c, kept only
+where its error bound b certifies |c| > x + b, so the exact value has c's
+sign and lies beyond x too.  SchemeEvaluator._screen picks the cheap
+engines, at t >= RS4_T_MIN only: the fourth-order Riemann-Siegel value RS4
+for the oracle, and RS4 minus the rotated Euler-Maclaurin tail
+(reference_engine.em_tail_rows) for Spira's section.  The other section
+kinds, and the points the screen leaves open, keep a row's float sum where
+sum_rows certifies it beyond x (AFE, twice a section, beyond x/2).
+REFERENCE_RS and ACCELERATED_TRIANGLE are always exact.
 
 The oracle has one configuration, that of the paper's experiments, and
 reference_engine alone states it: M = euler_maclaurin_terms(t) terms and
@@ -64,6 +65,7 @@ from .acceleration_engine import accelerated_triangle_rows, accelerated_vertical
 from .errors import DomainError, ResourceLimitError
 from .reference_engine import (
     RS4_T_MIN,
+    em_tail_rows,
     euler_maclaurin_error,
     euler_maclaurin_rows,
     euler_maclaurin_terms,
@@ -166,7 +168,7 @@ class SchemeEvaluator:
         self.spec = spec
         self._fixed = len(spec.alpha) if spec.alpha is not None else spec.n
         self._alpha = spec.alpha.as_array() if spec.alpha is not None else None
-        # The points the oracle's sign screen decided, for the caller's statistics.
+        # The points the screen answered (_screen), for the caller's statistics.
         self.screened = 0
 
     def _key(self, t: float) -> int:
@@ -210,104 +212,110 @@ class SchemeEvaluator:
             keys = half_cutoff(safe)
         return keys, ok & (keys >= 1.0)
 
+    def grid_keys(self, ts: np.ndarray) -> np.ndarray:
+        """Run keys of a float64 array, or the error _key raises at its first refused point."""
+        keys, ok = self._keys(ts)
+        if not ok.all():
+            self._key(float(ts[np.argmin(ok)]))  # raises: _keys refused this point
+        return keys
+
     def evaluate(self, t: float) -> EvalPoint:
         """The scheme at one point: the one-point grid of evaluate_grid."""
-        values, hazards = evaluate_grid(self, [float(t)])
+        values, hazards, _ = evaluate_grid(self, [float(t)])
         return EvalPoint(float(values[0]), hazards > 0)
 
     def value(self, t: float) -> float:
         return self.evaluate(t).value
 
-    def _evaluate_run(self, ts: np.ndarray, thetas: np.ndarray, key: int,
-                      sign_only: bool = False):
-        """Values and hazard count of points that share one run key.
-
-        With sign_only, the section kinds return values that only carry the
-        sign of the exact ones (sections_engine.sum_rows); the reference
-        engines and the triangle sum ignore it and return exact values (the
-        oracle's screen runs before, in _evaluate_chunk).
-        """
+    def _evaluate_run(self, ts: np.ndarray, thetas: np.ndarray, key: int, exact_below: float):
+        """Values, exact mask (True for an exact engine) and hazard count of points
+        that share one run key; AFE, twice a section, certifies at exact_below / 2."""
         kind = self.spec.kind
         if kind is SchemeKind.REFERENCE_RS:
-            return riemann_siegel_rows(ts, thetas, key)
+            values, hazards = riemann_siegel_rows(ts, thetas, key)
+            return values, True, hazards
         if kind is SchemeKind.ORACLE_EM:
-            return euler_maclaurin_rows(ts, thetas, key), 0
-        if kind is SchemeKind.AFE:
-            return 2.0 * section_rows(ts, thetas, key, sign_only=sign_only), 0
-        if kind is SchemeKind.SPIRA:
-            return section_rows(ts, thetas, key, sign_only=sign_only), 0
+            return euler_maclaurin_rows(ts, thetas, key), True, 0
         if kind is SchemeKind.ACCELERATED_TRIANGLE:
-            return accelerated_triangle_rows(ts, thetas, key), 0
+            return accelerated_triangle_rows(ts, thetas, key), True, 0
+        if kind is SchemeKind.AFE:
+            values, exact = section_rows(ts, thetas, key, exact_below=0.5 * exact_below)
+            return 2.0 * values, exact, 0
         if kind is SchemeKind.ACCELERATED_COEFF:
-            return accelerated_vertical_rows(ts, thetas, key, sign_only), 0
-        return section_rows(ts, thetas, key, self._alpha, sign_only), 0
+            return (*accelerated_vertical_rows(ts, thetas, key, exact_below), 0)
+        return (*section_rows(ts, thetas, key, self._alpha, exact_below), 0)
 
     def _screen(self, ts: np.ndarray, thetas: np.ndarray, keys: np.ndarray,
-                out: np.ndarray) -> np.ndarray:
-        """Write the oracle's sign where RS4 certifies it; returns the points still open.
+                exact_below: float, out: np.ndarray, exact: np.ndarray) -> int:
+        """Write cheap values certified beyond exact_below, clear exact there, return their count.
 
-        At t >= RS4_T_MIN a point is decided where |RS4| exceeds RS4's own
-        error bound plus that of the oracle's computed value at M = keys:
-        RS4, Z and the oracle then share one sign, and out takes RS4.
+        At t >= RS4_T_MIN the oracle's is RS4, within RS4's bound plus
+        euler_maclaurin_error at M = keys; Spira's section at n = keys is RS4
+        minus em_tail_rows' tail, within both bounds, where the tail converges
+        fast: (|s| + 2J)/(2 pi n) <= 1/2 at the oracle's J = 6.
         """
-        high = np.flatnonzero(ts >= RS4_T_MIN)
-        if high.size == 0:
-            return np.arange(len(ts))
-        z, err = riemann_siegel4_rows(ts[high], thetas[high])
-        tau = err + euler_maclaurin_error(ts[high], keys[high], np.abs(z) + err)
-        sure = np.abs(z) > tau
-        out[high[sure]] = z[sure]
-        self.screened += int(np.count_nonzero(sure))
-        open_ = np.ones(len(ts), dtype=bool)
-        open_[high[sure]] = False
-        return np.flatnonzero(open_)
+        at = np.flatnonzero(ts >= RS4_T_MIN)
+        if self.spec.kind is SchemeKind.SPIRA:
+            at = at[np.hypot(0.5, ts[at]) + 12.0 <= math.pi * keys[at]]
+        if at.size == 0:
+            return 0
+        z, err = riemann_siegel4_rows(ts[at], thetas[at])
+        if self.spec.kind is SchemeKind.ORACLE_EM:
+            err = err + euler_maclaurin_error(ts[at], keys[at], np.abs(z) + err)
+        else:
+            tail, tail_err = em_tail_rows(ts[at], thetas[at], keys[at], np.abs(z) + err)
+            z, err = z - tail, err + tail_err
+        certified = np.abs(z) > exact_below + err
+        sure = at[certified]
+        out[sure] = z[certified]
+        exact[sure] = False
+        self.screened += sure.size
+        return sure.size
 
     def _evaluate_chunk(self, ts: np.ndarray, keys: np.ndarray, out: np.ndarray,
-                        sign_only: bool = False) -> int:
-        """Fill out with the values at ts, whose run keys are accepted; returns the hazard count.
+                        exact: np.ndarray, exact_below: float) -> int:
+        """Fill out and exact at ts, whose run keys are accepted; returns the hazard count.
 
-        Runs of equal key are evaluated in grid order, so an error raised by
-        an engine (an unconverged oracle tail, a cutoff the engine refuses)
-        is that of the earliest point.  Under sign_only the oracle's screen
-        first decides what it can of the chunk, at once, since bisection
-        midpoints seldom share M; the points it leaves open go on in order.
-        """
+        After the screen, points go on in runs of equal key, in grid order, so
+        an error raised by an engine is that of the earliest point."""
         thetas = theta_grid(ts)
-        at = slice(None)
-        if sign_only and self.spec.kind is SchemeKind.ORACLE_EM:
-            at = self._screen(ts, thetas, keys, out)
-        ts_at, thetas_at, keys_at = ts[at], thetas[at], keys[at]
-        vals = np.empty(len(ts_at), dtype=np.float64)
+        exact[:] = True
+        answered = 0
+        if exact_below < math.inf and self.spec.kind in (SchemeKind.ORACLE_EM, SchemeKind.SPIRA):
+            answered = self._screen(ts, thetas, keys, exact_below, out, exact)
         hazards = 0
-        for run in _key_runs(keys_at):
-            vals[run], h = self._evaluate_run(ts_at[run], thetas_at[run],
-                                              int(keys_at[run.start]), sign_only)
+        for run in _key_runs(keys):
+            if answered:  # the points of the run the screen left open
+                run = run.start + exact[run].nonzero()[0]
+                if run.size == 0:
+                    continue
+            out[run], exact[run], h = self._evaluate_run(ts[run], thetas[run], int(keys[run][0]),
+                                                         exact_below)
             hazards += h
-        out[at] = vals
         return hazards
 
 
-def evaluate_grid(evaluator: SchemeEvaluator, ts, *, sign_only: bool = False):
-    """Evaluate a scheme over a grid of points: (values array, hazard count).
+def evaluate_grid(evaluator: SchemeEvaluator, ts, *, exact_below: float = math.inf):
+    """Evaluate a scheme over a grid of points: (values, hazard count, exact).
 
-    The whole grid is keyed first (SchemeEvaluator._keys), and a grid with a
-    point outside the scheme's domain is refused before any point is
-    evaluated, with the error _key raises at the first such point.  Points
-    are then processed in chunks of GRID_CHUNK, each as arrays (see
-    SchemeEvaluator._evaluate_chunk); values are bit-for-bit those of
-    evaluator.evaluate at each point.  With sign_only, each value is only
-    guaranteed to have the sign of that one (and to be 0 where it is 0).
+    The whole grid is keyed first (SchemeEvaluator.grid_keys), and a grid
+    with a point outside the scheme's domain is refused before any point is
+    evaluated.  Points are then processed in chunks of GRID_CHUNK, each as
+    arrays (see SchemeEvaluator._evaluate_chunk).  exact marks the values
+    bit for bit those of evaluator.evaluate, all of them at the default
+    exact_below = inf; any other value has the exact value's sign, and both
+    exceed exact_below in magnitude.
     """
     ts = np.asarray(ts, dtype=np.float64)
-    keys, ok = evaluator._keys(ts)
-    if not ok.all():
-        evaluator._key(float(ts[np.argmin(ok)]))  # raises: _keys refused this point
+    keys = evaluator.grid_keys(ts)
     values = np.empty(len(ts), dtype=np.float64)
+    exact = np.empty(len(ts), dtype=bool)
     hazards = 0
     for start in range(0, len(ts), GRID_CHUNK):
         at = slice(start, start + GRID_CHUNK)
-        hazards += evaluator._evaluate_chunk(ts[at], keys[at], values[at], sign_only)
-    return values, hazards
+        hazards += evaluator._evaluate_chunk(ts[at], keys[at], values[at], exact[at],
+                                             exact_below)
+    return values, hazards, exact
 
 
 _SCHEME_NAMES = {

@@ -23,13 +23,12 @@ identity tests.
 The kernel is computed as a matrix with one row per evaluation point
 (cosine_rows); the scalar cosine_terms is its one-row case, and section_rows
 reduces each row of a batch with sum_rows, the same fsum, so a batched grid
-gives the scalar values bit for bit.  A caller that reads only signs (the
-zero scanner's bisection) may ask sum_rows for sign_only rows: a row whose
-plain float sum is certified by the classical error bound keeps that sum,
-whose sign is the exact sum's and hence fsum's, and every other row still
-takes fsum.  Likewise each cutoff rule is written once, as a numpy
-expression that takes a float or an array: afe and spira apply it to one
-height, and the scheme layer to a whole chunk of heights.
+gives the scalar values bit for bit.  A caller that needs a value only
+within x of zero, and elsewhere only its sign, passes exact_below = x: a
+row whose float sum the classical error bound certifies beyond x keeps that
+sum, and every other row takes fsum.  Likewise each cutoff rule is written
+once, as a numpy expression that takes a float or an array: afe and spira
+apply it to one height, and the scheme layer to a whole chunk of heights.
 """
 
 from __future__ import annotations
@@ -49,10 +48,10 @@ MAX_SECTION_TERMS = 10**6
 # Element cap of one block of the batched kernel matrix (rows x terms, 512 kB).
 ROW_BLOCK_ELEMENTS = 1 << 16
 
-# sum_rows certifies signs only in matrices of at least this many elements;
+# sum_rows certifies float sums only in matrices of at least this many elements;
 # below about 300 the fixed cost of the certificate exceeds that of fsum
 # (measured on a 2-core Intel Xeon VM, numpy 2.4).
-SIGN_ONLY_MIN_ELEMENTS = 256
+FLOAT_SUM_MIN_ELEMENTS = 256
 
 
 def _check_terms(n: int) -> int:
@@ -81,47 +80,49 @@ def row_blocks(rows: int, width: int):
         yield slice(start, min(start + step, rows))
 
 
-def sum_rows(mat: np.ndarray, sign_only: bool = False) -> np.ndarray:
-    """math.fsum of every row of a matrix; with sign_only, a value of the same sign.
+def sum_rows(mat: np.ndarray, exact_below=math.inf):
+    """math.fsum of every row, or a float sum certified beyond exact_below: (values, exact).
 
-    In sign_only mode each row is first added in float arithmetic.  In any
-    order, that sum s differs from the exact one by at most
-    gamma_{n-1} sum|x_i| (Higham, Accuracy and Stability of Numerical
-    Algorithms, sec. 4.2), so where |s| exceeds twice n 2^-53 times the
-    float sum of |x_i| (the factor two absorbs the rounding of that sum and
-    of the product), s has the exact sum's sign, which is that of the
-    correctly rounded fsum; the row returns s.  Every other row, an exact
-    zero and a nan or inf included, returns fsum, and so does every row of
-    a matrix smaller than SIGN_ONLY_MIN_ELEMENTS.
+    exact_below is a threshold x >= 0, and exact marks the rows that took
+    fsum.  In any order, a row's float sum s differs from the exact one by
+    at most gamma_{n-1} sum|x_i| (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 4.2), so where |s| exceeds x plus twice n 2^-53 times
+    the float sum of |x_i| (the factor two absorbs the rounding of that sum
+    and of the product), the exact sum, and so fsum, has the sign of s and a
+    magnitude above x; the row returns s.  Every other row, an exact zero
+    and a nan or inf included, returns fsum, and so does every row of a
+    matrix smaller than FLOAT_SUM_MIN_ELEMENTS or at x = inf (the default).
     """
-    if not sign_only or mat.size < SIGN_ONLY_MIN_ELEMENTS:
-        return np.array([math.fsum(row.tolist()) for row in mat], dtype=np.float64)
+    if mat.size < FLOAT_SUM_MIN_ELEMENTS or exact_below == math.inf:
+        return (np.array([math.fsum(row.tolist()) for row in mat], dtype=np.float64),
+                np.ones(len(mat), dtype=bool))
     with np.errstate(over="ignore", invalid="ignore"):  # such rows take fsum below
         fast = mat.sum(axis=1)
         bound = np.abs(mat).sum(axis=1)
     bound *= 2.0 * mat.shape[1] * 2.0**-53
-    slow = np.flatnonzero(~(np.abs(fast) > bound))
-    if slow.size:
-        fast[slow] = [math.fsum(row) for row in mat[slow].tolist()]
-    return fast
+    exact = ~(np.abs(fast) > exact_below + bound)
+    if exact.any():
+        fast[exact] = [math.fsum(row) for row in mat[exact].tolist()]
+    return fast, exact
 
 
 def section_rows(ts: np.ndarray, thetas: np.ndarray, n: int, weights=None,
-                 sign_only: bool = False) -> np.ndarray:
-    """section(t_i, n) for every point, or z_custom(t_i, weights) with a weight vector.
+                 exact_below=math.inf):
+    """section(t_i, n) for every point, or z_custom(t_i, weights): (values, exact).
 
-    Bit-identical to the scalar functions: the same kernel entries, weighted
-    by the same products, each row added with math.fsum.  With sign_only,
-    each value only has the sign of that one (see sum_rows).
+    Bit-identical to the scalar functions where exact: the same kernel
+    entries, weighted by the same products, each row added with math.fsum;
+    see sum_rows for exact_below.
     """
     n = _check_terms(n)
     out = np.empty(len(ts), dtype=np.float64)
+    exact = np.empty(len(ts), dtype=bool)
     for block in row_blocks(len(ts), n):
         mat = cosine_rows(ts[block], thetas[block], n)
         if weights is not None:
             mat *= weights
-        out[block] = sum_rows(mat, sign_only)
-    return out
+        out[block], exact[block] = sum_rows(mat, exact_below)
+    return out, exact
 
 
 def cosine_terms(t: float, n: int) -> np.ndarray:

@@ -29,26 +29,29 @@ Every value comes from the batched evaluate_grid: the grid, the finer grids
 of dip re-scans, and the refinement.  The brackets of one scan, the grid's
 and then each re-scan's, are bisected in lockstep, one evaluate_grid call
 per round over the midpoints of the brackets still open, and the residuals
-at the refined locations take one more call.  The grid, the re-scans and
-the residuals get each point's value bit for bit.  Bisection reads only
-signs, so it asks evaluate_grid for sign_only values, which carry the sign
-of the exact value at every point; every bracket therefore still follows
-the path it would follow alone on exact values.  For the EM oracle, which
-runs at its one configuration (see schemes), those signs come mostly from
-the fourth-order Riemann-Siegel screen, which decides above 95% of the
-midpoints of a scan at t in [2000, 5000]; each ScanResult counts its points
-by stage (ScanStats).
+at the refined locations take one more call, for exact values.  A grid
+value reaches a record only through its sign, its size inside the dip band
+|v| < DIP_THRESHOLD and the scale read beside a sign change or an exact
+zero, so grids and re-scans ask evaluate_grid for values exact below
+DIP_THRESHOLD (see schemes), then for those the scale reads (_grid_values).
+A certified cheap value has the exact value's sign and lies above the band,
+so every sign change, exact zero and dip is found as on exact values.
+Bisection asks for exact_below = 0, so every bracket follows its path on
+exact values.  Each ScanResult counts its points by stage and times each
+stage (ScanStats).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
+from .reference_engine import RS4_T_MIN
 from .schemes import SchemeEvaluator, SchemeKind, SchemeSpec, evaluate_grid
 
 BRACKET_WIDTH = 1e-9
@@ -91,18 +94,22 @@ class DipEvent:
 
 @dataclass(frozen=True)
 class ScanStats:
-    """Points a scan evaluated, by stage.
+    """Points a scan evaluated by stage, and each stage's wall seconds (not compared).
 
-    Bisection midpoints are split into those whose sign the oracle's RS4
-    screen decided (bisect_screened, 0 for every other scheme) and those
-    evaluated by the scheme itself (bisect_exact).
-    """
+    grid_screened counts grid and re-scan points that kept a certified cheap
+    value; bisect_screened the midpoints whose sign the screen of the oracle
+    or of Spira's section answered, bisect_exact the rest."""
 
     grid: int
     dip_rescan: int
+    grid_screened: int
     bisect_screened: int
     bisect_exact: int
     residual: int
+    grid_s: float = field(default=0.0, compare=False)
+    dips_s: float = field(default=0.0, compare=False)
+    bisect_s: float = field(default=0.0, compare=False)
+    residual_s: float = field(default=0.0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -195,6 +202,26 @@ def _dips(vals: np.ndarray) -> np.ndarray:
         & (signs[:-2] * signs[1:-1] > 0.0) & (signs[1:-1] * signs[2:] > 0.0))
 
 
+def _grid_values(evaluator: SchemeEvaluator, ts: list):
+    """(values, hazards, cheap values kept) of an ascending scan grid, refused before
+    any is evaluated: exact in the dip band, at sign-change ends, beside exact
+    zeros, and below RS4_T_MIN, where grids keep the exact path."""
+    grid = np.asarray(ts, dtype=np.float64)
+    evaluator.grid_keys(grid)
+    low = int(np.searchsorted(grid, RS4_T_MIN))
+    parts = evaluate_grid(evaluator, grid[:low]), evaluate_grid(
+        evaluator, grid[low:], exact_below=DIP_THRESHOLD)
+    vals, exact = (np.concatenate([part[k] for part in parts]) for k in (0, 2))
+    hazards = parts[0][1] + parts[1][1]
+    changes, zeros = _crossings(vals)
+    near = np.clip(np.concatenate([changes, changes + 1, zeros - 1, zeros + 1]), 0, len(vals) - 1)
+    fill = sorted(set(near[~exact[near]].tolist()))
+    if fill:
+        vals[fill] = evaluate_grid(evaluator, grid[fill])[0]
+        exact[fill] = True
+    return vals, hazards, len(vals) - int(np.count_nonzero(exact))
+
+
 def _sampled_zeros(scheme: SchemeSpec, ts: list, vals: np.ndarray):
     """Brackets (lo, hi, f_lo, f_hi) of the sign changes, and records of the exact zeros.
 
@@ -214,7 +241,7 @@ def _bisect(evaluator: SchemeEvaluator, brackets: list):
     """Refine brackets (lo, hi, f_lo) in lockstep; returns the (lo, hi) pairs and the midpoints.
 
     Each round evaluates the midpoints of the brackets still wider than
-    BRACKET_WIDTH with one sign_only evaluate_grid call, for at most
+    BRACKET_WIDTH with one evaluate_grid call at exact_below = 0, for at most
     MAX_BISECT_ITERS rounds.  Every bracket takes the path it would take
     alone on exact values, since each midpoint's value has the exact
     value's sign.  The hazards of refinement points are not counted.
@@ -228,7 +255,7 @@ def _bisect(evaluator: SchemeEvaluator, brackets: list):
         if open_.size == 0:
             break
         mid = 0.5 * (lo[open_] + hi[open_])
-        vals, _ = evaluate_grid(evaluator, mid, sign_only=True)
+        vals = evaluate_grid(evaluator, mid, exact_below=0.0)[0]
         points += mid.size
         to_lo = (vals < 0.0) == lo_neg[open_]
         lo[open_[to_lo]] = mid[to_lo]
@@ -250,8 +277,10 @@ def scan_zeros(scheme: SchemeSpec, a: float, b: float, step: float) -> ScanResul
 
     evaluator = SchemeEvaluator(scheme)
     ts = grid_points(a, b, step)
-    vals, hazards = evaluate_grid(evaluator, ts)
+    clock = [time.perf_counter()]
+    vals, hazards, grid_screened = _grid_values(evaluator, ts)
     brackets, records = _sampled_zeros(scheme, ts, vals)
+    clock.append(time.perf_counter())
 
     # Dip diagnostic: near-touch local minima without a sign change trigger
     # a tenfold-finer local re-scan.
@@ -260,19 +289,24 @@ def scan_zeros(scheme: SchemeSpec, a: float, b: float, step: float) -> ScanResul
     for i in _dips(vals).tolist():
         fine = grid_points(ts[i - 1], ts[i + 1], step / 10.0)
         dip_points += len(fine)
-        fvals, _ = evaluate_grid(evaluator, fine)
+        fvals, _, screened = _grid_values(evaluator, fine)
+        grid_screened += screened
         fine_brackets, fine_zeros = _sampled_zeros(scheme, fine, fvals)
         brackets += fine_brackets
         records += fine_zeros
         dips.append(DipEvent(scheme=scheme, t=ts[i], value=float(vals[i]),
                              zeros_found=len(fine_brackets) + len(fine_zeros)))
+    clock.append(time.perf_counter())
 
     # Every bracket of the scan is refined together, and the residuals at
     # the refined locations take one more batched call; as before, only the
     # hazards of the grid are counted.
+    evaluator.screened = 0  # from here on, the screens of bisection
     refined, midpoints = _bisect(evaluator, [(lo, hi, f_lo) for lo, hi, f_lo, _ in brackets])
+    clock.append(time.perf_counter())
     locations = [0.5 * (lo + hi) for lo, hi in refined]
-    residuals, _ = evaluate_grid(evaluator, locations)
+    residuals = evaluate_grid(evaluator, locations)[0]
+    clock.append(time.perf_counter())
     # Both ends of every refined bracket are keyed at once; the oracle's M
     # is no cutoff, so its records never flag a jump.
     keys, _ = evaluator._keys(np.array(refined, dtype=np.float64).ravel())
@@ -289,20 +323,26 @@ def scan_zeros(scheme: SchemeSpec, a: float, b: float, step: float) -> ScanResul
         if deduped and abs(rec.location - deduped[-1].location) <= 1e-8:
             continue
         deduped.append(rec)
-    stats = ScanStats(grid=len(ts), dip_rescan=dip_points, bisect_screened=evaluator.screened,
-                      bisect_exact=midpoints - evaluator.screened, residual=len(locations))
+    grid_s, dips_s, bisect_s, residual_s = np.diff(clock).tolist()
+    stats = ScanStats(grid=len(ts), dip_rescan=dip_points, grid_screened=grid_screened,
+                      bisect_screened=evaluator.screened,
+                      bisect_exact=midpoints - evaluator.screened, residual=len(locations),
+                      grid_s=grid_s, dips_s=dips_s, bisect_s=bisect_s, residual_s=residual_s)
     return ScanResult(scheme=scheme, a=a, b=b, step=step, records=tuple(deduped),
                       dips=tuple(dips), hazard_count=hazards, stats=stats)
 
 
 def _greedy_match(ref_locs: tuple, locs: tuple, tol: float):
-    """Injective nearest-first matching within tol; deterministic tie-breaks."""
-    candidates = []
-    for i, r in enumerate(ref_locs):
-        for j, x in enumerate(locs):
-            d = abs(r - x)
-            if d <= tol:
-                candidates.append((d, r, x, i, j))
+    """Injective nearest-first matching within tol; deterministic tie-breaks.
+
+    Both lists are sorted, so bisection finds each reference zero's
+    candidates among the locations within 2 tol of it, whatever the rounding.
+    """
+    starts = np.searchsorted(locs, np.subtract(ref_locs, 2.0 * tol)).tolist()
+    stops = np.searchsorted(locs, np.add(ref_locs, 2.0 * tol), side="right").tolist()
+    candidates = [(abs(r - locs[j]), r, locs[j], i, j)
+                  for i, (r, start, stop) in enumerate(zip(ref_locs, starts, stops))
+                  for j in range(start, stop) if abs(r - locs[j]) <= tol]
     candidates.sort()
     used_ref, used_loc = set(), set()
     pairs = []

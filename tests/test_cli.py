@@ -199,6 +199,22 @@ def test_grid_past_the_oracle_limit_refused_before_any_evaluation(monkeypatch):
     assert evaluated == []
 
 
+def test_every_scheme_is_keyed_before_the_referee_runs(monkeypatch, capsys):
+    # AFE's cutoff resolves to 0 below 2 pi, so the run is refused before
+    # the EM referee, which accepts every height here, evaluates its grid.
+    evaluated = []
+
+    def spy(ts, thetas, m):
+        evaluated.extend(ts.tolist())
+        return euler_maclaurin_rows(ts, thetas, m)
+
+    monkeypatch.setattr(schemes, "euler_maclaurin_rows", spy)
+    assert main(["eval", "--range", "1:300:0.01", "--scheme", "afe"]) == 2
+    assert evaluated == []
+    assert capsys.readouterr().err == (
+        "zsections: error: cutoff resolves to 0 at t = 1.0; scheme undefined this low\n")
+
+
 def test_out_directory_must_exist(tmp_path):
     # Refused by validation, before any evaluation; a file is no directory.
     (tmp_path / "file").write_text("", encoding="utf-8")
@@ -465,6 +481,9 @@ def test_coeffs_validation():
     assert main(["coeffs"]) == 2  # neither --n nor --sweep
     assert main(["coeffs", "--n", "5", "--sweep", "10,20"]) == 2
     assert main(["coeffs", "--n", "0"]) == 2
+    assert main(["coeffs", "--sweep", ","]) == 2  # an empty order list, like --n 0
+    with pytest.raises(ConfigError, match="--sweep needs at least one order"):
+        parse_config(["coeffs", "--sweep", ","])
     assert main(["coeffs", "--n", "5", "--k-max", "0"]) == 2
     # Refused by validation, so the 10^9 rows are never built.
     assert main(["coeffs", "--n", "5", "--k-max", "1000000000"]) == 2
@@ -506,7 +525,8 @@ def test_json_sidecar_structure(tmp_path):
     assert isinstance(doc["provenance"], str) and doc["provenance"]
 
 
-STAT_KEYS = {"grid", "dip_rescan", "bisect_screened", "bisect_exact", "residual"}
+STAT_KEYS = {"grid", "dip_rescan", "grid_screened", "bisect_screened", "bisect_exact", "residual",
+             "grid_s", "dips_s", "bisect_s", "residual_s"}
 
 
 @pytest.mark.parametrize("argv, echo", [
@@ -550,8 +570,10 @@ def test_zeros_writes_stage_counts_beside_the_summary(tmp_path):
         assert set(stats) == STAT_KEYS
         assert stats["grid"] == 71
         assert stats["residual"] == doc["summary"]["schemes"][label]["zero_count"]
-    assert doc["stats"]["ORACLE_EM"]["bisect_screened"] > 0
-    assert doc["stats"]["SPIRA"]["bisect_screened"] == 0
+    for stats in doc["stats"].values():  # both screens answer above RS4_T_MIN
+        assert stats["bisect_screened"] > 0
+        assert 0 < stats["grid_screened"] < stats["grid"]
+        assert all(stats[key] >= 0.0 for key in ("grid_s", "dips_s", "bisect_s", "residual_s"))
 
 
 def test_conjecture_writes_stage_counts_of_both_scans(tmp_path):
@@ -561,6 +583,7 @@ def test_conjecture_writes_stage_counts_of_both_scans(tmp_path):
     for stats in doc["stats"].values():
         assert set(stats) == STAT_KEYS
         assert stats["bisect_screened"] == 0  # below RS4_T_MIN the oracle runs everywhere
+        assert stats["grid_screened"] == 0  # and grids keep exact values
 
 
 def test_csv_uses_lf_line_endings(tmp_path):

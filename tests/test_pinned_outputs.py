@@ -6,8 +6,8 @@ cli.main: three zero scans of the refine windows (EM, Spira and the
 accelerated section at step 0.1), every fixed command of the harness
 workload: the four figures, the error-decay fits, the coefficient l2 sweep
 and the (412, 419) scan of EM against Spira at n = 205, the sweep workload's
-conjecture sweep to t = 100, and one Riemann-Siegel-refereed eval near
-t = 1000.  The file is only read.
+conjecture sweep to t = 100, the full criterion-6 sweep to t = 1000, and one
+Riemann-Siegel-refereed eval near t = 1000.  The file is only read.
 """
 
 import hashlib
@@ -32,6 +32,7 @@ COMMANDS = [
     "coeffs --sweep 50,100,200,400,800 --threads 1",
     "zeros --range 412:419:0.01 --scheme em,spira --n 205 --threads 1",
     "conjecture --t-max 100 --step 0.005 --threads 1",
+    "conjecture --t-max 1000 --step 0.005 --threads 1",
     "eval --range 975:1025:0.01 --scheme afe,spira --ref rs --threads 1",
 ]
 

@@ -18,6 +18,7 @@ from zsections.reference_engine import (
     RS4_T_MIN,
     RS_ERR_CONST,
     _psi,
+    em_tail_rows,
     euler_maclaurin_error,
     euler_maclaurin_rows,
     euler_maclaurin_terms,
@@ -292,3 +293,42 @@ class TestRiemannSiegel4:
         bound = err + euler_maclaurin_error(ts, ms, np.abs(z) + err)
         finite = np.isfinite(err)
         assert np.all(np.abs(z - em)[finite] <= bound[finite])
+
+
+def mp_rotated_tail(t, n):
+    """Re(e^(i theta) T_n(t)) in mpmath: the Euler-Maclaurin tail at M = n, J = 6."""
+    s = mpmath.mpc(0.5, t)
+    tail = -mpmath.power(n, -s) / 2 + mpmath.power(n, 1 - s) / (s - 1)
+    for j in range(1, 7):
+        tail += (mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j) * mpmath.rf(s, 2 * j - 1)
+                 * mpmath.power(n, -s - 2 * j + 1))
+    return mpmath.re(mpmath.expj(mpmath.siegeltheta(t)) * tail)
+
+
+class TestEulerMaclaurinTail:
+    """Spira's section is Z minus the rotated Euler-Maclaurin tail at M = floor(t/2)."""
+
+    @pytest.fixture(scope="class")
+    def heights(self):
+        rng = np.random.default_rng(1161)
+        ts = np.sort(np.concatenate([rng.uniform(30.0, 5000.0, 30), [30.0, 200.0, 5000.0]]))
+        ns = np.floor(ts / 2.0)
+        with mpmath.workdps(30):
+            zs = [float(mpmath.siegelz(t)) for t in ts.tolist()]
+            tails = [float(mp_rotated_tail(t, int(n))) for t, n in zip(ts.tolist(), ns)]
+        return ts, ns, np.array(zs), np.array(tails)
+
+    def test_tail_against_mpmath(self, heights):
+        ts, ns, zs, mp_tails = heights
+        tail, err = em_tail_rows(ts, theta_grid(ts), ns, np.abs(zs))
+        assert np.all(np.abs(tail - mp_tails) <= 1e-12)
+        assert np.all(np.abs(tail - mp_tails) <= err)
+
+    def test_section_is_z_minus_the_tail(self, heights):
+        """|section - (Z - tail)| <= err, while the tail itself is far larger."""
+        ts, ns, zs, _ = heights
+        tail, err = em_tail_rows(ts, theta_grid(ts), ns, np.abs(zs))
+        sections = np.array([section(t, int(n)) for t, n in zip(ts.tolist(), ns)])
+        assert np.all(np.abs(sections - (zs - tail)) <= err)
+        assert np.all(err <= 2e-5) and np.all(err[ts >= RS4_T_MIN] <= 2e-6)
+        assert np.median(np.abs(sections - zs)) > 1e3 * np.median(err)

@@ -14,11 +14,30 @@ import numpy as np
 import pytest
 
 from zsections import schemes
-from zsections.acceleration_engine import accelerated_triangle, accelerated_vertical
+from zsections.acceleration_engine import (
+    accelerated_coefficients,
+    accelerated_triangle,
+    accelerated_vertical,
+    closing_coefficient,
+)
 from zsections.errors import ConvergenceError, DomainError, ResourceLimitError
-from zsections.reference_engine import euler_maclaurin_rows, z_euler_maclaurin, z_riemann_siegel
+from zsections.reference_engine import (
+    RS4_T_MIN,
+    em_tail_rows,
+    euler_maclaurin_error,
+    euler_maclaurin_rows,
+    riemann_siegel4_rows,
+    z_euler_maclaurin,
+    z_riemann_siegel,
+)
 from zsections.schemes import SchemeEvaluator, SchemeKind, SchemeSpec, evaluate_grid
-from zsections.sections_engine import MAX_SECTION_TERMS, CoefficientVector, section, z_custom
+from zsections.sections_engine import (
+    MAX_SECTION_TERMS,
+    CoefficientVector,
+    cosine_rows,
+    section,
+    z_custom,
+)
 from zsections.special_functions import TWO_PI, theta_grid
 from zsections.zero_scanner import grid_points
 
@@ -58,8 +77,8 @@ def scalar(spec, ts):
 
 def assert_bit_identical(spec, ts):
     want, want_hazards = scalar(spec, ts)
-    got, hazards = evaluate_grid(SchemeEvaluator(spec), ts)
-    assert got.dtype == np.float64 and got.shape == (len(ts),)
+    got, hazards, exact = evaluate_grid(SchemeEvaluator(spec), ts)
+    assert got.dtype == np.float64 and got.shape == (len(ts),) and exact.all()
     mismatches = [(t, g, w) for t, g, w in zip(ts, got.tolist(), want) if g != w]
     assert not mismatches, f"{spec.label}: {len(mismatches)} values differ, first {mismatches[0]}"
     assert hazards == want_hazards
@@ -314,8 +333,8 @@ def test_resource_refusal_comes_before_an_earlier_convergence_error(short_oracle
 
 
 def test_empty_grid():
-    values, hazards = evaluate_grid(SchemeEvaluator(SchemeSpec(kind=SchemeKind.SPIRA)), [])
-    assert values.shape == (0,) and hazards == 0
+    values, hazards, exact = evaluate_grid(SchemeEvaluator(SchemeSpec(kind=SchemeKind.SPIRA)), [])
+    assert values.shape == exact.shape == (0,) and hazards == 0
 
 
 def test_cutoff_named_values():
@@ -379,3 +398,73 @@ def test_scheme_spec_refusals():
         SchemeSpec(kind="nope")
     SchemeSpec(kind=SchemeKind.SPIRA, n=1)
     SchemeSpec(kind=SchemeKind.CUSTOM, alpha=CUSTOM_ALPHA)
+
+
+def cheap_and_bound(spec, ts):
+    """Each point's cheap value and the bound on its distance from the exact one, from the engines.
+
+    The oracle: RS4, within RS4's bound plus euler_maclaurin_error.  Spira's
+    section: RS4 minus the rotated tail, within RS4's bound plus
+    em_tail_rows'.  AFE and the accelerated section: the row's float sum,
+    within 2 n u times the sum of its magnitudes (sections_engine.sum_rows).
+    """
+    evaluator = SchemeEvaluator(spec)
+    thetas, keys = theta_grid(ts), evaluator.grid_keys(ts)
+    if spec.kind in (SchemeKind.ORACLE_EM, SchemeKind.SPIRA):
+        z, err = riemann_siegel4_rows(ts, thetas)
+        if spec.kind is SchemeKind.ORACLE_EM:
+            return z, err + euler_maclaurin_error(ts, keys, np.abs(z) + err)
+        tail, tail_err = em_tail_rows(ts, thetas, keys, np.abs(z) + err)
+        return z - tail, err + tail_err
+    cheap, bound = [], []
+    for t, theta_t, n in zip(ts, thetas, keys.astype(int).tolist()):
+        if spec.kind is SchemeKind.AFE:
+            row = 2.0 * cosine_rows(np.array([t]), np.array([theta_t]), n)[0]
+        else:
+            weights = np.append(accelerated_coefficients(n).alpha, closing_coefficient(n))
+            row = cosine_rows(np.array([t]), np.array([theta_t]), n + 1)[0] * weights
+        cheap.append(row.sum())
+        bound.append(2.0 * len(row) * 2.0**-53 * np.abs(row).sum())
+    return np.array(cheap), np.array(bound)
+
+
+CHEAP_SPECS = [
+    SchemeSpec(kind=SchemeKind.SPIRA),
+    SchemeSpec(kind=SchemeKind.SPIRA, n=205),
+    SchemeSpec(kind=SchemeKind.ACCELERATED_COEFF),
+    SchemeSpec(kind=SchemeKind.AFE),
+    SchemeSpec(kind=SchemeKind.ORACLE_EM),
+]
+
+
+class TestCertifiedValues:
+    """Cheap values lie within their bounds; evaluate_grid keeps them only beyond exact_below."""
+
+    @pytest.mark.parametrize("spec", CHEAP_SPECS, ids=lambda spec: spec.label)
+    def test_cheap_values_lie_within_their_bounds(self, spec):
+        rng = np.random.default_rng(205)
+        a, b = (412.0, 419.0) if spec.n else (RS4_T_MIN, 3000.0)
+        ts = np.sort(rng.uniform(a, b, 300))
+        exact = evaluate_grid(SchemeEvaluator(spec), ts)[0]
+        cheap, bound = cheap_and_bound(spec, ts)
+        finite = np.isfinite(bound)
+        assert finite.mean() > 0.95
+        assert np.all(np.abs(exact - cheap)[finite] <= bound[finite])
+
+    @pytest.mark.parametrize("spec", CHEAP_SPECS + [
+        SchemeSpec(kind=SchemeKind.CUSTOM, alpha=CUSTOM_ALPHA),
+        SchemeSpec(kind=SchemeKind.REFERENCE_RS),
+        SchemeSpec(kind=SchemeKind.ACCELERATED_TRIANGLE, n=12),
+    ], ids=lambda spec: spec.label)
+    @pytest.mark.parametrize("exact_below", [0.0, 0.1])
+    def test_values_beyond_the_threshold(self, spec, exact_below):
+        ts = np.concatenate([grid_points(190.0, 215.0, 0.02), grid_points(2000.0, 2010.0, 0.05)])
+        want = evaluate_grid(SchemeEvaluator(spec), ts)[0]
+        got, _, exact = evaluate_grid(SchemeEvaluator(spec), ts, exact_below=exact_below)
+        assert np.array_equal(got[exact], want[exact])
+        cheap = ~exact
+        assert np.array_equal(np.sign(got[cheap]), np.sign(want[cheap]))
+        assert np.all(np.abs(want[cheap]) > exact_below)
+        assert np.all(np.abs(got[cheap]) > exact_below)
+        always_exact = spec.kind in (SchemeKind.REFERENCE_RS, SchemeKind.ACCELERATED_TRIANGLE)
+        assert cheap[ts >= RS4_T_MIN].any() != always_exact

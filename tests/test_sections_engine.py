@@ -10,7 +10,7 @@ from zsections.errors import DomainError, ResourceLimitError
 from zsections.reference_engine import z_euler_maclaurin
 from zsections.schemes import SchemeEvaluator, SchemeKind, SchemeSpec, evaluate_grid
 from zsections.sections_engine import (
-    SIGN_ONLY_MIN_ELEMENTS,
+    FLOAT_SUM_MIN_ELEMENTS,
     CoefficientVector,
     afe,
     cosine_terms,
@@ -124,44 +124,59 @@ class TestZCustom:
             CoefficientVector(alpha=(1.0, float("inf")))
 
 
-class TestSignOnlyRows:
-    """sum_rows(..., sign_only=True) gives every row the sign of its fsum."""
+class TestCertifiedFloatSums:
+    """sum_rows(mat, x) keeps a row's float sum only where it is certified beyond x."""
 
     @staticmethod
     def tiled(*rows):
-        """The rows repeated into a matrix of at least SIGN_ONLY_MIN_ELEMENTS entries."""
+        """The rows repeated into a matrix of at least FLOAT_SUM_MIN_ELEMENTS entries."""
         mat = np.array(rows, dtype=np.float64)
-        return np.tile(mat, (-(-SIGN_ONLY_MIN_ELEMENTS // mat.size), 1))
+        return np.tile(mat, (-(-FLOAT_SUM_MIN_ELEMENTS // mat.size), 1))
 
-    def test_fast_sum_of_the_wrong_sign_falls_back_to_fsum(self):
+    @pytest.mark.parametrize("exact_below", [0.0, 0.5])
+    def test_fast_sum_of_the_wrong_sign_falls_back_to_fsum(self, exact_below):
         row = [1e16, -1.0, -1.0, -1e16, 1.0]
         mat = self.tiled([1.0, 2.0, 3.0, 4.0, 5.0], row, [-5.0, -4.0, -3.0, -2.0, -1.0])
         assert (np.sum(mat, axis=1)[1::3] == 1.0).all() and math.fsum(row) == -1.0
-        got = sum_rows(mat, sign_only=True)
+        got, exact = sum_rows(mat, exact_below)
         assert got.tolist() == [15.0, -1.0, -15.0] * (len(mat) // 3)
+        assert exact.tolist() == [False, True, False] * (len(mat) // 3)
 
     def test_exact_zero_row_is_not_negative(self):
         row = [-1e16, 1.0, 1.0, 1e16, -2.0]
         mat = self.tiled(row)
         assert (np.sum(mat, axis=1) < 0.0).all() and math.fsum(row) == 0.0
-        got = sum_rows(mat, sign_only=True)
-        assert not (got < 0.0).any() and (got == 0.0).all()
+        got, exact = sum_rows(mat, 0.0)
+        assert not (got < 0.0).any() and (got == 0.0).all() and exact.all()
+
+    def test_rows_within_the_threshold_take_fsum(self):
+        # A row keeps its float sum only where the sum lies beyond the
+        # threshold plus the rounding bound.
+        mat = self.tiled([0.05, 0.01, 0.02], [0.5, 0.1, 0.2], [-0.5, -0.1, -0.2])
+        for exact_below, kept in ((0.1, [True, False, False]), (0.9, [True, True, True])):
+            got, exact = sum_rows(mat, exact_below)
+            assert exact.tolist() == kept * (len(mat) // 3)
+            assert got[exact].tolist() == [math.fsum(row) for row in mat[exact].tolist()]
+            assert np.all(np.abs(got[~exact]) > exact_below)
+        assert sum_rows(mat)[1].all()  # the default threshold is inf: fsum everywhere
 
     def test_small_matrix_takes_fsum(self):
         row = [1e16, -1.0, -1.0, -1e16, 1.0]
-        assert sum_rows(np.array([row]), sign_only=True).tolist() == [-1.0]
+        got, exact = sum_rows(np.array([row]), 0.0)
+        assert got.tolist() == [-1.0] and exact.tolist() == [True]
 
     def test_non_finite_rows_take_fsum(self):
         for row in ([1.0, math.inf], [math.nan, 1.0]):
-            got = sum_rows(self.tiled(row), sign_only=True)
+            got, exact = sum_rows(self.tiled(row), 0.0)
             want = math.fsum(row)
             assert (got == want).all() or (np.isnan(got).all() and math.isnan(want))
+            assert exact.all()
         for row, error in (([math.inf, -math.inf], ValueError),
                            ([1e308, 1e308, -1e308], OverflowError)):
             with pytest.raises(error):
                 sum_rows(self.tiled(row))
             with pytest.raises(error):
-                sum_rows(self.tiled(row), sign_only=True)
+                sum_rows(self.tiled(row), 0.0)
 
     @pytest.mark.parametrize("spec", [
         SchemeSpec(kind=SchemeKind.SPIRA),
@@ -180,10 +195,11 @@ class TestSignOnlyRows:
             assert records, f"no zero of {spec.label} on [{t0}, {t0 + 2}]"
             for rec in records:
                 pts = np.concatenate([rec.bracket, rec.location + offsets])
-                exact, _ = evaluate_grid(evaluator, pts)
-                signed, _ = evaluate_grid(evaluator, pts, sign_only=True)
+                exact, _, _ = evaluate_grid(evaluator, pts)
+                signed, _, kept = evaluate_grid(evaluator, pts, exact_below=0.0)
                 assert (exact < 0.0).any() and (exact > 0.0).any(), (
                     f"points around {rec.location} do not straddle a zero")
                 assert ((signed < 0.0) == (exact < 0.0)).all(), f"sign off near {rec.location}"
+                assert (signed[kept] == exact[kept]).all()
                 differs += int(np.count_nonzero(signed != exact))
-        assert differs > 0, "sign_only values all equal fsum's: the fast sum was never used"
+        assert differs > 0, "cheap values all equal the exact ones: none was used"

@@ -19,6 +19,7 @@ from zsections.zero_scanner import (
     MAX_BISECT_ITERS,
     MAX_GRID_POINTS,
     _crossings,
+    _greedy_match,
     compare_zero_sets,
     conjecture_sweep,
     grid_points,
@@ -131,11 +132,13 @@ class TestScanZeros:
         assert max(result.locations) > 418.0
 
 
-def reference_records(spec, a, b, step):
-    """scan_zeros' records by the per-bracket loop: every value through evaluator.value.
+def reference_scan(spec, a, b, step):
+    """scan_zeros' records and dips by the per-bracket loop on the exact grid.
 
-    Sign changes are found by products of neighbouring samples, which is the
-    same rule as the scanner's on grids without exact zeros or underflow.
+    Every value goes through evaluator.value.  Sign changes are found by
+    products of neighbouring samples, which is the same rule as the
+    scanner's on grids without exact zeros or underflow.  Dips are
+    (t, value, zeros found) triples.
     """
     evaluator = SchemeEvaluator(spec)
 
@@ -162,17 +165,28 @@ def reference_records(spec, a, b, step):
 
     ts = grid_points(a, b, step)
     vals, records = brackets(ts)
+    dips = []
     for i in range(1, len(ts) - 1):
         av = abs(vals[i])
         if (av < DIP_THRESHOLD and av <= abs(vals[i - 1]) and av <= abs(vals[i + 1])
                 and vals[i - 1] * vals[i] > 0.0 and vals[i] * vals[i + 1] > 0.0):
-            records += brackets(grid_points(ts[i - 1], ts[i + 1], step / 10.0))[1]
+            found = brackets(grid_points(ts[i - 1], ts[i + 1], step / 10.0))[1]
+            records += found
+            dips.append((ts[i], vals[i], len(found)))
     records.sort(key=lambda r: r[0])
     deduped = []
     for rec in records:
         if not deduped or abs(rec[0] - deduped[-1][0]) > 1e-8:
             deduped.append(rec)
-    return deduped
+    return deduped, dips
+
+
+def reference_records(spec, a, b, step):
+    return reference_scan(spec, a, b, step)[0]
+
+
+def dip_fields(result):
+    return [(d.t, d.value, d.zeros_found) for d in result.dips]
 
 
 def record_fields(result):
@@ -195,28 +209,57 @@ class TestLockstepBisection:
         (RS, RS_HAZARD_T, RS_HAZARD_T + 4.0, 0.01),
         (SPIRA_205, 412.0, 419.0, 0.005),
         (SchemeSpec(kind=SchemeKind.SPIRA), 44.0, 52.0, 0.01),  # cutoff jump at t = 48
-        # refine-like: long sections whose bisection rounds take sign_only values
+        # refine-like: long sections whose grids and bisection rounds take cheap values
         (SchemeSpec(kind=SchemeKind.SPIRA), 2000.0, 2020.0, 0.1),
         (SchemeSpec(kind=SchemeKind.ACCELERATED_COEFF), 2000.0, 2020.0, 0.1),
         (CUSTOM_300, 2000.0, 2020.0, 0.1),
-        # the oracle's bisection signs come from the RS4 screen above t = 200
+        (AFE, 2000.0, 2020.0, 0.1),
+        # above t = 200 the grids and bisection rounds of the oracle and of
+        # Spira's section take the screen's values
         (EM, 2000.0, 2020.0, 0.1),
         (EM, 7000.0, 7010.0, 0.1),  # Lehmer's pair near 7005.08
+        (SchemeSpec(kind=SchemeKind.SPIRA), 7000.0, 7010.0, 0.1),
         (EM, 195.0, 215.0, 0.1),  # across RS4_T_MIN
+        (SchemeSpec(kind=SchemeKind.SPIRA), 195.0, 215.0, 0.1),
         (EM, 410.0, 420.0, 0.5),  # dips at 415.0
+        (SchemeSpec(kind=SchemeKind.SPIRA), 410.0, 420.0, 0.5),
         (EM, 1280.0, 1290.0, 0.5),  # a dip at 1283.0 with |Z| ~ 6e-4
+        (SchemeSpec(kind=SchemeKind.SPIRA), 1280.0, 1290.0, 0.5),
     ], ids=["spira", "acc", "em", "afe", "rs", "spira@205", "spira-jump",
-            "spira-2000", "acc-2000", "custom-2000",
-            "em-2000", "em-lehmer", "em-200", "em-dips-415", "em-dip-1283"])
+            "spira-2000", "acc-2000", "custom-2000", "afe-2000",
+            "em-2000", "em-lehmer", "spira-lehmer", "em-200", "spira-200",
+            "em-dips-415", "spira-dips-415", "em-dip-1283", "spira-dip-1283"])
     def test_records_equal_per_bracket_loop(self, spec, a, b, step):
         result = scan_zeros(spec, a, b, step)
         assert len(result) > 0
-        assert record_fields(result) == reference_records(spec, a, b, step)
+        records, dips = reference_scan(spec, a, b, step)
+        assert record_fields(result) == records
+        assert dip_fields(result) == dips
+
+    @pytest.mark.parametrize("spec, h", [
+        (EM, 0.49363899034266645),
+        (SchemeSpec(kind=SchemeKind.SPIRA), 0.49665947329764665),
+    ], ids=["em", "spira"])
+    def test_dip_beside_a_cheap_value_just_above_the_band(self, spec, h):
+        # The grid 2532 - h, 2532, 2532 + h has a dip at 2532 whose left
+        # neighbour lies within 1e-7 above DIP_THRESHOLD and keeps a cheap
+        # value: the dip is found as on exact values.
+        ts = grid_points(2532.0 - h, 2532.0 + h, h)
+        evaluator = SchemeEvaluator(spec)
+        cheap, _, exact = evaluate_grid(evaluator, ts, exact_below=DIP_THRESHOLD)
+        values = evaluate_grid(evaluator, ts)[0]
+        assert exact.tolist() == [False, True, False]
+        assert DIP_THRESHOLD < abs(values[0]) < DIP_THRESHOLD + 1e-7
+        assert DIP_THRESHOLD < abs(cheap[0]) and np.sign(cheap[0]) == np.sign(values[0])
+        result = scan_zeros(spec, 2532.0 - h, 2532.0 + h, h)
+        records, dips = reference_scan(spec, 2532.0 - h, 2532.0 + h, h)
+        assert [d.t for d in result.dips] == [2532.0]
+        assert dip_fields(result) == dips and record_fields(result) == records
 
     def test_rs_hazards_count_the_grid_only(self):
         result = scan_zeros(RS, RS_HAZARD_T, RS_HAZARD_T + 4.0, 0.01)
-        _, grid_hazards = evaluate_grid(SchemeEvaluator(RS),
-                                        grid_points(RS_HAZARD_T, RS_HAZARD_T + 4.0, 0.01))
+        _, grid_hazards, _ = evaluate_grid(SchemeEvaluator(RS),
+                                           grid_points(RS_HAZARD_T, RS_HAZARD_T + 4.0, 0.01))
         assert result.hazard_count == grid_hazards >= 1
 
     def test_brackets_of_different_widths(self, monkeypatch):
@@ -225,19 +268,22 @@ class TestLockstepBisection:
         # grid bracket near 7004.04 (width 0.2) refined beside them.
         calls = []
 
-        def counting(evaluator, ts, sign_only=False):
-            calls.append(len(ts))
-            return evaluate_grid(evaluator, ts, sign_only=sign_only)
+        def counting(evaluator, ts, exact_below=math.inf):
+            calls.append((len(ts), exact_below))
+            return evaluate_grid(evaluator, ts, exact_below=exact_below)
 
         monkeypatch.setattr(zero_scanner, "evaluate_grid", counting)
         result = scan_zeros(EM, 7004.0, 7006.0, 0.2)
         assert [d.zeros_found for d in result.dips] == [2]
         assert len(result) == 3
         assert record_fields(result) == reference_records(EM, 7004.0, 7006.0, 0.2)
-        # grid, one re-scan, the bisection rounds, then one residual call
-        rounds = calls[2:-1]
+        # the grid and the re-scan at DIP_THRESHOLD (each may take one more
+        # exact call for its sign-change ends), the bisection rounds at 0,
+        # then one exact residual call
+        assert [n for n, exact_below in calls if exact_below == DIP_THRESHOLD] == [11, 21]
+        rounds = [n for n, exact_below in calls if exact_below == 0.0]
         assert 0 < len(rounds) <= MAX_BISECT_ITERS
-        assert rounds[0] == 3 and rounds[-1] == 1 and calls[-1] == 3
+        assert rounds[0] == 3 and rounds[-1] == 1 and calls[-1] == (3, math.inf)
 
     def test_bisection_stops_at_iteration_cap(self, monkeypatch):
         # Near t = 1e7 one ulp is 1.9e-9 > BRACKET_WIDTH, so no bracket ever
@@ -245,15 +291,17 @@ class TestLockstepBisection:
         spec = SchemeSpec(kind=SchemeKind.SPIRA, n=8)
         calls = []
 
-        def counting(evaluator, ts, sign_only=False):
+        def counting(evaluator, ts, exact_below=math.inf):
             calls.append(len(ts))
-            return evaluate_grid(evaluator, ts, sign_only=sign_only)
+            return evaluate_grid(evaluator, ts, exact_below=exact_below)
 
         monkeypatch.setattr(zero_scanner, "evaluate_grid", counting)
         result = scan_zeros(spec, 1.0e7, 1.0e7 + 1.0, 0.05)
         assert len(result) >= 1 and not result.dips
         assert all(hi - lo > BRACKET_WIDTH for lo, hi in (r.bracket for r in result.records))
-        assert calls[1:] == [len(result)] * (MAX_BISECT_ITERS + 1)
+        # the grid lies above RS4_T_MIN: an empty call below it, one above
+        assert calls[:2] == [0, 21]
+        assert calls[2:] == [len(result)] * (MAX_BISECT_ITERS + 1)
         assert record_fields(result) == reference_records(spec, 1.0e7, 1.0e7 + 1.0, 0.05)
 
 
@@ -274,9 +322,10 @@ class TestSignRule:
 
     @staticmethod
     def fake_scheme(monkeypatch, f):
-        monkeypatch.setattr(zero_scanner, "evaluate_grid",
-                            lambda evaluator, ts, sign_only=False:
-                            (f(np.asarray(ts, dtype=np.float64)), 0))
+        def fake(evaluator, ts, exact_below=math.inf):
+            return f(np.asarray(ts, dtype=np.float64)), 0, np.ones(len(ts), dtype=bool)
+
+        monkeypatch.setattr(zero_scanner, "evaluate_grid", fake)
 
     def test_exact_zero_on_grid_becomes_a_record(self, monkeypatch):
         self.fake_scheme(monkeypatch, lambda t: t - 2.5)
@@ -334,6 +383,45 @@ class TestCompareZeroSets:
     def test_requires_reference(self):
         with pytest.raises(DomainError):
             compare_zero_sets((412.0, 419.0), [SPIRA_205, AFE], 0.05)
+
+    @staticmethod
+    def all_pairs_match(ref_locs, locs, tol):
+        """_greedy_match by the loop over every pair of locations."""
+        candidates = sorted((abs(r - x), r, x, i, j) for i, r in enumerate(ref_locs)
+                            for j, x in enumerate(locs) if abs(r - x) <= tol)
+        used_ref, used_loc, pairs = set(), set(), []
+        for _, r, x, i, j in candidates:
+            if i not in used_ref and j not in used_loc:
+                used_ref.add(i)
+                used_loc.add(j)
+                pairs.append((r, x))
+        return (tuple(sorted(pairs)),
+                tuple(r for i, r in enumerate(ref_locs) if i not in used_ref),
+                tuple(x for j, x in enumerate(locs) if j not in used_loc))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_windowed_match_equals_all_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        if seed % 2:  # on a lattice of 1/64: ties, repeats and distances of exactly tol
+            ref = np.sort(rng.integers(0, 120, rng.integers(0, 30))) / 64.0
+            locs = np.sort(rng.integers(0, 120, rng.integers(0, 30))) / 64.0
+            tol = int(rng.integers(1, 6)) / 64.0
+        else:
+            ref = np.sort(rng.uniform(400.0, 402.0, rng.integers(0, 30)))
+            near = ref[: len(ref) // 2] + rng.normal(0.0, 0.03, len(ref) // 2)
+            locs = np.sort(np.concatenate([near, rng.uniform(400.0, 402.0, 5)]))
+            tol = 0.05
+        ref, locs = tuple(ref.tolist()), tuple(locs.tolist())
+        assert _greedy_match(ref, locs, tol) == self.all_pairs_match(ref, locs, tol)
+
+    def test_windowed_match_at_exactly_tol_and_ties(self):
+        # 0.75 and 1.75 lie exactly tol from a reference zero; 1.25 appears
+        # twice, and 1.0 and 1.5 are equally near it.
+        ref, locs, tol = (1.0, 1.25, 1.5), (0.75, 1.0, 1.25, 1.25, 1.75), 0.25
+        got = _greedy_match(ref, locs, tol)
+        assert got == self.all_pairs_match(ref, locs, tol)
+        assert got == (((1.0, 1.0), (1.25, 1.25), (1.5, 1.25)), (), (0.75, 1.75))
+        assert _greedy_match((1.0,), (0.75, 1.25), tol) == (((1.0, 0.75),), (), (1.25,))
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -0.05])
     def test_match_tol_must_be_finite_and_positive(self, tol):
@@ -409,18 +497,25 @@ class TestConjectureSweep:
 
 
 class TestOracleScreen:
-    """Bisection of the EM oracle takes RS4's sign where RS4's bound certifies it."""
+    """Above RS4_T_MIN the screens of the EM oracle (RS4) and of Spira's section
+    (RS4 minus the Euler-Maclaurin tail) answer bisection midpoints with
+    signs, and grid points beyond DIP_THRESHOLD with values, where their
+    bounds certify them."""
 
+    @pytest.mark.parametrize("spec, share", [(EM, 0.8), (SchemeSpec(kind=SchemeKind.SPIRA), 0.5)],
+                             ids=["em", "spira"])
     @pytest.mark.parametrize("a, b, step", [(2000.0, 2020.0, 0.1), (410.0, 420.0, 0.5)])
-    def test_stage_counts(self, monkeypatch, a, b, step):
-        screened = scan_zeros(EM, a, b, step)
-        monkeypatch.setattr(schemes, "RS4_T_MIN", math.inf)  # the screen decides nothing
-        exact = scan_zeros(EM, a, b, step)
+    def test_stage_counts(self, monkeypatch, spec, share, a, b, step):
+        screened = scan_zeros(spec, a, b, step)
+        for module in (schemes, zero_scanner):  # no cheap value anywhere
+            monkeypatch.setattr(module, "RS4_T_MIN", math.inf)
+        exact = scan_zeros(spec, a, b, step)
         assert screened.records == exact.records and screened.dips == exact.dips
         got, want = screened.stats, exact.stats
-        assert want.bisect_screened == 0
-        assert got.bisect_screened > 0.8 * want.bisect_exact
+        assert want.bisect_screened == want.grid_screened == 0
+        assert got.bisect_screened > share * want.bisect_exact
         assert got.bisect_screened + got.bisect_exact == want.bisect_exact
+        assert got.grid_screened > 0.5 * (got.grid + got.dip_rescan)
         assert (got.grid, got.dip_rescan, got.residual) == (want.grid, want.dip_rescan,
                                                             want.residual)
         assert got.grid == len(grid_points(a, b, step))
@@ -433,19 +528,19 @@ class TestOracleScreen:
                  for loc in scan_zeros(EM, a, b, 0.1).locations]
         offsets = [sign * 10.0**-e for e in range(6, 12) for sign in (-1.0, 1.0)]
         ts = [z + d for z in zeros for d in offsets]
-        signs, _ = evaluate_grid(evaluator, ts, sign_only=True)
-        exact, _ = evaluate_grid(SchemeEvaluator(EM), ts)
+        signs = evaluate_grid(evaluator, ts, exact_below=0.0)[0]
+        exact = evaluate_grid(SchemeEvaluator(EM), ts)[0]
         assert evaluator.screened >= len(ts) // 3
         assert np.array_equal(np.sign(signs), np.sign(exact))
 
     def test_no_screen_below_rs4_t_min(self):
         evaluator = SchemeEvaluator(EM)
         ts = np.linspace(30.0, schemes.RS4_T_MIN, 50, endpoint=False)
-        signs, _ = evaluate_grid(evaluator, ts, sign_only=True)
+        signs = evaluate_grid(evaluator, ts, exact_below=0.0)[0]
         assert evaluator.screened == 0
         assert np.array_equal(signs, evaluate_grid(SchemeEvaluator(EM), ts)[0])
 
-    def test_refused_points_raise_under_sign_only(self):
+    def test_refused_points_raise_before_the_screen(self):
         # The oracle's refusal of M > MAX_SECTION_TERMS at t = 6e5 surfaces
         # with the exact path's error, before the screen decides any point.
         evaluator = SchemeEvaluator(EM)
@@ -453,6 +548,6 @@ class TestOracleScreen:
         with pytest.raises(ResourceLimitError) as exact_error:
             evaluate_grid(SchemeEvaluator(EM), ts)
         with pytest.raises(ResourceLimitError) as sign_error:
-            evaluate_grid(evaluator, ts, sign_only=True)
+            evaluate_grid(evaluator, ts, exact_below=0.0)
         assert str(sign_error.value) == str(exact_error.value)
         assert evaluator.screened == 0
