@@ -14,11 +14,14 @@ set in reference_engine, where its tail always converges, so main maps no
 ConvergenceError: RS1 hazard flags are the only source of exit code 3.
 Bad input is refused before any numerical work: a pinned --n or a custom:
 file whose scheme would sum more than MAX_SECTION_TERMS terms by
-SchemeSpec, everything else (non-finite numbers, an --out whose directory
-does not exist) by RunConfig.validate, with the checks every command
-shares, then the subcommand's own check.  A height outside a scheme's
-domain, such as the oracle's past t = 5e5, is refused before any scheme's
-grid is evaluated: every scheme keys the grid first.  Each subcommand is
+SchemeSpec, a --scheme label listed twice by parse_scheme_args, everything
+else (non-finite numbers, an --out whose directory does not exist) by
+RunConfig.validate, with the checks every command shares, then the
+subcommand's own check.  A height outside a scheme's domain, such as the
+oracle's past t = 5e5, is refused before any scheme's grid is evaluated:
+in eval, figure, error-decay, zeros and conjecture every scheme keys the
+whole grid first (schemes.check_grid), zeros after the range is checked
+and before its first scan.  Each subcommand is
 declared once, as its check and its runner in _COMMANDS.  coeffs evaluates
 no scheme, so its subparser has no --scheme, and its --n is the
 coefficient order; --k-max, the last row of that order's table, is refused
@@ -54,9 +57,12 @@ from .acceleration_engine import (
 from .errors import ConfigError, DomainError, ResourceLimitError
 from .reference_engine import z_euler_maclaurin
 from .schemes import (
+    ACCELERATED_KINDS,
+    REFERENCE_KINDS,
     SchemeEvaluator,
     SchemeKind,
     SchemeSpec,
+    check_grid,
     evaluate_grid,
     parse_scheme_kind,
 )
@@ -66,7 +72,7 @@ from .zero_scanner import (
     compare_zero_sets,
     conjecture_sweep,
     grid_points,
-    scan_zeros,
+    scan_schemes,
 )
 
 # Floor for |value| inside logarithms; an emitted ln of this floor marks an
@@ -271,7 +277,9 @@ def parse_scheme_args(raw: Optional[list], n: Optional[int]) -> tuple:
 
     --n pins the cutoff of every scheme that takes one; references and
     custom vectors have no cutoff knob, so --n passes them by (a mixed
-    list like "em,spira --n 205" pins only the section scheme).
+    list like "em,spira --n 205" pins only the section scheme).  Rows,
+    summaries and stats are keyed by label, so a label listed twice
+    (em,oracle, or spira,spira --n 205) is refused.
     """
     specs = []
     for chunk in raw or []:
@@ -286,10 +294,11 @@ def parse_scheme_args(raw: Optional[list], n: Optional[int]) -> tuple:
                 kind = parse_scheme_kind(name)
             except (KeyError, ValueError) as exc:
                 raise ConfigError(f"unknown scheme {name!r}") from exc
-            if kind in (SchemeKind.REFERENCE_RS, SchemeKind.ORACLE_EM):
-                specs.append(SchemeSpec(kind=kind))
-            else:
-                specs.append(SchemeSpec(kind=kind, n=n))
+            specs.append(SchemeSpec(kind=kind, n=None if kind in REFERENCE_KINDS else n))
+    labels = [spec.label for spec in specs]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ConfigError(f"--scheme lists {label} twice")
     return tuple(specs)
 
 
@@ -360,10 +369,8 @@ def _evaluate_schemes(specs, ts) -> tuple:
 
     Every scheme keys the grid, and may refuse it, before any evaluates it."""
     grid = np.asarray(ts, dtype=np.float64)
-    evaluators = [SchemeEvaluator(spec) for spec in specs]
-    for evaluator in evaluators:
-        evaluator.grid_keys(grid)
-    runs = [evaluate_grid(evaluator, grid) for evaluator in evaluators]
+    check_grid(specs, grid)
+    runs = [evaluate_grid(SchemeEvaluator(spec), grid) for spec in specs]
     return {spec.label: run[0] for spec, run in zip(specs, runs)}, sum(run[1] for run in runs)
 
 
@@ -376,19 +383,15 @@ def cmd_eval(config: RunConfig) -> CommandResult:
     if config.t is not None:
         ts = [float(config.t)]
     else:
-        ts = grid_points(config.a, config.b, config.step)
+        ts = grid_points(config.a, config.b, config.step).tolist()
 
     ref = SchemeSpec(kind=config.ref_kind)
     columns, hazards = _evaluate_schemes((ref, *config.schemes), ts)
     ref_vals = columns[ref.label]
 
-    labels = [spec.label for spec in config.schemes]
-    values = [columns[label].tolist() for label in labels]
-    rows = []
-    for i, (t, r) in enumerate(zip(ts, ref_vals.tolist())):
-        for label, column in zip(labels, values):
-            v = column[i]
-            rows.append((t, label, v, r, abs(v - r)))
+    values = [(spec.label, columns[spec.label].tolist()) for spec in config.schemes]
+    rows = [(t, label, column[i], r, abs(column[i] - r))
+            for i, (t, r) in enumerate(zip(ts, ref_vals.tolist())) for label, column in values]
 
     summary: dict = {
         "points": len(ts),
@@ -433,7 +436,7 @@ def cmd_figure(config: RunConfig) -> CommandResult:
             specs = [SchemeSpec(kind=SchemeKind.ORACLE_EM),
                      SchemeSpec(kind=SchemeKind.ACCELERATED_COEFF, n=205)]
             header = ("t", "ln_abs_reference", "ln_abs_accelerated_205")
-        ts = grid_points(a, b, step)
+        ts = grid_points(a, b, step).tolist()
         columns, hazards = _evaluate_schemes(specs, ts)
         cols = list(columns.values())
         rows = [tuple([t] + [_ln_abs(float(c[i])) for c in cols])
@@ -467,8 +470,8 @@ def cmd_zeros(config: RunConfig) -> CommandResult:
         scans = [(comparison.reference, None)]
         scans += [(match.scan, match) for match in comparison.matches]
     else:
-        scans = [(scan_zeros(spec, config.a, config.b, config.step), None)
-                 for spec in config.schemes]
+        scans = [(scan, None) for scan in scan_schemes(config.schemes, config.a, config.b,
+                                                         config.step)]
 
     for scan, match in scans:
         label = scan.scheme.label
@@ -496,17 +499,12 @@ def cmd_conjecture(config: RunConfig) -> CommandResult:
               "nearest_cutoff_boundary", "boundary_distance",
               "bracket_lo", "bracket_hi", "residual", "scale", "cutoff_jump")
     rows = []
-    for ev in sweep.events:
-        bracket = ev.get("bracket")
-        rows.append((
-            ev["kind"], ev["location"], ev["nearest_counterpart"],
-            ev["nearest_distance"], ev["nearest_cutoff_boundary"],
-            ev["boundary_distance"],
-            bracket[0] if bracket else None,
-            bracket[1] if bracket else None,
-            ev.get("residual"), ev.get("scale"),
-            ev.get("cutoff_jump", False) if bracket else None,
-        ))
+    for ev in sweep.events:  # the last five are set only where a record exists
+        lo, hi = ev.get("bracket", (None, None))
+        rows.append((ev["kind"], ev["location"], ev["nearest_counterpart"],
+                     ev["nearest_distance"], ev["nearest_cutoff_boundary"],
+                     ev["boundary_distance"], lo, hi, ev.get("residual"), ev.get("scale"),
+                     ev.get("cutoff_jump")))
     summary = {
         "t_min": sweep.t_min, "t_max": sweep.t_max, "step": sweep.step,
         "match_tol": sweep.match_tol,
@@ -534,18 +532,13 @@ def error_decay_report(t_list, specs) -> ErrorReport:
 
     errors = {}
     summary = {}
-    exponential_kinds = (SchemeKind.ACCELERATED_TRIANGLE, SchemeKind.ACCELERATED_COEFF)
     for spec in specs:
         errs = tuple(abs(float(v) - float(r))
                      for v, r in zip(columns[spec.label], columns[ref.label]))
         errors[spec.label] = errs
         ln_err = np.array([_ln_abs(e) for e in errs])
-        if spec.kind in exponential_kinds:
-            model = "exponential"
-            x = np.array(ts)
-        else:
-            model = "algebraic"
-            x = np.log(np.array(ts))
+        model, x = (("exponential", np.array(ts)) if spec.kind in ACCELERATED_KINDS
+                    else ("algebraic", np.log(ts)))
         slope, intercept = np.polyfit(x, ln_err, 1)
         fitted = slope * x + intercept
         rms = float(math.sqrt(np.mean((ln_err - fitted) ** 2)))
@@ -563,10 +556,8 @@ def error_decay_report(t_list, specs) -> ErrorReport:
 
 def cmd_error_decay(config: RunConfig) -> CommandResult:
     report = error_decay_report(config.t_list, config.schemes)
-    rows = []
-    for i, t in enumerate(report.ts):
-        for label in report.labels:
-            rows.append((t, label, report.errors[label][i]))
+    rows = [(t, label, report.errors[label][i])
+            for i, t in enumerate(report.ts) for label in report.labels]
     return CommandResult(("t", "scheme", "abs_err"), rows,
                          {"points": len(report.ts), "fits": report.summary}, 0)
 
@@ -583,13 +574,8 @@ def _coefficient_rows(order: int, k_max: int) -> list:
     """
     alpha = accelerated_coefficients(order).alpha
     step_vec = step_coefficients(order).alpha
-    rows = []
-    for k in range(1, k_max + 1):
-        if k <= order:
-            rows.append((k, float(alpha[k - 1]), float(step_vec[k - 1]), ""))
-        else:
-            rows.append((k, 0.0, 0.0, "beyond-cutoff"))
-    return rows
+    return [(k, float(alpha[k - 1]), float(step_vec[k - 1]), "") if k <= order
+            else (k, 0.0, 0.0, "beyond-cutoff") for k in range(1, k_max + 1)]
 
 
 def cmd_coeffs(config: RunConfig) -> CommandResult:
@@ -603,14 +589,9 @@ def cmd_coeffs(config: RunConfig) -> CommandResult:
                    "alpha_last": float(alpha.alpha[order - 1])}
         return CommandResult(_COEFFICIENT_HEADER, rows, summary, 0)
 
-    rows = []
-    distances = {}
-    for order in config.sweep:
-        d = coefficient_l2_distance(order)
-        distances[str(order)] = d
-        rows.append((order, d))
-    return CommandResult(("n", "l2_distance"), rows,
-                         {"orders": list(config.sweep), "l2_distances": distances}, 0)
+    rows = [(order, coefficient_l2_distance(order)) for order in config.sweep]
+    return CommandResult(("n", "l2_distance"), rows, {
+        "orders": list(config.sweep), "l2_distances": {str(m): d for m, d in rows}}, 0)
 
 
 # Each subcommand's check (run by RunConfig.validate) and runner.

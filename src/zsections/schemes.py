@@ -22,7 +22,8 @@ half_cutoff, a fixed n, or the oracle's euler_maclaurin_terms), and refuses
 a grid with a point outside the domain before evaluating any point: the
 scalar _key, the one-point case, raises that point's error.  It then takes
 fixed-size chunks of points and computes theta once per chunk with
-theta_grid.
+theta_grid.  check_grid keys one grid for a list of schemes, so that a
+command that runs several refuses before any of them evaluates.
 Points that share a key are evaluated together by the engines'
 *_rows functions in SchemeEvaluator._evaluate_run, the only place that
 picks an exact engine by kind.  The zero scanner's grids, bisection rounds
@@ -96,10 +97,10 @@ class SchemeKind(str, enum.Enum):
     CUSTOM = "CUSTOM"
 
 
-_REFERENCE_KINDS = (SchemeKind.REFERENCE_RS, SchemeKind.ORACLE_EM)
+REFERENCE_KINDS = (SchemeKind.REFERENCE_RS, SchemeKind.ORACLE_EM)
 
 # Kinds that sum n + 1 terms at cutoff n: the closing coefficient 2^-(n+1) adds one.
-_ACCELERATED_KINDS = (SchemeKind.ACCELERATED_TRIANGLE, SchemeKind.ACCELERATED_COEFF)
+ACCELERATED_KINDS = (SchemeKind.ACCELERATED_TRIANGLE, SchemeKind.ACCELERATED_COEFF)
 
 
 @dataclass(frozen=True)
@@ -123,13 +124,13 @@ class SchemeSpec:
         else:
             if self.alpha is not None:
                 raise DomainError(f"{kind.value} does not accept a coefficient vector")
-            if kind in _REFERENCE_KINDS and self.n is not None:
+            if kind in REFERENCE_KINDS and self.n is not None:
                 raise DomainError(f"{kind.value} does not accept a fixed cutoff")
             if self.n is not None and int(self.n) < 1:
                 raise DomainError(f"fixed cutoff must be >= 1, got {self.n}")
         # A custom vector's length is its fixed cutoff; the limit is on terms summed.
         n = len(self.alpha) if kind is SchemeKind.CUSTOM else self.n
-        limit = MAX_SECTION_TERMS - (kind in _ACCELERATED_KINDS)
+        limit = MAX_SECTION_TERMS - (kind in ACCELERATED_KINDS)
         if n is not None and int(n) > limit:
             raise ResourceLimitError(
                 f"fixed cutoff n = {n} exceeds {limit}, the largest {kind.value} "
@@ -145,7 +146,7 @@ class SchemeSpec:
 
     @property
     def is_reference(self) -> bool:
-        return self.kind in _REFERENCE_KINDS
+        return self.kind in REFERENCE_KINDS
 
 
 class EvalPoint(NamedTuple):
@@ -316,6 +317,13 @@ def evaluate_grid(evaluator: SchemeEvaluator, ts, *, exact_below: float = math.i
         hazards += evaluator._evaluate_chunk(ts[at], keys[at], values[at], exact[at],
                                              exact_below)
     return values, hazards, exact
+
+
+def check_grid(specs, ts: np.ndarray) -> None:
+    """Key the float64 grid ts for every spec in turn (grid_keys), so that the first
+    point any scheme refuses raises before any scheme evaluates the grid."""
+    for spec in specs:
+        SchemeEvaluator(spec).grid_keys(ts)
 
 
 _SCHEME_NAMES = {

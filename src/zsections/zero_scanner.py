@@ -20,13 +20,17 @@ bracket of width 0 and residual 0.  Two diagnostics ride along:
 
 Comparisons match scheme zeros to reference zeros greedily by distance
 (injectively, within match_tol) and report matched / missed / spurious.
+scan_schemes, which comparisons and the CLI use, checks the range and has
+every scheme key the grid before the first scan, so a refusal costs no scan.
 The conjecture sweep runs the Spira scheme with its exact per-point cutoff
 against a trusted referee over [30, t_max] and dumps every mismatch with
 enough context to inspect what happened; it completes whether or not the
 sweep is clean.
 
 Every value comes from the batched evaluate_grid: the grid, the finer grids
-of dip re-scans, and the refinement.  The brackets of one scan, the grid's
+of dip re-scans, and the refinement.  Grids are float64 arrays (grid_points)
+from end to end; Python floats are made, by .tolist(), only where records,
+dips and brackets are built.  The brackets of one scan, the grid's
 and then each re-scan's, are bisected in lockstep, one evaluate_grid call
 per round over the midpoints of the brackets still open, and the residuals
 at the refined locations take one more call, for exact values.  A grid
@@ -52,7 +56,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 from .reference_engine import RS4_T_MIN
-from .schemes import SchemeEvaluator, SchemeKind, SchemeSpec, evaluate_grid
+from .schemes import SchemeEvaluator, SchemeKind, SchemeSpec, check_grid, evaluate_grid
 
 BRACKET_WIDTH = 1e-9
 MAX_BISECT_ITERS = 60
@@ -168,8 +172,9 @@ class ZeroComparison:
         raise KeyError(label)
 
 
-def grid_points(a: float, b: float, step: float) -> list:
-    """a, a + step, ..., b; ResourceLimitError beyond MAX_GRID_POINTS points."""
+def grid_points(a: float, b: float, step: float) -> np.ndarray:
+    """a, a + step, ..., b as a float64 array, point i the double a + i * step;
+    ResourceLimitError beyond MAX_GRID_POINTS points."""
     # floor with a relative guard so that b lands on the grid whenever
     # (b - a)/step is an integer up to float dust.
     q = (b - a) / step
@@ -178,7 +183,7 @@ def grid_points(a: float, b: float, step: float) -> list:
             f"grid {a}:{b}:{step} would hold {q + 1:.3g} points, "
             f"more than MAX_GRID_POINTS = {MAX_GRID_POINTS}")
     n = int(math.floor(q * (1.0 + 1e-12) + 1e-12))
-    return [a + i * step for i in range(n + 1)]
+    return a + step * np.arange(n + 1, dtype=np.float64)
 
 
 def _crossings(vals: np.ndarray):
@@ -202,17 +207,19 @@ def _dips(vals: np.ndarray) -> np.ndarray:
         & (signs[:-2] * signs[1:-1] > 0.0) & (signs[1:-1] * signs[2:] > 0.0))
 
 
-def _grid_values(evaluator: SchemeEvaluator, ts: list):
+def _grid_values(evaluator: SchemeEvaluator, grid: np.ndarray):
     """(values, hazards, cheap values kept) of an ascending scan grid, refused before
     any is evaluated: exact in the dip band, at sign-change ends, beside exact
-    zeros, and below RS4_T_MIN, where grids keep the exact path."""
-    grid = np.asarray(ts, dtype=np.float64)
+    zeros, and below RS4_T_MIN, where grids keep the exact path.  Both parts are
+    written into one value array and one exact mask."""
     evaluator.grid_keys(grid)
+    vals = np.empty(len(grid), dtype=np.float64)
+    exact = np.empty(len(grid), dtype=bool)
     low = int(np.searchsorted(grid, RS4_T_MIN))
-    parts = evaluate_grid(evaluator, grid[:low]), evaluate_grid(
-        evaluator, grid[low:], exact_below=DIP_THRESHOLD)
-    vals, exact = (np.concatenate([part[k] for part in parts]) for k in (0, 2))
-    hazards = parts[0][1] + parts[1][1]
+    vals[:low], hazards, exact[:low] = evaluate_grid(evaluator, grid[:low])
+    vals[low:], upper, exact[low:] = evaluate_grid(evaluator, grid[low:],
+                                                   exact_below=DIP_THRESHOLD)
+    hazards += upper
     changes, zeros = _crossings(vals)
     near = np.clip(np.concatenate([changes, changes + 1, zeros - 1, zeros + 1]), 0, len(vals) - 1)
     fill = sorted(set(near[~exact[near]].tolist()))
@@ -222,18 +229,18 @@ def _grid_values(evaluator: SchemeEvaluator, ts: list):
     return vals, hazards, len(vals) - int(np.count_nonzero(exact))
 
 
-def _sampled_zeros(scheme: SchemeSpec, ts: list, vals: np.ndarray):
+def _sampled_zeros(scheme: SchemeSpec, ts: np.ndarray, vals: np.ndarray):
     """Brackets (lo, hi, f_lo, f_hi) of the sign changes, and records of the exact zeros.
 
     An exact zero is its own location and bracket; its scale is the larger
     |value| of its neighbours.
     """
     changes, zeros = _crossings(vals)
-    brackets = [(ts[i], ts[i + 1], f_lo, f_hi) for i, f_lo, f_hi in zip(
-        changes.tolist(), vals[changes].tolist(), vals[changes + 1].tolist())]
-    exact = [ZeroRecord(scheme=scheme, location=ts[i], bracket=(ts[i], ts[i]), residual=0.0,
+    brackets = list(zip(ts[changes].tolist(), ts[changes + 1].tolist(),
+                        vals[changes].tolist(), vals[changes + 1].tolist()))
+    exact = [ZeroRecord(scheme=scheme, location=t, bracket=(t, t), residual=0.0,
                         scale=float(np.max(np.abs(vals[max(i - 1, 0):i + 2]))))
-             for i in zeros.tolist()]
+             for i, t in zip(zeros.tolist(), ts[zeros].tolist())]
     return brackets, exact
 
 
@@ -263,8 +270,8 @@ def _bisect(evaluator: SchemeEvaluator, brackets: list):
     return list(zip(lo.tolist(), hi.tolist())), points
 
 
-def scan_zeros(scheme: SchemeSpec, a: float, b: float, step: float) -> ScanResult:
-    """All bracketed sign changes and exact zeros of a scheme on the grid a, a+step, ..., b."""
+def _check_range(a: float, b: float, step: float) -> tuple:
+    """(a, b, step) as floats, or the DomainError of a range no scan accepts."""
     a, b, step = float(a), float(b), float(step)
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(step)):
         raise DomainError("scan bounds and step must be finite")
@@ -274,7 +281,12 @@ def scan_zeros(scheme: SchemeSpec, a: float, b: float, step: float) -> ScanResul
         raise DomainError(f"scan step must be positive, got {step}")
     if step > (b - a) * (1.0 + 1e-12):
         raise DomainError(f"step {step} exceeds interval length {b - a}")
+    return a, b, step
 
+
+def scan_zeros(scheme: SchemeSpec, a: float, b: float, step: float) -> ScanResult:
+    """All bracketed sign changes and exact zeros of a scheme on the grid a, a+step, ..., b."""
+    a, b, step = _check_range(a, b, step)
     evaluator = SchemeEvaluator(scheme)
     ts = grid_points(a, b, step)
     clock = [time.perf_counter()]
@@ -287,14 +299,15 @@ def scan_zeros(scheme: SchemeSpec, a: float, b: float, step: float) -> ScanResul
     dips = []
     dip_points = 0
     for i in _dips(vals).tolist():
-        fine = grid_points(ts[i - 1], ts[i + 1], step / 10.0)
+        lo, t, hi = ts[i - 1:i + 2].tolist()
+        fine = grid_points(lo, hi, step / 10.0)
         dip_points += len(fine)
         fvals, _, screened = _grid_values(evaluator, fine)
         grid_screened += screened
         fine_brackets, fine_zeros = _sampled_zeros(scheme, fine, fvals)
         brackets += fine_brackets
         records += fine_zeros
-        dips.append(DipEvent(scheme=scheme, t=ts[i], value=float(vals[i]),
+        dips.append(DipEvent(scheme=scheme, t=t, value=float(vals[i]),
                              zeros_found=len(fine_brackets) + len(fine_zeros)))
     clock.append(time.perf_counter())
 
@@ -332,6 +345,14 @@ def scan_zeros(scheme: SchemeSpec, a: float, b: float, step: float) -> ScanResul
                       dips=tuple(dips), hazard_count=hazards, stats=stats)
 
 
+def scan_schemes(specs, a: float, b: float, step: float) -> list:
+    """scan_zeros of each scheme, in order, once the range is checked and every scheme
+    has keyed the grid (check_grid): a refused scheme or point raises before any scan."""
+    a, b, step = _check_range(a, b, step)
+    check_grid(specs, grid_points(a, b, step))
+    return [scan_zeros(spec, a, b, step) for spec in specs]
+
+
 def _greedy_match(ref_locs: tuple, locs: tuple, tol: float):
     """Injective nearest-first matching within tol; deterministic tie-breaks.
 
@@ -365,7 +386,7 @@ def _check_match_tol(match_tol: float) -> None:
 
 def compare_zero_sets(interval: tuple, schemes: list, match_tol: float = DEFAULT_MATCH_TOL, *,
                       step: float = 0.005) -> ZeroComparison:
-    """Scan every scheme on the interval and match each against the reference.
+    """Scan every scheme on the interval (scan_schemes) and match each against the reference.
 
     The first reference-kind entry (ORACLE_EM or REFERENCE_RS) is the
     referee; every other entry is matched against it greedily within
@@ -378,17 +399,14 @@ def compare_zero_sets(interval: tuple, schemes: list, match_tol: float = DEFAULT
     ref_index = next((i for i, s in enumerate(specs) if s.is_reference), None)
     if ref_index is None:
         raise DomainError("compare_zero_sets needs a reference scheme in the list")
-    ref_spec = specs[ref_index]
 
-    ref_scan = scan_zeros(ref_spec, a, b, step)
+    scans = scan_schemes(specs, a, b, step)
+    ref_scan = scans.pop(ref_index)
     matches = []
-    for i, spec in enumerate(specs):
-        if i == ref_index:
-            continue
-        scan = scan_zeros(spec, a, b, step)
+    for scan in scans:
         pairs, missed, spurious = _greedy_match(
             ref_scan.locations, scan.locations, match_tol)
-        matches.append(SchemeMatch(scheme=spec, scan=scan, matched=pairs,
+        matches.append(SchemeMatch(scheme=scan.scheme, scan=scan, matched=pairs,
                                    missed=missed, spurious=spurious))
     return ZeroComparison(interval=(a, b), step=step, match_tol=match_tol,
                           reference=ref_scan, matches=tuple(matches))
@@ -421,21 +439,14 @@ class ConjectureSummary:
         return self.missed_count == 0 and self.spurious_count == 0
 
 
-def _nearest(x: float, pool: tuple):
-    if not pool:
-        return None, float("inf")
-    best = min(pool, key=lambda y: abs(y - x))
-    return best, abs(best - x)
-
-
 def _event(kind: str, location: float, other_locs: tuple, record: Optional[ZeroRecord]):
-    nearest, dist = _nearest(location, other_locs)
+    nearest = min(other_locs, key=lambda y: abs(y - location), default=None)
     boundary = 2.0 * round(location / 2.0)  # nearest cutoff jump of floor(t/2)
     ev = {
         "kind": kind,
         "location": location,
         "nearest_counterpart": nearest,
-        "nearest_distance": dist if nearest is not None else None,
+        "nearest_distance": None if nearest is None else abs(nearest - location),
         "nearest_cutoff_boundary": boundary,
         "boundary_distance": abs(location - boundary),
     }
@@ -484,12 +495,9 @@ def conjecture_sweep(t_max: float, step: float, *,
     scan = match.scan
     by_location = {r.location: r for r in scan.records}
 
-    events = []
-    for loc in match.missed:
-        events.append(_event("missed", loc, scan.locations, None))
-    for loc in match.spurious:
-        events.append(_event("spurious", loc, comparison.reference.locations,
-                             by_location.get(loc)))
+    events = [_event("missed", loc, scan.locations, None) for loc in match.missed]
+    events += [_event("spurious", loc, comparison.reference.locations, by_location.get(loc))
+               for loc in match.spurious]
     events.sort(key=lambda e: e["location"])
 
     return ConjectureSummary(

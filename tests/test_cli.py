@@ -111,13 +111,16 @@ def test_eval_custom_coefficient_file(tmp_path):
 
 
 def test_documented_scheme_names_parse_and_removed_aliases_exit_2(tmp_path):
-    names = ["rs", "em", "oracle", "afe", "spira", "acc", "acc-triangle"]
+    # oracle names the label of em, so it runs alone (a repeated label is refused).
+    names = ["rs", "em", "afe", "spira", "acc", "acc-triangle"]
     rc, rows, _ = run_cli(tmp_path, "names.csv",
                           ["eval", "--t", "100", "--scheme", ",".join(names)])
     assert rc == 0
     assert [r["scheme"] for r in rows] == [
-        "REFERENCE_RS", "ORACLE_EM", "ORACLE_EM", "AFE", "SPIRA",
+        "REFERENCE_RS", "ORACLE_EM", "AFE", "SPIRA",
         "ACCELERATED_COEFF", "ACCELERATED_TRIANGLE"]
+    rc, rows, _ = run_cli(tmp_path, "oracle.csv", ["eval", "--t", "100", "--scheme", "oracle"])
+    assert rc == 0 and [r["scheme"] for r in rows] == ["ORACLE_EM"]
     for alias in ("accelerated_coeff", "oracle-em", "acc_triangle"):
         assert main(["eval", "--t", "100", "--scheme", alias]) == 2
 
@@ -213,6 +216,56 @@ def test_every_scheme_is_keyed_before_the_referee_runs(monkeypatch, capsys):
     assert evaluated == []
     assert capsys.readouterr().err == (
         "zsections: error: cutoff resolves to 0 at t = 1.0; scheme undefined this low\n")
+
+
+@pytest.mark.parametrize("names", ["em,spira,afe", "spira,afe"], ids=["compare", "scan-only"])
+def test_zeros_keys_every_scheme_before_the_first_scan(monkeypatch, capsys, names):
+    # AFE's cutoff resolves to 0 at t = 2, below 2 pi: the EM and Spira scans
+    # that come first in the list are refused before they evaluate a point,
+    # with the message of --scheme afe alone.
+    argv = ["zeros", "--range", "2:600:0.01", "--scheme"]
+    assert main(argv + ["afe"]) == 2
+    alone = capsys.readouterr().err
+    assert alone == (
+        "zsections: error: cutoff resolves to 0 at t = 2.0; scheme undefined this low\n")
+    evaluated = []
+
+    def spy(name, rows):
+        def wrapped(*args, **kwargs):
+            evaluated.append(name)
+            return rows(*args, **kwargs)
+        return wrapped
+
+    for name in ("euler_maclaurin_rows", "section_rows"):
+        monkeypatch.setattr(schemes, name, spy(name, getattr(schemes, name)))
+    assert main(argv + [names]) == 2
+    assert evaluated == []
+    assert capsys.readouterr().err == alone
+    # The spies do see the engines of an accepted scan.
+    assert main(["zeros", "--range", "14:14.3:0.01", "--scheme", "em,spira"]) == 0
+    assert set(evaluated) == {"euler_maclaurin_rows", "section_rows"}
+
+
+@pytest.mark.parametrize("argv, label", [
+    (["zeros", "--range", "412:419:0.01", "--scheme", "em,spira,spira", "--n", "205"],
+     "SPIRA@205"),
+    (["zeros", "--range", "412:419:0.01", "--scheme", "em,oracle"], "ORACLE_EM"),
+    (["zeros", "--range", "412:419:0.01", "--scheme", "spira", "--scheme", "spira"], "SPIRA"),
+    (["eval", "--t", "100", "--scheme", "afe,spira,afe"], "AFE"),
+    (["error-decay", "--t-list", "100,200,400", "--scheme", "acc,spira,acc"],
+     "ACCELERATED_COEFF"),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else x)
+def test_repeated_scheme_label_exits_2(capsys, argv, label):
+    # Rows, summaries and stats are keyed by label, so a second entry of
+    # one label would write duplicate rows under a single summary entry.
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"zsections: error: --scheme lists {label} twice\n"
+
+
+def test_referee_is_not_in_the_scheme_list(tmp_path):
+    rc, rows, doc = run_cli(tmp_path, "em.csv", ["eval", "--t", "100", "--scheme", "em"])
+    assert rc == 0 and [r["scheme"] for r in rows] == ["ORACLE_EM"]
+    assert float(rows[0]["abs_err"]) == 0.0
 
 
 def test_out_directory_must_exist(tmp_path):

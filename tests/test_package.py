@@ -8,6 +8,7 @@ patches still exists, and importing the CLI leaves scipy.special unloaded.
 
 import ast
 import importlib
+import importlib.util
 import os
 import re
 import shlex
@@ -104,6 +105,22 @@ def test_benchmark_command_parses_and_validates(argv):
 def test_readme_has_examples_of_every_command():
     commands = {argv[0] for argv in readme_example_commands()}
     assert commands == {"eval", "figure", "zeros", "conjecture", "error-decay", "coeffs"}
+
+
+def test_tracer_sees_each_scan_and_match_of_a_comparison(tmp_path):
+    # The benchmark's per-layer metrics come from these wrapped names; a scan
+    # path that bypassed scan_zeros or _greedy_match would read 0 there.
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    from zsections.cli import main
+
+    with tracer.Tracer() as spans:
+        assert main(["zeros", "--range", "412:414:0.1", "--scheme", "em,spira",
+                     "--out", str(tmp_path / "z.csv")]) == 0
+    layers = tracer.layer_metrics([spans.totals()], 1, [1.0])
+    assert layers["zero_scanner.scan_zeros.calls"]["value"] == 2
+    assert layers["zero_scanner.greedy_match.calls"]["value"] == 1
 
 
 @pytest.mark.parametrize("module, attribute", tracer_targets())

@@ -123,6 +123,19 @@ class TestScanZeros:
             scan_zeros(EM, 1.0, 1.0e6, 1.0e-6)
         assert len(grid_points(0.0, 1000.0, 0.005)) == 200001
 
+    def test_grid_points_are_the_doubles_of_a_plus_i_step(self):
+        # The float64 array holds, bit for bit, the doubles a + i * step that
+        # a Python loop makes: 200,001 points on [0, 1000], a grid across the
+        # cutoff jumps at t = 48 and 50, and the re-scan grid of a dip.
+        ts = grid_points(412.0, 419.0, 0.005)
+        i = ts.tolist().index(scan_zeros(AFE, 412.0, 419.0, 0.005).dips[0].t)
+        for a, b, step, points in ((0.0, 1000.0, 0.005, 200001), (47.9, 52.1, 0.005, 841),
+                                   (ts[i - 1].item(), ts[i + 1].item(), 0.0005, 21)):
+            grid = grid_points(a, b, step)
+            want = np.array([a + k * step for k in range(points)])
+            assert grid.dtype == np.float64 and len(grid) == points
+            assert np.array_equal(grid.view(np.int64), want.view(np.int64))
+
     def test_grid_includes_endpoint_despite_float_dust(self):
         # (419 - 412)/0.005 is 1399.9999... in floats; the guard must still
         # place 419 on the grid.
