@@ -12,20 +12,21 @@ hazard was flagged (a Riemann-Siegel remainder evaluated inside the
 cosine-denominator hazard window).  The EM oracle has one configuration,
 set in reference_engine, where its tail always converges, so main maps no
 ConvergenceError: RS1 hazard flags are the only source of exit code 3.
-Bad input is refused before any numerical work: a pinned --n or a custom:
-file whose scheme would sum more than MAX_SECTION_TERMS terms by
-SchemeSpec, a --scheme label listed twice by parse_scheme_args, everything
-else (non-finite numbers, an --out whose directory does not exist) by
-RunConfig.validate, with the checks every command shares, then the
-subcommand's own check.  A height outside a scheme's domain, such as the
-oracle's past t = 5e5, is refused before any scheme's grid is evaluated:
-in eval, figure, error-decay, zeros and conjecture every scheme keys the
-whole grid first (schemes.check_grid), zeros after the range is checked
-and before its first scan.  Each subcommand is
-declared once, as its check and its runner in _COMMANDS.  coeffs evaluates
-no scheme, so its subparser has no --scheme, and its --n is the
-coefficient order; --k-max, the last row of that order's table, is refused
-with --sweep, which tabulates distances only.
+Bad input is refused before any numerical work.  While parsing: a --range,
+--t-list or --sweep that does not parse, a custom: file that cannot be read
+or holds a bad token or no value, a pinned --n or custom: file past the term
+limit of MAX_SECTION_TERMS (SchemeSpec), a --scheme label listed twice.  By
+RunConfig.validate: the checks every command shares (--threads, --match-tol,
+a non-finite --t or --range, an --out whose directory does not exist), then
+the subcommand's own.  Before any scheme's grid is evaluated: a height
+outside a scheme's domain or past its term limit, such as the oracle's past
+t = 5e5 or Spira's past t = 2e6, as eval, figure, error-decay, zeros and
+conjecture have every scheme key the whole grid first (schemes.check_grid).
+eval evaluates its referee once, also where it is listed.  Each subcommand
+is declared once, as its check and its runner in _COMMANDS.
+coeffs evaluates no scheme, so its subparser has no --scheme, and its --n
+is the coefficient order; --k-max, the last row of that order's table, is
+refused with --sweep, which tabulates distances only.
 
 Grid work runs on the batched, single-threaded evaluate_grid.  --threads is
 accepted only for compatibility: it is validated (1 to MAX_THREADS) and
@@ -295,11 +296,16 @@ def parse_scheme_args(raw: Optional[list], n: Optional[int]) -> tuple:
             except (KeyError, ValueError) as exc:
                 raise ConfigError(f"unknown scheme {name!r}") from exc
             specs.append(SchemeSpec(kind=kind, n=None if kind in REFERENCE_KINDS else n))
+    _refuse_repeated_label(specs, ConfigError, "--scheme")
+    return tuple(specs)
+
+
+def _refuse_repeated_label(specs, error: type, where: str) -> None:
+    """Raise error("<where> lists <label> twice") at the first label specs list twice."""
     labels = [spec.label for spec in specs]
     for i, label in enumerate(labels):
         if label in labels[:i]:
-            raise ConfigError(f"--scheme lists {label} twice")
-    return tuple(specs)
+            raise error(f"{where} lists {label} twice")
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +373,9 @@ def _ln_abs(value: float) -> float:
 def _evaluate_schemes(specs, ts) -> tuple:
     """Each scheme on the grid ts, in order: ({label: values}, hazard count).
 
-    Every scheme keys the grid, and may refuse it, before any evaluates it."""
+    Every scheme keys the grid, and may refuse it, before any evaluates it; a
+    label listed twice, such as a referee also listed as a scheme, runs once."""
+    specs = list({spec.label: spec for spec in specs}.values())
     grid = np.asarray(ts, dtype=np.float64)
     check_grid(specs, grid)
     runs = [evaluate_grid(SchemeEvaluator(spec), grid) for spec in specs]
@@ -525,7 +533,8 @@ def cmd_conjecture(config: RunConfig) -> CommandResult:
 
 
 def error_decay_report(t_list, specs) -> ErrorReport:
-    """Absolute errors vs the EM oracle with least-squares decay fits."""
+    """Absolute errors vs the EM oracle with least-squares decay fits, keyed by label."""
+    _refuse_repeated_label(specs, DomainError, "error_decay_report")
     ts = [float(t) for t in t_list]
     ref = SchemeSpec(kind=SchemeKind.ORACLE_EM)
     columns, _ = _evaluate_schemes((ref, *specs), ts)

@@ -47,10 +47,10 @@ REFERENCE_RS and ACCELERATED_TRIANGLE are always exact.
 The oracle has one configuration, that of the paper's experiments, and
 reference_engine alone states it: M = euler_maclaurin_terms(t) terms and
 J = 6 Bernoulli corrections.  Its tail then converges at every accepted t,
-so a screened point never hides an error; M above MAX_SECTION_TERMS is
-refused before evaluation.  A pinned cutoff or a custom vector whose scheme
-would sum more than MAX_SECTION_TERMS terms is refused when the SchemeSpec
-is built.
+so a screened point never hides an error.  _keys refuses every kind's
+term limit, a key that would sum more than MAX_SECTION_TERMS terms (key + 1
+for the accelerated kinds), before any point is evaluated; a pinned cutoff
+or a custom vector past it is refused when the SchemeSpec is built.
 """
 
 from __future__ import annotations
@@ -103,6 +103,16 @@ REFERENCE_KINDS = (SchemeKind.REFERENCE_RS, SchemeKind.ORACLE_EM)
 ACCELERATED_KINDS = (SchemeKind.ACCELERATED_TRIANGLE, SchemeKind.ACCELERATED_COEFF)
 
 
+def _key_limit(kind: SchemeKind) -> int:
+    """A kind's term limit: its largest run key whose points sum at most MAX_SECTION_TERMS."""
+    return MAX_SECTION_TERMS - (kind in ACCELERATED_KINDS)
+
+
+def _limit_error(kind: SchemeKind, key: str) -> ResourceLimitError:
+    return ResourceLimitError(f"{key} exceeds {_key_limit(kind)}, the largest {kind.value} "
+                              f"cutoff within MAX_SECTION_TERMS = {MAX_SECTION_TERMS}")
+
+
 @dataclass(frozen=True)
 class SchemeSpec:
     """A named approximation scheme, optionally pinned to a fixed cutoff n."""
@@ -128,13 +138,10 @@ class SchemeSpec:
                 raise DomainError(f"{kind.value} does not accept a fixed cutoff")
             if self.n is not None and int(self.n) < 1:
                 raise DomainError(f"fixed cutoff must be >= 1, got {self.n}")
-        # A custom vector's length is its fixed cutoff; the limit is on terms summed.
+        # A custom vector's length is its fixed cutoff, under the term limit of _keys.
         n = len(self.alpha) if kind is SchemeKind.CUSTOM else self.n
-        limit = MAX_SECTION_TERMS - (kind in ACCELERATED_KINDS)
-        if n is not None and int(n) > limit:
-            raise ResourceLimitError(
-                f"fixed cutoff n = {n} exceeds {limit}, the largest {kind.value} "
-                f"cutoff within MAX_SECTION_TERMS = {MAX_SECTION_TERMS}")
+        if n is not None and int(n) > _key_limit(kind):
+            raise _limit_error(kind, f"fixed cutoff n = {n}")
 
     @property
     def label(self) -> str:
@@ -177,8 +184,8 @@ class SchemeEvaluator:
 
         Where _keys refuses t, raises the scheme's error: the oracle's is that
         of z_euler_maclaurin (validated_terms), a section's comes from its
-        domain or from a cutoff below 1 (for REFERENCE_RS the square-root
-        cutoff reaches 1 exactly at t = 2 pi).
+        domain, from a cutoff below 1 (for REFERENCE_RS the square-root
+        cutoff reaches 1 exactly at t = 2 pi) or from the term limit.
         """
         if self.spec.kind is SchemeKind.ORACLE_EM:
             return validated_terms(t)
@@ -187,6 +194,8 @@ class SchemeEvaluator:
             return int(keys[0])
         if not (math.isfinite(t) and t >= 0.0):
             raise DomainError(f"cutoff resolution requires finite t >= 0, got {t}")
+        if keys[0] >= 1.0:
+            raise _limit_error(self.spec.kind, f"cutoff {keys[0]:.15g} at t = {t}")
         raise DomainError(
             f"cutoff resolves to {int(keys[0])} at t = {t}; scheme undefined this low")
 
@@ -196,22 +205,21 @@ class SchemeEvaluator:
         The one place that maps a kind to its rule: the square-root cutoff
         for AFE and REFERENCE_RS, the half cutoff for SPIRA and both
         accelerated kinds, a pinned n or the custom vector's length, and
-        euler_maclaurin_terms for the oracle.  Section keys below 1, oracle
-        keys above MAX_SECTION_TERMS and points outside finite t >= 0 are
+        euler_maclaurin_terms for the oracle.  Points outside finite t >= 0,
+        keys below 1 and keys past the kind's term limit (_key_limit) are
         refused.
         """
         ok = np.isfinite(ts) & (ts >= 0.0)
         safe = np.where(ok, ts, 0.0)
         if self.spec.kind is SchemeKind.ORACLE_EM:
             keys = euler_maclaurin_terms(safe)
-            return keys, ok & (keys <= MAX_SECTION_TERMS)
-        if self._fixed is not None:
+        elif self._fixed is not None:
             keys = np.full(len(ts), float(int(self._fixed)))
         elif self.spec.kind in (SchemeKind.AFE, SchemeKind.REFERENCE_RS):
             keys = sqrt_cutoff(safe)
         else:
             keys = half_cutoff(safe)
-        return keys, ok & (keys >= 1.0)
+        return keys, ok & (keys >= 1.0) & (keys <= _key_limit(self.spec.kind))
 
     def grid_keys(self, ts: np.ndarray) -> np.ndarray:
         """Run keys of a float64 array, or the error _key raises at its first refused point."""

@@ -27,22 +27,21 @@ against a trusted referee over [30, t_max] and dumps every mismatch with
 enough context to inspect what happened; it completes whether or not the
 sweep is clean.
 
-Every value comes from the batched evaluate_grid: the grid, the finer grids
-of dip re-scans, and the refinement.  Grids are float64 arrays (grid_points)
-from end to end; Python floats are made, by .tolist(), only where records,
-dips and brackets are built.  The brackets of one scan, the grid's
-and then each re-scan's, are bisected in lockstep, one evaluate_grid call
-per round over the midpoints of the brackets still open, and the residuals
-at the refined locations take one more call, for exact values.  A grid
-value reaches a record only through its sign, its size inside the dip band
-|v| < DIP_THRESHOLD and the scale read beside a sign change or an exact
-zero, so grids and re-scans ask evaluate_grid for values exact below
-DIP_THRESHOLD (see schemes), then for those the scale reads (_grid_values).
-A certified cheap value has the exact value's sign and lies above the band,
-so every sign change, exact zero and dip is found as on exact values.
-Bisection asks for exact_below = 0, so every bracket follows its path on
-exact values.  Each ScanResult counts its points by stage and times each
-stage (ScanStats).
+Every value comes from the batched evaluate_grid.  One helper, _scan_grid,
+serves the grid and each dip re-scan: it finds the crossings once and
+returns brackets (lo, hi, f_lo, f_hi) and exact zeros (locations, scales)
+as float64 arrays, which stay arrays up to the records.  The brackets of a
+scan, the grid's and then each re-scan's, are bisected in place in
+lockstep, one evaluate_grid call per round, and the residuals take one
+more; Python floats are made, by .tolist(), only for records and dips.  A
+grid value reaches a record only through its sign, its size inside the dip
+band |v| < DIP_THRESHOLD and the scale read beside a crossing, so grids ask
+evaluate_grid for values exact below DIP_THRESHOLD (see schemes), then for
+those the scale reads.  A certified cheap value has the exact value's sign
+and lies above the band, so every crossing and dip is found as on exact
+values.  Bisection asks for exact_below = 0, so every bracket follows its
+path on exact values.  Each ScanResult counts its points by stage and
+times each stage (ScanStats).
 """
 
 from __future__ import annotations
@@ -152,9 +151,7 @@ class SchemeMatch:
 
     @property
     def max_matched_discrepancy(self) -> float:
-        if not self.matched:
-            return 0.0
-        return max(abs(r - s) for r, s in self.matched)
+        return max((abs(r - s) for r, s in self.matched), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -207,11 +204,11 @@ def _dips(vals: np.ndarray) -> np.ndarray:
         & (signs[:-2] * signs[1:-1] > 0.0) & (signs[1:-1] * signs[2:] > 0.0))
 
 
-def _grid_values(evaluator: SchemeEvaluator, grid: np.ndarray):
-    """(values, hazards, cheap values kept) of an ascending scan grid, refused before
-    any is evaluated: exact in the dip band, at sign-change ends, beside exact
-    zeros, and below RS4_T_MIN, where grids keep the exact path.  Both parts are
-    written into one value array and one exact mask."""
+def _scan_grid(evaluator: SchemeEvaluator, grid: np.ndarray):
+    """(values, hazards, cheap values kept, brackets, zeros) of an ascending grid, keyed
+    first.  Values are exact in the dip band, beside each crossing and below RS4_T_MIN;
+    brackets are arrays (lo, hi, f_lo, f_hi) of the sign changes, zeros arrays
+    (locations, scales) of the exact zeros, scale the larger |value| beside each."""
     evaluator.grid_keys(grid)
     vals = np.empty(len(grid), dtype=np.float64)
     exact = np.empty(len(grid), dtype=bool)
@@ -221,31 +218,20 @@ def _grid_values(evaluator: SchemeEvaluator, grid: np.ndarray):
                                                    exact_below=DIP_THRESHOLD)
     hazards += upper
     changes, zeros = _crossings(vals)
-    near = np.clip(np.concatenate([changes, changes + 1, zeros - 1, zeros + 1]), 0, len(vals) - 1)
-    fill = sorted(set(near[~exact[near]].tolist()))
+    last = len(vals) - 1
+    before, after = np.maximum(zeros - 1, 0), np.minimum(zeros + 1, last)
+    near = np.concatenate([changes, changes + 1, before, after])
+    fill = sorted(set(near[~exact[near]].tolist()))  # np.unique would import numpy.ma
     if fill:
         vals[fill] = evaluate_grid(evaluator, grid[fill])[0]
         exact[fill] = True
-    return vals, hazards, len(vals) - int(np.count_nonzero(exact))
+    brackets = (grid[changes], grid[changes + 1], vals[changes], vals[changes + 1])
+    scales = np.maximum(np.abs(vals[before]), np.abs(vals[after]))
+    return vals, hazards, last + 1 - int(np.count_nonzero(exact)), brackets, (grid[zeros], scales)
 
 
-def _sampled_zeros(scheme: SchemeSpec, ts: np.ndarray, vals: np.ndarray):
-    """Brackets (lo, hi, f_lo, f_hi) of the sign changes, and records of the exact zeros.
-
-    An exact zero is its own location and bracket; its scale is the larger
-    |value| of its neighbours.
-    """
-    changes, zeros = _crossings(vals)
-    brackets = list(zip(ts[changes].tolist(), ts[changes + 1].tolist(),
-                        vals[changes].tolist(), vals[changes + 1].tolist()))
-    exact = [ZeroRecord(scheme=scheme, location=t, bracket=(t, t), residual=0.0,
-                        scale=float(np.max(np.abs(vals[max(i - 1, 0):i + 2]))))
-             for i, t in zip(zeros.tolist(), ts[zeros].tolist())]
-    return brackets, exact
-
-
-def _bisect(evaluator: SchemeEvaluator, brackets: list):
-    """Refine brackets (lo, hi, f_lo) in lockstep; returns the (lo, hi) pairs and the midpoints.
+def _bisect(evaluator: SchemeEvaluator, lo: np.ndarray, hi: np.ndarray, lo_neg: np.ndarray):
+    """Refine brackets [lo, hi], with f(lo) < 0 where lo_neg, in place; count the midpoints.
 
     Each round evaluates the midpoints of the brackets still wider than
     BRACKET_WIDTH with one evaluate_grid call at exact_below = 0, for at most
@@ -253,9 +239,6 @@ def _bisect(evaluator: SchemeEvaluator, brackets: list):
     alone on exact values, since each midpoint's value has the exact
     value's sign.  The hazards of refinement points are not counted.
     """
-    lo = np.array([b[0] for b in brackets], dtype=np.float64)
-    hi = np.array([b[1] for b in brackets], dtype=np.float64)
-    lo_neg = np.array([b[2] < 0.0 for b in brackets], dtype=bool)
     points = 0
     for _ in range(MAX_BISECT_ITERS):
         open_ = np.flatnonzero(hi - lo > BRACKET_WIDTH)
@@ -267,7 +250,7 @@ def _bisect(evaluator: SchemeEvaluator, brackets: list):
         to_lo = (vals < 0.0) == lo_neg[open_]
         lo[open_[to_lo]] = mid[to_lo]
         hi[open_[~to_lo]] = mid[~to_lo]
-    return list(zip(lo.tolist(), hi.tolist())), points
+    return points
 
 
 def _check_range(a: float, b: float, step: float) -> tuple:
@@ -290,52 +273,53 @@ def scan_zeros(scheme: SchemeSpec, a: float, b: float, step: float) -> ScanResul
     evaluator = SchemeEvaluator(scheme)
     ts = grid_points(a, b, step)
     clock = [time.perf_counter()]
-    vals, hazards, grid_screened = _grid_values(evaluator, ts)
-    brackets, records = _sampled_zeros(scheme, ts, vals)
+    vals, hazards, grid_screened, brackets, zeros = _scan_grid(evaluator, ts)
     clock.append(time.perf_counter())
 
     # Dip diagnostic: near-touch local minima without a sign change trigger
     # a tenfold-finer local re-scan.
-    dips = []
-    dip_points = 0
+    bracket_parts, zero_parts, dips, dip_points = [brackets], [zeros], [], 0
     for i in _dips(vals).tolist():
         lo, t, hi = ts[i - 1:i + 2].tolist()
         fine = grid_points(lo, hi, step / 10.0)
         dip_points += len(fine)
-        fvals, _, screened = _grid_values(evaluator, fine)
+        _, _, screened, fine_brackets, fine_zeros = _scan_grid(evaluator, fine)
         grid_screened += screened
-        fine_brackets, fine_zeros = _sampled_zeros(scheme, fine, fvals)
-        brackets += fine_brackets
-        records += fine_zeros
+        bracket_parts.append(fine_brackets)
+        zero_parts.append(fine_zeros)
         dips.append(DipEvent(scheme=scheme, t=t, value=float(vals[i]),
-                             zeros_found=len(fine_brackets) + len(fine_zeros)))
+                             zeros_found=fine_brackets[0].size + fine_zeros[0].size))
     clock.append(time.perf_counter())
 
-    # Every bracket of the scan is refined together, and the residuals at
-    # the refined locations take one more batched call; as before, only the
-    # hazards of the grid are counted.
+    # Every bracket of the scan is refined together, and the residuals take
+    # one more batched call; only the hazards of the grid are counted.
+    lo, hi, f_lo, f_hi = (np.concatenate(part) for part in zip(*bracket_parts))
     evaluator.screened = 0  # from here on, the screens of bisection
-    refined, midpoints = _bisect(evaluator, [(lo, hi, f_lo) for lo, hi, f_lo, _ in brackets])
+    midpoints = _bisect(evaluator, lo, hi, f_lo < 0.0)
     clock.append(time.perf_counter())
-    locations = [0.5 * (lo + hi) for lo, hi in refined]
+    locations = 0.5 * (lo + hi)
     residuals = evaluate_grid(evaluator, locations)[0]
     clock.append(time.perf_counter())
-    # Both ends of every refined bracket are keyed at once; the oracle's M
-    # is no cutoff, so its records never flag a jump.
-    keys, _ = evaluator._keys(np.array(refined, dtype=np.float64).ravel())
-    jumps = (keys[0::2] != keys[1::2]) & (scheme.kind is not SchemeKind.ORACLE_EM)
-    for (_, _, f_lo, f_hi), (lo, hi), location, residual, jump in zip(
-            brackets, refined, locations, np.abs(residuals).tolist(), jumps.tolist()):
-        records.append(ZeroRecord(
-            scheme=scheme, location=location, bracket=(lo, hi), residual=residual,
-            scale=max(abs(f_lo), abs(f_hi)), cutoff_jump=jump))
+    # The oracle's M is no cutoff, so its records never flag a jump.
+    jumps = ((evaluator._keys(lo)[0] != evaluator._keys(hi)[0])
+             & (scheme.kind is not SchemeKind.ORACLE_EM))
+
+    # Exact zeros, the grid's then each re-scan's, come before the refined
+    # brackets, so the dedup keeps the same record of a zero found twice.
+    zero_ts, zero_scales = (np.concatenate(part).tolist() for part in zip(*zero_parts))
+    records = [ZeroRecord(scheme=scheme, location=t, bracket=(t, t), residual=0.0, scale=scale)
+               for t, scale in zip(zero_ts, zero_scales)]
+    records += [ZeroRecord(scheme=scheme, location=location, bracket=bracket, residual=residual,
+                           scale=scale, cutoff_jump=jump)
+                for location, bracket, residual, scale, jump in zip(
+                    locations.tolist(), zip(lo.tolist(), hi.tolist()), np.abs(residuals).tolist(),
+                    np.maximum(np.abs(f_lo), np.abs(f_hi)).tolist(), jumps.tolist())]
 
     records.sort(key=lambda r: r.location)
     deduped = []
     for rec in records:
-        if deduped and abs(rec.location - deduped[-1].location) <= 1e-8:
-            continue
-        deduped.append(rec)
+        if not (deduped and abs(rec.location - deduped[-1].location) <= 1e-8):
+            deduped.append(rec)
     grid_s, dips_s, bisect_s, residual_s = np.diff(clock).tolist()
     stats = ScanStats(grid=len(ts), dip_rescan=dip_points, grid_screened=grid_screened,
                       bisect_screened=evaluator.screened,

@@ -25,7 +25,7 @@ from zsections.cli import (
     error_decay_report,
     main,
 )
-from zsections.errors import ConfigError, ResourceLimitError
+from zsections.errors import ConfigError, DomainError, ResourceLimitError
 from zsections.reference_engine import euler_maclaurin_rows
 from zsections.schemes import SchemeKind, SchemeSpec
 from zsections.sections_engine import MAX_SECTION_TERMS, section
@@ -216,6 +216,53 @@ def test_every_scheme_is_keyed_before_the_referee_runs(monkeypatch, capsys):
     assert evaluated == []
     assert capsys.readouterr().err == (
         "zsections: error: cutoff resolves to 0 at t = 1.0; scheme undefined this low\n")
+
+
+def spy_on_engines(monkeypatch, names=("riemann_siegel_rows", "section_rows",
+                                        "euler_maclaurin_rows")):
+    """Wrap the named engines of schemes; returns the list of (name, points) calls."""
+    calls = []
+
+    def spy(name, rows):
+        def wrapped(ts, *args, **kwargs):
+            calls.append((name, len(ts)))
+            return rows(ts, *args, **kwargs)
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(schemes, name, spy(name, getattr(schemes, name)))
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--range", "1999980:2000004:1", "--scheme", "spira", "--ref", "rs"],
+    ["zeros", "--range", "1999980:2000004:1", "--scheme", "rs,spira"],
+], ids=lambda argv: argv[0])
+def test_cutoff_past_the_term_limit_refused_before_any_evaluation(monkeypatch, capsys, argv):
+    # floor(t/2) passes MAX_SECTION_TERMS at t = 2000002: the keys refuse the
+    # Spira grid before the RS referee, or RS's whole scan, evaluates a point.
+    calls = spy_on_engines(monkeypatch)
+    assert main(argv) == 2
+    assert calls == []
+    assert capsys.readouterr().err == (
+        "zsections: error: cutoff 1000001 at t = 2000002.0 exceeds 1000000, the largest "
+        "SPIRA cutoff within MAX_SECTION_TERMS = 1000000\n")
+
+
+def test_a_listed_referee_is_evaluated_once(monkeypatch, tmp_path):
+    # The oracle runs on the 101 points of the grid once, as referee and as
+    # the listed em, and every row's error is 0.
+    calls = spy_on_engines(monkeypatch, ("euler_maclaurin_rows",))
+    rc, rows, _ = run_cli(tmp_path, "em.csv",
+                          ["eval", "--range", "412:413:0.01", "--scheme", "em"])
+    assert rc == 0 and len(rows) == 101
+    assert sum(points for _, points in calls) == 101
+    assert all(float(r["abs_err"]) == 0.0 for r in rows)
+    # A flagged RS point is counted once when rs is also the referee.
+    t = 2.0 * math.pi * 3.25 ** 2
+    rc, _, doc = run_cli(tmp_path, "rs.csv", ["eval", "--t", repr(t), "--scheme", "rs",
+                                              "--ref", "rs"])
+    assert rc == 3 and doc["summary"]["hazard_count"] == 1
 
 
 @pytest.mark.parametrize("names", ["em,spira,afe", "spira,afe"], ids=["compare", "scan-only"])
@@ -481,6 +528,13 @@ def test_error_decay_report_object():
     assert abs(slope - report.summary["SPIRA"]["slope"]) <= 1e-12
 
 
+def test_error_decay_report_refuses_a_repeated_label():
+    # Errors and fits are keyed by label, so a second SPIRA would drop an entry.
+    spira = SchemeSpec(kind=SchemeKind.SPIRA)
+    with pytest.raises(DomainError, match="^error_decay_report lists SPIRA twice$"):
+        error_decay_report([100.0, 200.0, 400.0], [spira, spira])
+
+
 def test_error_decay_validation():
     assert main(["error-decay", "--t-list", "100,200", "--scheme", "spira"]) == 2
     assert main(["error-decay", "--t-list", "40,100,200", "--scheme", "spira"]) == 2
@@ -489,6 +543,8 @@ def test_error_decay_validation():
 
 
 @pytest.mark.parametrize("argv", [
+    ["eval", "--t", "nan", "--scheme", "spira"],
+    ["eval", "--t", "inf", "--scheme", "spira"],
     ["eval", "--range", "100:101:nan", "--scheme", "spira"],
     ["eval", "--range", "100:101:inf", "--scheme", "spira"],
     ["zeros", "--range", "412:419:nan", "--scheme", "em,spira"],
@@ -504,6 +560,26 @@ def test_non_finite_numbers_refused_by_validation(argv):
     # evaluated; main maps the ConfigError to exit code 2.
     with pytest.raises(ConfigError, match="finite"):
         config_from_args(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["error-decay", "--t-list", "100,200,400"], "error-decay needs at least one --scheme"),
+    (["coeffs", "--sweep", "0,5"], "--sweep orders must all be >= 1"),
+    (["eval", "--range", "1:x:0.1", "--scheme", "spira"],
+     "--range must hold numbers, got '1:x:0.1'"),
+    (["error-decay", "--t-list", "100,x,400", "--scheme", "spira"],
+     "bad numeric list '100,x,400'"),
+    (["coeffs", "--sweep", "5,x"], "bad integer list '5,x'"),
+    (["eval", "--t", "100", "--scheme", "custom:{bad}"], "bad coefficient 'x' in '{bad}'"),
+    (["eval", "--t", "100", "--scheme", "custom:{empty}"],
+     "coefficient file '{empty}' holds no values"),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else "")
+def test_refusals_exit_2_with_their_message(tmp_path, capsys, argv, message):
+    files = {"bad": tmp_path / "bad.txt", "empty": tmp_path / "empty.txt"}
+    files["bad"].write_text("1.0\n0.5, x\n", encoding="utf-8")
+    files["empty"].write_text("# no values\n  # only comments\n", encoding="utf-8")
+    assert main([arg.format(**files) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"zsections: error: {message.format(**files)}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +652,16 @@ def test_json_sidecar_structure(tmp_path):
     assert set(doc) == {"command", "config", "summary", "stats", "provenance"}
     assert doc["config"]["n"] == 3
     assert isinstance(doc["provenance"], str) and doc["provenance"]
+
+
+def test_json_out_gets_its_sidecar_beside_it(tmp_path):
+    # with_suffix(".json") would name the CSV itself, so the sidecar appends .json.
+    out = tmp_path / "x.json"
+    assert main(["coeffs", "--n", "3", "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").startswith("k,alpha_accelerated,")
+    doc = json.loads((tmp_path / "x.json.json").read_text(encoding="utf-8"))
+    assert doc["command"] == "coeffs"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["x.json", "x.json.json"]
 
 
 STAT_KEYS = {"grid", "dip_rescan", "grid_screened", "bisect_screened", "bisect_exact", "residual",

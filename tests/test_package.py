@@ -121,6 +121,7 @@ def test_tracer_sees_each_scan_and_match_of_a_comparison(tmp_path):
     layers = tracer.layer_metrics([spans.totals()], 1, [1.0])
     assert layers["zero_scanner.scan_zeros.calls"]["value"] == 2
     assert layers["zero_scanner.greedy_match.calls"]["value"] == 1
+    assert layers["zero_scanner.brackets"]["value"] == 2  # one _bisect call per scan
 
 
 @pytest.mark.parametrize("module, attribute", tracer_targets())

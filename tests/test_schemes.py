@@ -36,6 +36,7 @@ from zsections.sections_engine import (
     CoefficientVector,
     cosine_rows,
     section,
+    section_rows,
     z_custom,
 )
 from zsections.special_functions import TWO_PI, theta_grid
@@ -253,9 +254,8 @@ def reference_key(evaluator, t):
     if not (math.isfinite(t) and t >= 0.0):
         return None
     if spec.kind is SchemeKind.ORACLE_EM:
-        m = max(100, 2 * math.ceil(t))
-        return m if m <= MAX_SECTION_TERMS else None
-    if spec.alpha is not None:
+        n = max(100, 2 * math.ceil(t))
+    elif spec.alpha is not None:
         n = len(spec.alpha)
     elif spec.n is not None:
         n = spec.n
@@ -263,7 +263,9 @@ def reference_key(evaluator, t):
         n = math.floor(math.sqrt(t / TWO_PI))
     else:
         n = math.floor(t / 2.0)
-    return n if n >= 1 else None
+    # The accelerated kinds sum n + 1 terms at cutoff n.
+    accelerated = spec.kind in (SchemeKind.ACCELERATED_TRIANGLE, SchemeKind.ACCELERATED_COEFF)
+    return n if 1 <= n and n + accelerated <= MAX_SECTION_TERMS else None
 
 
 def assert_keys_match_reference(evaluator, ts):
@@ -308,18 +310,32 @@ def test_array_keys_equal_scalar_keys_at_jumps(spec):
     assert_keys_match_reference(evaluator, HALF_T_JUMPS + SQRT_JUMPS + M_JUMPS + EDGES)
 
 
-def test_keys_beyond_the_section_limit_raise_the_engine_error():
-    # Cutoffs past MAX_SECTION_TERMS are keys the engines refuse, not domain
-    # errors; the grid raises the same error after the valid points.
+def test_keys_beyond_the_section_limit_raise_the_engine_error(monkeypatch):
+    # Cutoffs whose points would sum more than MAX_SECTION_TERMS terms are
+    # refused by the keys, as the oracle's M is: the grid raises _key's
+    # ResourceLimitError before any point, t = 100 included, is evaluated.
+    t_limit = 2.0 * MAX_SECTION_TERMS  # floor(t/2) reaches the limit here
+    for kind in (SchemeKind.SPIRA, SchemeKind.ACCELERATED_COEFF):
+        assert_keys_match_reference(SchemeEvaluator(SchemeSpec(kind=kind)),
+                                    around([t_limit - 2.0, t_limit, t_limit + 2.0]) + [1e300])
+    evaluated = []
+
+    def spy(ts, *args, **kwargs):
+        evaluated.extend(ts.tolist())
+        return section_rows(ts, *args, **kwargs)
+
     spec = SchemeSpec(kind=SchemeKind.SPIRA)
-    ts = [100.0, 2.0 * MAX_SECTION_TERMS + 2.0, 1e300]
-    assert_keys_match_reference(SchemeEvaluator(spec), ts)
+    ts = [100.0, t_limit + 2.0, 1e300]
     with pytest.raises(ResourceLimitError) as scalar_error:
-        for t in ts:
-            SchemeEvaluator(spec).evaluate(t)
+        SchemeEvaluator(spec)._key(ts[1])
+    monkeypatch.setattr(schemes, "section_rows", spy)
     with pytest.raises(ResourceLimitError) as grid_error:
         evaluate_grid(SchemeEvaluator(spec), ts)
+    assert str(scalar_error.value) == (
+        "cutoff 1000001 at t = 2000002.0 exceeds 1000000, the largest SPIRA cutoff "
+        "within MAX_SECTION_TERMS = 1000000")
     assert str(grid_error.value) == str(scalar_error.value)
+    assert evaluated == []
 
 
 def test_resource_refusal_comes_before_an_earlier_convergence_error(short_oracle):

@@ -368,6 +368,18 @@ class TestSignRule:
         assert all(r.residual == 0.0 and not r.cutoff_jump for r in result.records)
 
 
+    def test_dip_rescans_that_share_their_zeros_give_one_record_each(self, monkeypatch):
+        # |f| is 0.0609 at both t = 2.0 and t = 2.5, so both are dips, and both
+        # re-scan windows, [1.5, 2.5] and [2.0, 3.0], bracket the zeros 2.21
+        # and 2.29: four refined brackets, one record per zero.
+        self.fake_scheme(monkeypatch, lambda t: (t - 2.25) ** 2 - 0.0016)
+        result = scan_zeros(SPIRA_205, 1.0, 4.0, 0.5)
+        assert [(d.t, d.zeros_found) for d in result.dips] == [(2.0, 2), (2.5, 2)]
+        assert result.stats.residual == 4
+        assert [round(r.location, 8) for r in result.records] == [2.21, 2.29]
+        assert all(r.bracket[1] - r.bracket[0] <= BRACKET_WIDTH for r in result.records)
+
+
 class TestCompareZeroSets:
     def test_spira_205_clean_and_afe_blind(self):
         comparison = compare_zero_sets(
