@@ -23,10 +23,12 @@ evaluator adds it explicitly).
 
 Numerical discipline:
 
-  * Triangle rows are generated in extended precision (numpy longdouble) by
-    cumulative products from the exact row seed 2^-(n+1); beyond the
-    longdouble exponent range the row is seeded at its center from lgamma
-    and extended outward, keeping every cell normal.
+  * Each form's order limit counts what it sums against MAX_SECTION_TERMS:
+    N coefficients, N + 1 terms of the vertical form, and (N+1)(N+2)/2
+    cells of the triangle, whose largest order is MAX_TRIANGLE_ORDER = 1412.
+    Triangle rows are generated in extended precision (numpy longdouble) by
+    cumulative products from the exact row seed 2^-(n+1), a normal
+    longdouble at every accepted order.
   * Coefficients come from exact big-integer suffix sums of binomial rows
     (each entry is then a correctly rounded double) up to N = 20000, and from
     the regularized incomplete beta function beyond; never from naive
@@ -46,6 +48,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 from .sections_engine import (
+    MAX_SECTION_TERMS,
     CoefficientVector,
     cosine_rows,
     cosine_terms,
@@ -53,8 +56,8 @@ from .sections_engine import (
     section_rows,
 )
 
-# Orders beyond this are refused (a 10^6-order triangle is ~5e11 cells).
-MAX_ACCELERATION_ORDER = 10**6
+# Largest triangle order n whose (n+1)(n+2)/2 cells number at most MAX_SECTION_TERMS.
+MAX_TRIANGLE_ORDER = (math.isqrt(8 * MAX_SECTION_TERMS + 1) - 3) // 2
 
 # Coefficient vectors kept for reuse, least recently used out first: a zero
 # scan of a 20-wide window under the half cutoff uses about 11 orders.
@@ -63,46 +66,26 @@ COEFF_CACHE_ORDERS = 64
 # Largest N handled by exact big-integer coefficient arithmetic.
 _EXACT_COEFF_MAX = 20000
 
-# Largest row order whose seed 2^-(n+1) is a normal longdouble.
-_EXACT_ROW_MAX = 16000
-
 _LD = np.longdouble
 
 
-def _validate_order(n: int, minimum: int) -> int:
+def _validate_order(n: int, minimum: int, maximum: int = MAX_SECTION_TERMS) -> int:
     n = int(n)
     if n < minimum:
         raise DomainError(f"order must be >= {minimum}, got {n}")
-    if n > MAX_ACCELERATION_ORDER:
-        raise ResourceLimitError(
-            f"order {n} exceeds MAX_ACCELERATION_ORDER = {MAX_ACCELERATION_ORDER}")
+    if n > maximum:
+        raise ResourceLimitError(f"order {n} exceeds {maximum}, the largest order of at most "
+                                 f"MAX_SECTION_TERMS = {MAX_SECTION_TERMS} coefficients or cells")
     return n
 
 
 def _row_longdouble(n: int) -> np.ndarray:
     """Row n of the beta triangle, 2^-(n+1) C(n, k) for k = 0..n, in longdouble."""
-    if n == 0:
-        return np.full(1, _LD(0.5))
-    if n <= _EXACT_ROW_MAX:
-        out = np.empty(n + 1, dtype=np.longdouble)
-        out[0] = np.ldexp(_LD(1.0), -(n + 1))
-        ks = np.arange(1, n + 1, dtype=np.longdouble)
-        # C(n,k) = C(n,k-1) (n-k+1)/k
-        out[1:] = out[0] * np.cumprod((_LD(n) + 1 - ks) / ks)
-        return out
-    # The seed underflows longdouble for huge n: start at the row's center
-    # (its largest cell, ~sqrt(2/(pi n))/2) and extend outward instead.
-    k0 = n // 2
-    seed = _LD(-(n + 1) * math.log(2.0)
-               + math.lgamma(n + 1) - math.lgamma(k0 + 1) - math.lgamma(n - k0 + 1))
     out = np.empty(n + 1, dtype=np.longdouble)
-    out[k0] = np.exp(seed)
-    if k0 < n:
-        ks = np.arange(k0 + 1, n + 1, dtype=np.longdouble)
-        out[k0 + 1:] = out[k0] * np.cumprod((_LD(n) + 1 - ks) / ks)
-    if k0 > 0:
-        ks = np.arange(k0, 0, -1, dtype=np.longdouble)
-        out[k0 - 1::-1] = out[k0] * np.cumprod(ks / (_LD(n) + 1 - ks))
+    out[0] = np.ldexp(_LD(1.0), -(n + 1))
+    ks = np.arange(1, n + 1, dtype=np.longdouble)
+    # C(n,k) = C(n,k-1) (n-k+1)/k
+    out[1:] = out[0] * np.cumprod((_LD(n) + 1 - ks) / ks)
     return out
 
 
@@ -177,13 +160,13 @@ def _triangle_sums(kernel: np.ndarray, order: int) -> np.ndarray:
 
 def accelerated_triangle(t: float, order: int) -> float:
     """Row-first (horizontal) evaluation of the accelerated section."""
-    order = _validate_order(order, minimum=0)
+    order = _validate_order(order, minimum=0, maximum=MAX_TRIANGLE_ORDER)
     return float(_triangle_sums(cosine_terms(t, order + 1)[None, :], order)[0])
 
 
 def accelerated_triangle_rows(ts: np.ndarray, thetas: np.ndarray, order: int) -> np.ndarray:
     """accelerated_triangle(t_i, order) for every point, bit for bit."""
-    order = _validate_order(order, minimum=0)
+    order = _validate_order(order, minimum=0, maximum=MAX_TRIANGLE_ORDER)
     out = np.empty(len(ts), dtype=np.float64)
     for block in row_blocks(len(ts), order + 1):
         out[block] = _triangle_sums(cosine_rows(ts[block], thetas[block], order + 1), order)
@@ -202,7 +185,7 @@ def accelerated_vertical(t: float, order: int) -> float:
     coefficient being exactly 2^-(N+1); equals accelerated_triangle(t, N) to
     better than 1e-12 relative (tested, not assumed).
     """
-    order = _validate_order(order, minimum=1)
+    order = _validate_order(order, minimum=1, maximum=MAX_SECTION_TERMS - 1)
     kernel = cosine_terms(t, order + 1)
     return math.fsum(kernel * _vertical_weights(order))
 
@@ -210,7 +193,7 @@ def accelerated_vertical(t: float, order: int) -> float:
 def accelerated_vertical_rows(ts: np.ndarray, thetas: np.ndarray, order: int,
                               exact_below=math.inf):
     """accelerated_vertical(t_i, order) for every point: (values, exact), as section_rows."""
-    order = _validate_order(order, minimum=1)
+    order = _validate_order(order, minimum=1, maximum=MAX_SECTION_TERMS - 1)
     return section_rows(ts, thetas, order + 1, _vertical_weights(order), exact_below)
 
 

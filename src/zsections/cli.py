@@ -50,7 +50,6 @@ import numpy as np
 
 from . import __version__
 from .acceleration_engine import (
-    MAX_ACCELERATION_ORDER,
     accelerated_coefficients,
     coefficient_l2_distance,
     step_coefficients,
@@ -67,7 +66,7 @@ from .schemes import (
     evaluate_grid,
     parse_scheme_kind,
 )
-from .sections_engine import CoefficientVector, cosine_terms
+from .sections_engine import MAX_SECTION_TERMS, CoefficientVector, cosine_terms
 from .zero_scanner import (
     DEFAULT_MATCH_TOL,
     compare_zero_sets,
@@ -209,9 +208,8 @@ def _check_coeffs(config: RunConfig) -> None:
         raise ConfigError(f"--n must be >= 1, got {config.n}")
     if config.k_max is not None and config.n is None:
         raise ConfigError("--k-max applies to the table of --n, not to --sweep")
-    if config.k_max is not None and not 1 <= config.k_max <= MAX_ACCELERATION_ORDER:
-        raise ConfigError(
-            f"--k-max must lie in [1, {MAX_ACCELERATION_ORDER}], got {config.k_max}")
+    if config.k_max is not None and not 1 <= config.k_max <= MAX_SECTION_TERMS:
+        raise ConfigError(f"--k-max must lie in [1, {MAX_SECTION_TERMS}], got {config.k_max}")
     if config.sweep is not None and not config.sweep:
         raise ConfigError("--sweep needs at least one order")
     if config.sweep is not None and any(m < 1 for m in config.sweep):

@@ -48,21 +48,26 @@ The oracle has one configuration, that of the paper's experiments, and
 reference_engine alone states it: M = euler_maclaurin_terms(t) terms and
 J = 6 Bernoulli corrections.  Its tail then converges at every accepted t,
 so a screened point never hides an error.  _keys refuses every kind's
-term limit, a key that would sum more than MAX_SECTION_TERMS terms (key + 1
-for the accelerated kinds), before any point is evaluated; a pinned cutoff
-or a custom vector past it is refused when the SchemeSpec is built.
+term limit (_key_limit), a key that would sum more than MAX_SECTION_TERMS
+terms or cells, before any point is evaluated; a pinned cutoff or a custom
+vector past it is refused when the SchemeSpec is built.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .acceleration_engine import accelerated_triangle_rows, accelerated_vertical_rows
+from .acceleration_engine import (
+    MAX_TRIANGLE_ORDER,
+    accelerated_triangle_rows,
+    accelerated_vertical_rows,
+)
 from .errors import DomainError, ResourceLimitError
 from .reference_engine import (
     RS4_T_MIN,
@@ -99,13 +104,17 @@ class SchemeKind(str, enum.Enum):
 
 REFERENCE_KINDS = (SchemeKind.REFERENCE_RS, SchemeKind.ORACLE_EM)
 
-# Kinds that sum n + 1 terms at cutoff n: the closing coefficient 2^-(n+1) adds one.
+# The accelerated section in its two summation orders.
 ACCELERATED_KINDS = (SchemeKind.ACCELERATED_TRIANGLE, SchemeKind.ACCELERATED_COEFF)
 
 
 def _key_limit(kind: SchemeKind) -> int:
-    """A kind's term limit: its largest run key whose points sum at most MAX_SECTION_TERMS."""
-    return MAX_SECTION_TERMS - (kind in ACCELERATED_KINDS)
+    """A kind's largest run key whose points sum at most MAX_SECTION_TERMS terms: key
+    terms, key + 1 for ACCELERATED_COEFF (its closing coefficient), and for the triangle
+    MAX_TRIANGLE_ORDER = 1412, the last order of at most that many cells (t < 2826)."""
+    if kind is SchemeKind.ACCELERATED_TRIANGLE:
+        return MAX_TRIANGLE_ORDER
+    return MAX_SECTION_TERMS - (kind is SchemeKind.ACCELERATED_COEFF)
 
 
 def _limit_error(kind: SchemeKind, key: str) -> ResourceLimitError:
@@ -143,10 +152,16 @@ class SchemeSpec:
         if n is not None and int(n) > _key_limit(kind):
             raise _limit_error(kind, f"fixed cutoff n = {n}")
 
-    @property
+    @functools.cached_property
     def label(self) -> str:
+        """KIND, KIND@n when pinned, or CUSTOM@n:<8 hex digits of SHA-256 of its float64s>."""
         if self.kind is SchemeKind.CUSTOM:
-            return f"CUSTOM@{len(self.alpha)}"
+            # Imported here: hashlib adds about 4 MB to every run's RSS, and
+            # only custom labels need it.
+            import hashlib
+
+            digest = hashlib.sha256(self.alpha.as_array().tobytes()).hexdigest()
+            return f"CUSTOM@{len(self.alpha)}:{digest[:8]}"
         if self.n is not None:
             return f"{self.kind.value}@{self.n}"
         return self.kind.value

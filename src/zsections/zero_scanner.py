@@ -3,8 +3,8 @@
 The scanner walks a uniform grid over [a, b], brackets every sign change,
 and bisects each bracket down to width 1e-9.  Signs of neighbouring samples
 are compared, not multiplied, so an underflowing product still brackets its
-zero; a sample that is exactly 0 is recorded as a zero of its own, with a
-bracket of width 0 and residual 0.  Two diagnostics ride along:
+zero; a sample that is exactly 0 is a bracket of width 0 of its own, which
+bisection never opens and whose residual is its value, 0.  Two diagnostics:
 
   * dip events: |f| dropping below 0.1 at a local minimum without a sign
     change suggests a curvature-driven near-double root the grid cannot
@@ -29,9 +29,9 @@ sweep is clean.
 
 Every value comes from the batched evaluate_grid.  One helper, _scan_grid,
 serves the grid and each dip re-scan: it finds the crossings once and
-returns brackets (lo, hi, f_lo, f_hi) and exact zeros (locations, scales)
-as float64 arrays, which stay arrays up to the records.  The brackets of a
-scan, the grid's and then each re-scan's, are bisected in place in
+returns its candidates, exact zeros and then sign changes, as arrays (lo,
+hi, lo_neg, scale), which stay arrays up to the records.  The candidates of
+a scan, the grid's and then each re-scan's, are bisected in place in
 lockstep, one evaluate_grid call per round, and the residuals take one
 more; Python floats are made, by .tolist(), only for records and dips.  A
 grid value reaches a record only through its sign, its size inside the dip
@@ -205,10 +205,10 @@ def _dips(vals: np.ndarray) -> np.ndarray:
 
 
 def _scan_grid(evaluator: SchemeEvaluator, grid: np.ndarray):
-    """(values, hazards, cheap values kept, brackets, zeros) of an ascending grid, keyed
-    first.  Values are exact in the dip band, beside each crossing and below RS4_T_MIN;
-    brackets are arrays (lo, hi, f_lo, f_hi) of the sign changes, zeros arrays
-    (locations, scales) of the exact zeros, scale the larger |value| beside each."""
+    """(values, hazards, cheap values kept, candidates) of an ascending grid, keyed first.
+    Values are exact in the dip band, beside each crossing and below RS4_T_MIN; the
+    candidates are arrays (lo, hi, lo_neg, scale) of the exact zeros, lo = hi, then the
+    sign changes, scale the larger |value| beside a zero or at a change's ends."""
     evaluator.grid_keys(grid)
     vals = np.empty(len(grid), dtype=np.float64)
     exact = np.empty(len(grid), dtype=bool)
@@ -219,22 +219,25 @@ def _scan_grid(evaluator: SchemeEvaluator, grid: np.ndarray):
     hazards += upper
     changes, zeros = _crossings(vals)
     last = len(vals) - 1
-    before, after = np.maximum(zeros - 1, 0), np.minimum(zeros + 1, last)
-    near = np.concatenate([changes, changes + 1, before, after])
+    lo_at, hi_at = np.concatenate([zeros, changes]), np.concatenate([zeros, changes + 1])
+    sides = (np.concatenate([np.maximum(zeros - 1, 0), changes]),
+             np.concatenate([np.minimum(zeros + 1, last), changes + 1]))
+    near = np.concatenate(sides)
     fill = sorted(set(near[~exact[near]].tolist()))  # np.unique would import numpy.ma
     if fill:
         vals[fill] = evaluate_grid(evaluator, grid[fill])[0]
         exact[fill] = True
-    brackets = (grid[changes], grid[changes + 1], vals[changes], vals[changes + 1])
-    scales = np.maximum(np.abs(vals[before]), np.abs(vals[after]))
-    return vals, hazards, last + 1 - int(np.count_nonzero(exact)), brackets, (grid[zeros], scales)
+    scale = np.maximum(np.abs(vals[sides[0]]), np.abs(vals[sides[1]]))
+    return (vals, hazards, last + 1 - int(np.count_nonzero(exact)),
+            (grid[lo_at], grid[hi_at], vals[lo_at] < 0.0, scale))
 
 
 def _bisect(evaluator: SchemeEvaluator, lo: np.ndarray, hi: np.ndarray, lo_neg: np.ndarray):
     """Refine brackets [lo, hi], with f(lo) < 0 where lo_neg, in place; count the midpoints.
 
     Each round evaluates the midpoints of the brackets still wider than
-    BRACKET_WIDTH with one evaluate_grid call at exact_below = 0, for at most
+    BRACKET_WIDTH, so never those of width 0 (exact zeros), with one
+    evaluate_grid call at exact_below = 0, for at most
     MAX_BISECT_ITERS rounds.  Every bracket takes the path it would take
     alone on exact values, since each midpoint's value has the exact
     value's sign.  The hazards of refinement points are not counted.
@@ -273,29 +276,28 @@ def scan_zeros(scheme: SchemeSpec, a: float, b: float, step: float) -> ScanResul
     evaluator = SchemeEvaluator(scheme)
     ts = grid_points(a, b, step)
     clock = [time.perf_counter()]
-    vals, hazards, grid_screened, brackets, zeros = _scan_grid(evaluator, ts)
+    vals, hazards, grid_screened, candidates = _scan_grid(evaluator, ts)
     clock.append(time.perf_counter())
 
     # Dip diagnostic: near-touch local minima without a sign change trigger
     # a tenfold-finer local re-scan.
-    bracket_parts, zero_parts, dips, dip_points = [brackets], [zeros], [], 0
+    parts, dips, dip_points = [candidates], [], 0
     for i in _dips(vals).tolist():
         lo, t, hi = ts[i - 1:i + 2].tolist()
         fine = grid_points(lo, hi, step / 10.0)
         dip_points += len(fine)
-        _, _, screened, fine_brackets, fine_zeros = _scan_grid(evaluator, fine)
+        _, _, screened, fine_candidates = _scan_grid(evaluator, fine)
         grid_screened += screened
-        bracket_parts.append(fine_brackets)
-        zero_parts.append(fine_zeros)
+        parts.append(fine_candidates)
         dips.append(DipEvent(scheme=scheme, t=t, value=float(vals[i]),
-                             zeros_found=fine_brackets[0].size + fine_zeros[0].size))
+                             zeros_found=fine_candidates[0].size))
     clock.append(time.perf_counter())
 
-    # Every bracket of the scan is refined together, and the residuals take
+    # Every candidate of the scan is refined together, and the residuals take
     # one more batched call; only the hazards of the grid are counted.
-    lo, hi, f_lo, f_hi = (np.concatenate(part) for part in zip(*bracket_parts))
+    lo, hi, lo_neg, scales = (np.concatenate(part) for part in zip(*parts))
     evaluator.screened = 0  # from here on, the screens of bisection
-    midpoints = _bisect(evaluator, lo, hi, f_lo < 0.0)
+    midpoints = _bisect(evaluator, lo, hi, lo_neg)
     clock.append(time.perf_counter())
     locations = 0.5 * (lo + hi)
     residuals = evaluate_grid(evaluator, locations)[0]
@@ -304,18 +306,14 @@ def scan_zeros(scheme: SchemeSpec, a: float, b: float, step: float) -> ScanResul
     jumps = ((evaluator._keys(lo)[0] != evaluator._keys(hi)[0])
              & (scheme.kind is not SchemeKind.ORACLE_EM))
 
-    # Exact zeros, the grid's then each re-scan's, come before the refined
-    # brackets, so the dedup keeps the same record of a zero found twice.
-    zero_ts, zero_scales = (np.concatenate(part).tolist() for part in zip(*zero_parts))
-    records = [ZeroRecord(scheme=scheme, location=t, bracket=(t, t), residual=0.0, scale=scale)
-               for t, scale in zip(zero_ts, zero_scales)]
-    records += [ZeroRecord(scheme=scheme, location=location, bracket=bracket, residual=residual,
-                           scale=scale, cutoff_jump=jump)
-                for location, bracket, residual, scale, jump in zip(
-                    locations.tolist(), zip(lo.tolist(), hi.tolist()), np.abs(residuals).tolist(),
-                    np.maximum(np.abs(f_lo), np.abs(f_hi)).tolist(), jumps.tolist())]
-
-    records.sort(key=lambda r: r.location)
+    # The sort is stable, so of records at one location the dedup keeps the
+    # grid's before a re-scan's, and within a grid an exact zero's.
+    records = sorted((ZeroRecord(scheme=scheme, location=location, bracket=bracket,
+                                 residual=residual, scale=scale, cutoff_jump=jump)
+                      for location, bracket, residual, scale, jump in zip(
+                          locations.tolist(), zip(lo.tolist(), hi.tolist()),
+                          np.abs(residuals).tolist(), scales.tolist(), jumps.tolist())),
+                     key=lambda r: r.location)
     deduped = []
     for rec in records:
         if not (deduped and abs(rec.location - deduped[-1].location) <= 1e-8):

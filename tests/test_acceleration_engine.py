@@ -10,17 +10,20 @@ from scipy.special import betainc
 from zsections import acceleration_engine
 from zsections.acceleration_engine import (
     COEFF_CACHE_ORDERS,
+    MAX_TRIANGLE_ORDER,
     accelerated_coefficients,
     accelerated_triangle,
+    accelerated_triangle_rows,
     accelerated_vertical,
+    accelerated_vertical_rows,
     closing_coefficient,
     coefficient_direct_sum,
     coefficient_l2_distance,
     step_coefficients,
 )
 from zsections.errors import DomainError, ResourceLimitError
-from zsections.sections_engine import cosine_terms, section, z_custom
-from zsections.special_functions import theta
+from zsections.sections_engine import MAX_SECTION_TERMS, cosine_terms, section, z_custom
+from zsections.special_functions import theta, theta_grid
 
 
 def enumerate_tail(flips: int, k: int) -> float:
@@ -37,12 +40,6 @@ class TestTriangleRows:
         for n in (0, 1, 2, 17, 100, 499, 500):
             row_sum = float(np.sum(acceleration_engine._row_longdouble(n)))
             assert abs(row_sum - 0.5) <= 1e-14, f"row {n}"
-
-    def test_row_sum_beyond_exact_seed_range(self):
-        # Rows with 2^-(n+1) below the extended-precision exponent range are
-        # seeded at their center instead; the invariant must survive that.
-        row_sum = float(np.sum(acceleration_engine._row_longdouble(17000)))
-        assert abs(row_sum - 0.5) <= 1e-11
 
     def test_entries(self):
         def row(n):
@@ -84,6 +81,11 @@ class TestCoefficients:
             direct = coefficient_direct_sum(order, k)
             tail = accelerated_coefficients(order).alpha[k - 1]
             assert abs(direct - tail) <= 1e-12, f"N={order}, k={k}"
+
+    def test_direct_sum_refuses_k_outside_its_order(self):
+        for k in (0, 11):
+            with pytest.raises(DomainError, match=f"^k = {k} outside 1..10$"):
+                coefficient_direct_sum(10, k)
 
     def test_symmetry_of_fair_tails(self):
         # alphatilde_k + alphatilde_{N+2-k} = 1 exactly in exact arithmetic.
@@ -168,6 +170,33 @@ class TestTriangleEvaluation:
     def test_resource_ceiling(self):
         with pytest.raises(ResourceLimitError):
             accelerated_triangle(10.0, 10**6 + 1)
+
+    def test_order_limit_counts_the_cells(self, monkeypatch):
+        # Order n sums (n+1)(n+2)/2 cells: 998,991 at 1412, 1,000,405 at 1413.
+        assert MAX_TRIANGLE_ORDER == 1412
+        assert (1412 + 1) * (1412 + 2) // 2 <= MAX_SECTION_TERMS < (1413 + 1) * (1413 + 2) // 2
+        rows = []
+        monkeypatch.setattr(acceleration_engine, "_row_longdouble",
+                            lambda n: rows.append(n) or np.zeros(n + 1, dtype=np.longdouble))
+        with pytest.raises(ResourceLimitError, match="^order 1413 exceeds 1412, "):
+            accelerated_triangle(100.0, 1413)
+        ts = np.array([100.0, 200.0])
+        with pytest.raises(ResourceLimitError, match="^order 1413 exceeds 1412, "):
+            accelerated_triangle_rows(ts, theta_grid(ts), 1413)
+        assert rows == []
+
+    def test_vertical_order_limit_counts_the_closing_term(self, monkeypatch):
+        # Order n sums n + 1 terms, so 10^6 is refused before its 10^6
+        # coefficients are built, which would take betainc about 0.5 s.
+        built = []
+        monkeypatch.setattr(acceleration_engine, "_coefficient_vector",
+                            lambda order: built.append(order))
+        ts = np.array([100.0])
+        for call in (lambda: accelerated_vertical(100.0, MAX_SECTION_TERMS),
+                     lambda: accelerated_vertical_rows(ts, theta_grid(ts), MAX_SECTION_TERMS)):
+            with pytest.raises(ResourceLimitError, match="^order 1000000 exceeds 999999, "):
+                call()
+        assert built == []
 
 
 class TestSummationOrderIdentity:

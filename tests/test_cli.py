@@ -8,13 +8,17 @@ formatting, exit codes) is exercised the way a shell user sees it.
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from zsections import schemes
 from zsections.acceleration_engine import (
-    MAX_ACCELERATION_ORDER,
     accelerated_coefficients,
+    accelerated_vertical,
     coefficient_l2_distance,
 )
 from zsections.cli import (
@@ -24,6 +28,8 @@ from zsections.cli import (
     config_from_args,
     error_decay_report,
     main,
+    parse_scheme_args,
+    provenance,
 )
 from zsections.errors import ConfigError, DomainError, ResourceLimitError
 from zsections.reference_engine import euler_maclaurin_rows
@@ -106,8 +112,27 @@ def test_eval_custom_coefficient_file(tmp_path):
     rc, rows, _ = run_cli(tmp_path, "c.csv",
                           ["eval", "--t", "100", "--scheme", f"custom:{path}"])
     assert rc == 0
-    assert rows[0]["scheme"] == "CUSTOM@3"
+    assert rows[0]["scheme"] == "CUSTOM@3:cc143326"
     assert float(rows[0]["value"]) == section(100.0, 3)
+
+
+def test_custom_vectors_of_one_length_have_their_own_labels(tmp_path, capsys):
+    # The label carries the first 8 hex digits of the SHA-256 of the float64
+    # values, so two vectors of one length run together; one file listed
+    # twice is still one label listed twice.
+    ones, halves = tmp_path / "ones.txt", tmp_path / "halves.txt"
+    ones.write_text("1\n1\n1\n", encoding="utf-8")
+    halves.write_text("1, 0.5, 0.25\n", encoding="utf-8")
+    rc, rows, _ = run_cli(tmp_path, "two.csv",
+                          ["eval", "--t", "100", "--scheme", f"custom:{ones},custom:{halves}"])
+    assert rc == 0
+    assert [r["scheme"] for r in rows] == ["CUSTOM@3:cc143326", "CUSTOM@3:e8a16ff6"]
+    assert float(rows[0]["value"]) == section(100.0, 3)
+    assert float(rows[0]["value"]) != float(rows[1]["value"])
+    capsys.readouterr()
+    assert main(["eval", "--t", "100", "--scheme", f"custom:{ones},custom:{ones}"]) == 2
+    assert capsys.readouterr().err == (
+        "zsections: error: --scheme lists CUSTOM@3:cc143326 twice\n")
 
 
 def test_documented_scheme_names_parse_and_removed_aliases_exit_2(tmp_path):
@@ -165,12 +190,11 @@ def parse_config(argv):
      MAX_SECTION_TERMS),
     (["eval", "--t", "100", "--scheme", "afe"], MAX_SECTION_TERMS + 1, MAX_SECTION_TERMS),
     (["eval", "--t", "100", "--scheme", "acc"], MAX_SECTION_TERMS, MAX_SECTION_TERMS - 1),
-    (["zeros", "--range", "412:419:0.01", "--scheme", "em,acc-triangle"], MAX_SECTION_TERMS,
-     MAX_SECTION_TERMS - 1),
+    (["zeros", "--range", "412:419:0.01", "--scheme", "em,acc-triangle"], 1413, 1412),
 ], ids=lambda x: " ".join(x) if isinstance(x, list) else str(x))
 def test_oversized_pinned_cutoff_refused_while_parsing(argv, n, limit):
     # Refused when the scheme is built, before the referee's grid runs, with
-    # the n the user typed: the accelerated kinds sum n + 1 terms.
+    # the n the user typed: acc sums n + 1 terms, acc-triangle (n+1)(n+2)/2 cells.
     with pytest.raises(ResourceLimitError, match=f"^fixed cutoff n = {n} exceeds {limit},"):
         parse_config(argv + ["--n", str(n)])
     parse_config(argv + ["--n", str(limit)])
@@ -247,6 +271,23 @@ def test_cutoff_past_the_term_limit_refused_before_any_evaluation(monkeypatch, c
     assert capsys.readouterr().err == (
         "zsections: error: cutoff 1000001 at t = 2000002.0 exceeds 1000000, the largest "
         "SPIRA cutoff within MAX_SECTION_TERMS = 1000000\n")
+
+
+def test_triangle_past_its_largest_order_refused_before_any_evaluation(
+        monkeypatch, capsys, tmp_path):
+    # Order 1413 would sum 1,000,405 cells: t = 2826 is refused by the keys
+    # before the referee or the triangle evaluates; t = 2825.5 (order 1412) runs.
+    calls = spy_on_engines(monkeypatch, ("euler_maclaurin_rows", "accelerated_triangle_rows"))
+    assert main(["eval", "--t", "2826", "--scheme", "acc-triangle"]) == 2
+    assert calls == []
+    assert capsys.readouterr().err == (
+        "zsections: error: cutoff 1413 at t = 2826.0 exceeds 1412, the largest "
+        "ACCELERATED_TRIANGLE cutoff within MAX_SECTION_TERMS = 1000000\n")
+    rc, rows, _ = run_cli(tmp_path, "tri.csv", ["eval", "--t", "2825.5", "--scheme",
+                                                "acc-triangle"])
+    assert rc == 0 and ("accelerated_triangle_rows", 1) in calls
+    want = accelerated_vertical(2825.5, 1412)
+    assert abs(float(rows[0]["value"]) - want) <= 1e-12 * (1.0 + abs(want))
 
 
 def test_a_listed_referee_is_evaluated_once(monkeypatch, tmp_path):
@@ -448,6 +489,18 @@ def test_zeros_requires_range_and_scheme():
     assert main(["zeros", "--range", "14:15:0.01"]) == 2
 
 
+@pytest.mark.parametrize("config, message", [
+    (RunConfig(command="nope"), "unknown command 'nope'"),
+    (RunConfig(command="figure", figure="fig9"), "figure id must be one of"),
+    (RunConfig(command="zeros", schemes=(SchemeSpec(kind=SchemeKind.ORACLE_EM),)),
+     "zeros needs --range a:b:step"),
+], ids=["command", "figure", "zeros"])
+def test_run_config_refuses_what_argparse_stops(config, message):
+    # argparse stops these on the command line; RunConfig refuses them itself.
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        config.validate()
+
+
 # ---------------------------------------------------------------------------
 # conjecture
 
@@ -616,8 +669,8 @@ def test_coeffs_validation():
     assert main(["coeffs", "--n", "5", "--k-max", "0"]) == 2
     # Refused by validation, so the 10^9 rows are never built.
     assert main(["coeffs", "--n", "5", "--k-max", "1000000000"]) == 2
-    assert main(["coeffs", "--n", "5", "--k-max", str(MAX_ACCELERATION_ORDER + 1)]) == 2
-    RunConfig(command="coeffs", n=5, k_max=MAX_ACCELERATION_ORDER).validate()
+    assert main(["coeffs", "--n", "5", "--k-max", str(MAX_SECTION_TERMS + 1)]) == 2
+    RunConfig(command="coeffs", n=5, k_max=MAX_SECTION_TERMS).validate()
     # --k-max is the last row of the --n table; a sweep tabulates distances only.
     assert main(["coeffs", "--sweep", "50,100", "--k-max", "5"]) == 2
     with pytest.raises(ConfigError, match="--k-max"):
@@ -635,6 +688,33 @@ def test_coeffs_refuses_flags_it_never_reads(flag):
 
 # ---------------------------------------------------------------------------
 # output plumbing
+
+
+def test_scheme_list_skips_empty_names():
+    assert parse_scheme_args(["spira,", ",acc"], None) == (
+        SchemeSpec(kind=SchemeKind.SPIRA), SchemeSpec(kind=SchemeKind.ACCELERATED_COEFF))
+
+
+def test_provenance_falls_back_to_the_package_version(monkeypatch):
+    def no_git(*args, **kwargs):
+        raise OSError("no git")
+
+    monkeypatch.setattr(subprocess, "run", no_git)
+    provenance.cache_clear()
+    try:
+        assert provenance() == "zsections-0.1.0"
+    finally:
+        provenance.cache_clear()
+
+
+def test_module_runs_as_a_script():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "zsections.cli", "coeffs", "--n", "3"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("k,alpha_accelerated,alpha_step,comment\n")
 
 
 def test_stdout_stderr_split(capsys):

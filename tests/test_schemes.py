@@ -263,9 +263,13 @@ def reference_key(evaluator, t):
         n = math.floor(math.sqrt(t / TWO_PI))
     else:
         n = math.floor(t / 2.0)
-    # The accelerated kinds sum n + 1 terms at cutoff n.
-    accelerated = spec.kind in (SchemeKind.ACCELERATED_TRIANGLE, SchemeKind.ACCELERATED_COEFF)
-    return n if 1 <= n and n + accelerated <= MAX_SECTION_TERMS else None
+    # Count what each engine sums at cutoff n: the closing coefficient adds
+    # one term to acc, and the triangle of order n has (n+1)(n+2)/2 cells.
+    if spec.kind is SchemeKind.ACCELERATED_TRIANGLE:
+        terms = (n + 1) * (n + 2) // 2
+    else:
+        terms = n + (spec.kind is SchemeKind.ACCELERATED_COEFF)
+    return n if 1 <= n and terms <= MAX_SECTION_TERMS else None
 
 
 def assert_keys_match_reference(evaluator, ts):
@@ -338,6 +342,18 @@ def test_keys_beyond_the_section_limit_raise_the_engine_error(monkeypatch):
     assert evaluated == []
 
 
+def test_triangle_keys_stop_at_its_largest_order():
+    # floor(t/2) passes MAX_TRIANGLE_ORDER = 1412 at t = 2826, where the
+    # triangle would sum 1,000,405 cells.
+    evaluator = SchemeEvaluator(SchemeSpec(kind=SchemeKind.ACCELERATED_TRIANGLE))
+    assert_keys_match_reference(evaluator, around([2824.0, 2826.0, 2828.0]))
+    with pytest.raises(ResourceLimitError) as error:
+        evaluator._key(2826.0)
+    assert str(error.value) == (
+        "cutoff 1413 at t = 2826.0 exceeds 1412, the largest ACCELERATED_TRIANGLE cutoff "
+        "within MAX_SECTION_TERMS = 1000000")
+
+
 def test_resource_refusal_comes_before_an_earlier_convergence_error(short_oracle):
     # At t = 6e5 the oracle's M = 1.2e6 exceeds MAX_SECTION_TERMS; the grid
     # is refused before the unconverged tail at t = 40 is evaluated.
@@ -361,7 +377,7 @@ def test_cutoff_named_values():
     assert cutoff(412.0, kind=SchemeKind.REFERENCE_RS) == 8
     assert cutoff(3000.0, kind=SchemeKind.SPIRA) == 1500
     assert cutoff(3000.0, kind=SchemeKind.ACCELERATED_COEFF) == 1500
-    assert cutoff(3000.0, kind=SchemeKind.ACCELERATED_TRIANGLE) == 1500
+    assert cutoff(2000.0, kind=SchemeKind.ACCELERATED_TRIANGLE) == 1000
     assert cutoff(991.7, kind=SchemeKind.SPIRA, n=205) == 205
     assert cutoff(991.7, kind=SchemeKind.CUSTOM, alpha=CUSTOM_ALPHA) == 17
     # The oracle has no cutoff; its key is the partial-sum length M.

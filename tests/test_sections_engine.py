@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from zsections import _tables
 from zsections.errors import DomainError, ResourceLimitError
 from zsections.reference_engine import z_euler_maclaurin
 from zsections.schemes import SchemeEvaluator, SchemeKind, SchemeSpec, evaluate_grid
@@ -30,6 +31,18 @@ def mp_section(t, n, dps=30):
     th = mpmath.siegeltheta(tt)
     return float(mpmath.fsum(
         mpmath.cos(th - tt * mpmath.log(k)) / mpmath.sqrt(k) for k in range(1, n + 1)))
+
+
+def test_tables_grow_when_first_asked_beyond_them(monkeypatch):
+    # Each table grows geometrically on demand, whichever is asked first.
+    for name in ("_log_table", "_rsqrt_table"):
+        monkeypatch.setattr(_tables, name, getattr(_tables, name)[:4])
+    rsqrt = _tables.rsqrt_k(10)
+    assert len(_tables._rsqrt_table) == len(_tables._log_table) == 16
+    ks = np.arange(1, 11, dtype=np.float64)
+    assert np.array_equal(rsqrt, 1.0 / np.sqrt(ks))
+    assert np.array_equal(_tables.log_k(10), np.log(ks))
+    assert not rsqrt.flags.writeable
 
 
 class TestSection:

@@ -112,6 +112,12 @@ class TestScanZeros:
         with pytest.raises(DomainError):
             scan_zeros(EM, 1.0, 2.0, -0.1)
 
+    @pytest.mark.parametrize("bounds", [(math.nan, 10.0, 0.1), (1.0, math.inf, 0.1),
+                                        (1.0, 10.0, math.nan)])
+    def test_non_finite_range_refused(self, bounds):
+        with pytest.raises(DomainError, match="^scan bounds and step must be finite$"):
+            scan_zeros(EM, *bounds)
+
     def test_oversized_grid_refused_before_it_is_built(self):
         with pytest.raises(ResourceLimitError):
             grid_points(0.0, 1.0e6, 1.0e-6)
@@ -351,6 +357,21 @@ class TestSignRule:
         assert len(result) == 1
         assert abs(result[0].location - 2.3) <= BRACKET_WIDTH
 
+    def test_an_exact_zero_is_a_candidate_of_width_zero(self, monkeypatch):
+        # Bisection never opens it, and its residual is evaluated and counted
+        # like any other: one call for the grid, then one for the residual.
+        calls = []
+
+        def f(t):
+            calls.append(t.tolist())
+            return t - 2.5
+
+        self.fake_scheme(monkeypatch, f)
+        result = scan_zeros(SPIRA_205, 1.0, 2.5, 0.5)
+        assert [call for call in calls if call] == [[1.0, 1.5, 2.0, 2.5], [2.5]]
+        assert record_fields(result) == [(2.5, (2.5, 2.5), 0.0, 0.5, False)]
+        assert result.stats.residual == 1 and result.stats.bisect_exact == 0
+
     def test_exact_zeros_on_a_dip_rescan(self, monkeypatch):
         # Two zeros inside the grid step (2.0, 2.5), both landing exactly
         # on points of the re-scan grid at step 0.05.
@@ -390,6 +411,12 @@ class TestCompareZeroSets:
         assert len(spira_match.matched) == len(comparison.reference)
         afe_match = comparison.for_label("AFE")
         assert len(afe_match.missed) >= 2
+
+    def test_for_label_refuses_an_unknown_label(self):
+        comparison = compare_zero_sets((14.0, 14.3), [EM, SPIRA_205], step=0.01)
+        assert comparison.for_label("SPIRA@205").scheme == SPIRA_205
+        with pytest.raises(KeyError):
+            comparison.for_label("AFE")
 
     def test_matched_plus_missed_is_reference_count(self):
         comparison = compare_zero_sets(
