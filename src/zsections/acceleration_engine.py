@@ -17,9 +17,7 @@ single apex cell (N, N), so the vertical form runs k = 1..N+1 with closing
 coefficient exactly 2^-(N+1); with that cell included the two orders cover
 the identical index set and their equality is an exact finite identity, which
 the tests verify to 1e-12 rather than assume.  The exposed coefficient vector
-keeps the conventional length N (the closing coefficient is below double
-rounding for every N where it matters numerically, N > ~40, and the vertical
-evaluator adds it explicitly).
+keeps the conventional length N, and the vertical form's weights append 2^-(N+1).
 
 Numerical discipline:
 
@@ -29,23 +27,27 @@ Numerical discipline:
     Triangle rows are generated in extended precision (numpy longdouble) by
     cumulative products from the exact row seed 2^-(n+1), a normal
     longdouble at every accepted order.
-  * Coefficients come from exact big-integer suffix sums of binomial rows
-    (each entry is then a correctly rounded double) up to N = 20000, and from
-    the regularized incomplete beta function beyond; never from naive
-    alternating accumulation of huge binomials.
+  * Coefficients come from exact big-integer suffix sums of the binomial
+    row (correctly rounded) up to N = 20000, and from the regularized
+    incomplete beta function beyond; never from naive alternating
+    accumulation of huge binomials.  The sums of the order built last (to
+    N = 10000) are kept, so the order above takes one add per entry.
   * The vertical form reuses the same cosine kernel as every other section
-    sum and accumulates with math.fsum (or, beyond a caller's exact_below
-    threshold, with sections_engine.sum_rows' certified float sum).
+    sum and accumulates with math.fsum; beyond a caller's exact_below, its
+    certified float sum reads only a row's first terms (_truncation).
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._tables import rsqrt_k
 from .errors import DomainError, ResourceLimitError
 from .sections_engine import (
     MAX_SECTION_TERMS,
@@ -65,6 +67,9 @@ COEFF_CACHE_ORDERS = 64
 
 # Largest N handled by exact big-integer coefficient arithmetic.
 _EXACT_COEFF_MAX = 20000
+
+# The most a certified float sum of the vertical form leaves out (_truncation).
+TAIL_LIMIT = 2.0**-60
 
 _LD = np.longdouble
 
@@ -91,56 +96,99 @@ def _row_longdouble(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AcceleratedCoefficients:
-    """Sigmoid coefficient vector alphatilde_k = P[Binomial(N+1, 1/2) >= k], k = 1..N."""
+    """alphatilde_k = P[Binomial(N+1, 1/2) >= k], k = 1..N, a read-only view of the vertical
+    form's weights (closing coefficient last), with its float sums' head and tail (_truncation)."""
 
     order: int
     alpha: np.ndarray
+    weights: np.ndarray
+    head: int
+    tail: float
 
 
-def _binomial_tails_exact(order: int) -> np.ndarray:
-    """alphatilde_k for k = 1..order by big-integer suffix sums (correctly rounded)."""
-    m = order + 1  # number of fair coin flips
-    total = 1 << m
-    out = np.empty(order, dtype=np.float64)
-    # Walk the binomial row from the top index down with the exact integer
-    # recurrence C(m, j) = C(m, j+1) (j+1)/(m-j), keeping the running suffix
-    # sum; each emitted entry is a correctly rounded int/int quotient.
-    c = 1  # C(m, m)
-    suffix = 1
-    for j in range(m - 1, 0, -1):
+def _upper_sums(m: int) -> list:
+    """S_j = sum_{i >= j} C(m, i) for j = m//2 + 1..m, exact, from the top down by
+    C(m, j) = C(m, j+1) (j+1)/(m-j).  The lower half mirrors them: S_j = 2^m - S_{m+1-j}."""
+    sums, c = [1], 1  # S_m = C(m, m)
+    for j in range(m - 1, m // 2, -1):
         c = c * (j + 1) // (m - j)
-        suffix += c
-        if j <= order:
-            out[j - 1] = suffix / total
+        sums.append(sums[-1] + c)
+    return sums[::-1]
+
+
+def _quotient(s: int, m: int) -> float:
+    """s / 2^m for 0 < s <= 2^m, correctly rounded: from the top 64 bits of a longer s (a
+    sticky bit breaks a tie among them) scaled by ldexp, by int / int below 2^-1022."""
+    bits = s.bit_length()
+    if bits <= 64 or bits <= m - 1022:
+        return s / (1 << m)
+    shift = bits - 64
+    top = s >> shift
+    if top & 0x7FF == 0x400 and top << shift != s:
+        top |= 1
+    return math.ldexp(float(top), shift - m)
+
+
+def _exact_weights(m: int, upper: list) -> np.ndarray:
+    """S_j / 2^m for j = 1..m, correctly rounded, from _upper_sums(m): converts only the
+    entries that round to neither 1.0 (2^m - S_j <= 2^(m-54)) nor 0 (S_j <= 2^(m-1075))."""
+    h = m // 2 + 1
+    mirror = upper[m % 2:][::-1]  # 2^m - S_j for j = 1..h-1, ascending
+    ones = bisect.bisect_right(mirror, 1 << (m - 54)) if m >= 54 else 0
+    zero = 1 << (m - 1075) if m >= 1075 else 0
+    nonzero = bisect.bisect_left(upper, -zero, key=operator.neg)
+    out, total = np.zeros(m, dtype=np.float64), 1 << m
+    out[:ones] = 1.0
+    out[ones:h - 1] = [_quotient(total - s, m) for s in mirror[ones:]]
+    out[h - 1:h - 1 + nonzero] = [_quotient(s, m) for s in upper[:nonzero]]
     return out
 
 
+# (m, _upper_sums(m)) of the last order built by big integers, kept up to order
+# _KEEP_SUMS_MAX: the sums take about 0.36 m^2 bits, 4.5 MB at N = 10000.
+_KEEP_SUMS_MAX = 10000
+_last_sums = (0, [])
+
+
+def _truncation(weights: np.ndarray) -> tuple:
+    """(head, tail): the fewest leading terms of the vertical form whose rest, the float
+    products weights_k / sqrt(k) over k > head (each bounds its term's magnitude), sums
+    to at most TAIL_LIMIT, and that sum rounded up (see sections_engine.section_rows)."""
+    bounds = rsqrt_k(len(weights)) * weights
+    head = int(np.count_nonzero(np.cumsum(bounds[::-1])[::-1] > TAIL_LIMIT))
+    return head, math.nextafter(math.fsum(bounds[head:].tolist()), math.inf)
+
+
 @functools.lru_cache(maxsize=COEFF_CACHE_ORDERS)
-def _coefficient_vector(order: int) -> np.ndarray:
-    """Read-only alphatilde_1..alphatilde_N of a validated order."""
+def _cached_coefficients(order: int) -> AcceleratedCoefficients:
+    global _last_sums
+    m = order + 1
     if order <= _EXACT_COEFF_MAX:
-        alpha = _binomial_tails_exact(order)
+        last, sums = _last_sums
+        if last == order:  # a Pascal step from m - 1 flips, S_j + S_{j-1}: one add per entry
+            window = sums + [0]  # S_j of m - 1 flips for j > last // 2, then S_m = 0
+            if last % 2 == 0:  # and S_{last/2}, the mirror of sums[0]
+                window.insert(0, (1 << last) - sums[0])
+            sums = [a + b for a, b in zip(window, window[1:])]
+        else:
+            sums = _upper_sums(m)
+        _last_sums = (m, sums) if order <= _KEEP_SUMS_MAX else (0, [])
+        weights = _exact_weights(m, sums)
     else:
         # Imported here: scipy.special costs every run about 0.3 s and 25 MB,
         # and only orders above _EXACT_COEFF_MAX need it.
         from scipy.special import betainc
 
         ks = np.arange(1, order + 1, dtype=np.float64)
-        alpha = betainc(ks, order - ks + 2.0, 0.5)
-    alpha.setflags(write=False)
-    return alpha
+        weights = np.append(betainc(ks, order - ks + 2.0, 0.5), math.ldexp(1.0, -m))
+    weights.setflags(write=False)
+    return AcceleratedCoefficients(order, weights[:order], weights, *_truncation(weights))
 
 
 def accelerated_coefficients(order: int) -> AcceleratedCoefficients:
-    """Coefficient vector of the order-N accelerated section.
-
-    Entries are the fair binomial tails P[Binomial(N+1, 1/2) >= k]: exact
-    big-integer arithmetic up to N = 20000, the regularized incomplete beta
-    function betainc(k, N-k+2, 1/2) beyond.  The COEFF_CACHE_ORDERS orders
-    used last are kept.
-    """
-    order = _validate_order(order, minimum=1)
-    return AcceleratedCoefficients(order=order, alpha=_coefficient_vector(order))
+    """Coefficients of the order-N accelerated section, the fair binomial tails (betainc(k,
+    N-k+2, 1/2) beyond N = 20000); the COEFF_CACHE_ORDERS orders used last are kept."""
+    return _cached_coefficients(_validate_order(order, minimum=1))
 
 
 def closing_coefficient(order: int) -> float:
@@ -173,11 +221,6 @@ def accelerated_triangle_rows(ts: np.ndarray, thetas: np.ndarray, order: int) ->
     return out
 
 
-def _vertical_weights(order: int) -> np.ndarray:
-    """alphatilde_1..alphatilde_N followed by the closing coefficient 2^-(N+1)."""
-    return np.append(accelerated_coefficients(order).alpha, closing_coefficient(order))
-
-
 def accelerated_vertical(t: float, order: int) -> float:
     """Column-first (coefficient) evaluation of the accelerated section.
 
@@ -187,14 +230,16 @@ def accelerated_vertical(t: float, order: int) -> float:
     """
     order = _validate_order(order, minimum=1, maximum=MAX_SECTION_TERMS - 1)
     kernel = cosine_terms(t, order + 1)
-    return math.fsum(kernel * _vertical_weights(order))
+    return math.fsum(kernel * accelerated_coefficients(order).weights)
 
 
 def accelerated_vertical_rows(ts: np.ndarray, thetas: np.ndarray, order: int,
                               exact_below=math.inf):
-    """accelerated_vertical(t_i, order) for every point: (values, exact), as section_rows."""
+    """accelerated_vertical(t_i, order) for every point: (values, exact), as section_rows,
+    whose certified float sums read the first head terms of each row only."""
     order = _validate_order(order, minimum=1, maximum=MAX_SECTION_TERMS - 1)
-    return section_rows(ts, thetas, order + 1, _vertical_weights(order), exact_below)
+    c = accelerated_coefficients(order)
+    return section_rows(ts, thetas, order + 1, c.weights, exact_below, c.head, c.tail)
 
 
 def step_coefficients(order: int) -> CoefficientVector:
@@ -236,5 +281,5 @@ def coefficient_l2_distance(order: int) -> float:
     then alphatilde_N down to alphatilde_2, each as exact as the coefficients.
     """
     order = _validate_order(order, minimum=1)
-    gaps = _vertical_weights(order)[:0:-1]
+    gaps = accelerated_coefficients(order).weights[:0:-1]
     return math.sqrt(math.fsum(gaps * gaps))

@@ -80,7 +80,7 @@ def row_blocks(rows: int, width: int):
         yield slice(start, min(start + step, rows))
 
 
-def sum_rows(mat: np.ndarray, exact_below=math.inf):
+def sum_rows(mat: np.ndarray, exact_below=math.inf, tail=None):
     """math.fsum of every row, or a float sum certified beyond exact_below: (values, exact).
 
     exact_below is a threshold x >= 0, and exact marks the rows that took
@@ -92,36 +92,44 @@ def sum_rows(mat: np.ndarray, exact_below=math.inf):
     magnitude above x; the row returns s.  Every other row, an exact zero
     and a nan or inf included, returns fsum, and so does every row of a
     matrix smaller than FLOAT_SUM_MIN_ELEMENTS or at x = inf (the default).
+    Given a tail, mat holds the first terms of each row, tail joins each
+    row's bound as that of the rest, and the rows marked exact are unsummed.
     """
     if mat.size < FLOAT_SUM_MIN_ELEMENTS or exact_below == math.inf:
-        return (np.array([math.fsum(row.tolist()) for row in mat], dtype=np.float64),
-                np.ones(len(mat), dtype=bool))
+        fast = np.empty(len(mat)) if tail is not None else np.array(
+            [math.fsum(row.tolist()) for row in mat], dtype=np.float64)
+        return fast, np.ones(len(mat), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # such rows take fsum below
         fast = mat.sum(axis=1)
         bound = np.abs(mat).sum(axis=1)
-    bound *= 2.0 * mat.shape[1] * 2.0**-53
+    bound = bound * (2.0 * mat.shape[1] * 2.0**-53) + (tail or 0.0)
     exact = ~(np.abs(fast) > exact_below + bound)
-    if exact.any():
+    if tail is None and exact.any():
         fast[exact] = [math.fsum(row) for row in mat[exact].tolist()]
     return fast, exact
 
 
 def section_rows(ts: np.ndarray, thetas: np.ndarray, n: int, weights=None,
-                 exact_below=math.inf):
+                 exact_below=math.inf, head=None, tail=None):
     """section(t_i, n) for every point, or z_custom(t_i, weights): (values, exact).
 
     Bit-identical to the scalar functions where exact: the same kernel
     entries, weighted by the same products, each row added with math.fsum;
-    see sum_rows for exact_below.
+    see sum_rows for exact_below and tail.  Given head, the float sums read
+    a row's first head terms, and a row left open is summed in full.
     """
     n = _check_terms(n)
+    width = n if head is None or exact_below == math.inf else min(head, n)
     out = np.empty(len(ts), dtype=np.float64)
     exact = np.empty(len(ts), dtype=bool)
-    for block in row_blocks(len(ts), n):
-        mat = cosine_rows(ts[block], thetas[block], n)
+    for block in row_blocks(len(ts), width):
+        mat = cosine_rows(ts[block], thetas[block], width)
         if weights is not None:
-            mat *= weights
-        out[block], exact[block] = sum_rows(mat, exact_below)
+            mat *= weights[:width]
+        out[block], exact[block] = sum_rows(mat, exact_below, tail if width < n else None)
+    if width < n and exact.any():
+        rows = np.flatnonzero(exact)
+        out[rows] = section_rows(ts[rows], thetas[rows], n, weights)[0]
     return out, exact
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from zsections import acceleration_engine
 from zsections.acceleration_engine import (
     COEFF_CACHE_ORDERS,
     MAX_TRIANGLE_ORDER,
+    TAIL_LIMIT,
     accelerated_coefficients,
     accelerated_triangle,
     accelerated_triangle_rows,
@@ -22,8 +24,17 @@ from zsections.acceleration_engine import (
     step_coefficients,
 )
 from zsections.errors import DomainError, ResourceLimitError
-from zsections.sections_engine import MAX_SECTION_TERMS, cosine_terms, section, z_custom
+from zsections.sections_engine import (
+    FLOAT_SUM_MIN_ELEMENTS,
+    MAX_SECTION_TERMS,
+    cosine_rows,
+    cosine_terms,
+    section,
+    section_rows,
+    z_custom,
+)
 from zsections.special_functions import theta, theta_grid
+from zsections.zero_scanner import grid_points
 
 
 def enumerate_tail(flips: int, k: int) -> float:
@@ -31,6 +42,31 @@ def enumerate_tail(flips: int, k: int) -> float:
     hits = sum(1 for outcome in itertools.product((0, 1), repeat=flips)
                if sum(outcome) >= k)
     return hits / 2.0**flips
+
+
+def exact_weights(order: int) -> np.ndarray:
+    """P[Binomial(N+1, 1/2) >= k] for k = 1..N+1 by exact suffix sums of the binomial
+    row, each an int / int quotient: the coefficients, then the closing coefficient.
+
+    The row is walked up from C(m, 0) = 1 (math.comb(20001, k) takes about 4 ms
+    per call), and its middle entry is checked against math.comb.
+    """
+    m = order + 1
+    row = [1]
+    for j in range(m):
+        row.append(row[-1] * (m - j) // (j + 1))
+    assert row[m // 2] == math.comb(m, m // 2)
+    total, suffix, out = 1 << m, 0, []
+    for c in row[:0:-1]:
+        suffix += c
+        out.append(suffix / total)
+    return np.array(out[::-1])
+
+
+# Small orders, the orders where entries turn subnormal (from N = 1022) and then
+# round to 0 (from N = 1074), the largest orders a benchmark window builds, and
+# the last exact order.
+REFERENCE_ORDERS = [*range(1, 121), *range(1015, 1086), *range(2490, 2503), 20000]
 
 
 class TestTriangleRows:
@@ -137,7 +173,7 @@ class TestCoefficients:
 
     def test_cache_stays_bounded(self):
         """Scanning more orders than the cache holds keeps COEFF_CACHE_ORDERS of them."""
-        cache = acceleration_engine._coefficient_vector
+        cache = acceleration_engine._cached_coefficients
         orders = range(1000, 1000 + 2 * COEFF_CACHE_ORDERS)
         for order in orders:
             assert accelerated_coefficients(order).alpha.shape == (order,)
@@ -145,14 +181,77 @@ class TestCoefficients:
         hits = cache.cache_info().hits
         accelerated_coefficients(orders[-1])
         assert cache.cache_info().hits == hits + 1
-        first = accelerated_coefficients(orders[0]).alpha  # evicted, rebuilt equal
-        assert np.array_equal(first, acceleration_engine._binomial_tails_exact(orders[0]))
+        first = accelerated_coefficients(orders[0])  # evicted, rebuilt equal
+        assert np.array_equal(first.weights, exact_weights(orders[0]))
+
+    def test_ascending_orders_step_from_their_neighbours(self, monkeypatch):
+        # Each run of consecutive orders builds its first order cold and every
+        # later one by a Pascal step from the order before.
+        acceleration_engine._cached_coefficients.cache_clear()
+        cold = []
+        upper_sums = acceleration_engine._upper_sums
+        monkeypatch.setattr(acceleration_engine, "_upper_sums",
+                            lambda m: cold.append(m - 1) or upper_sums(m))
+        for order in REFERENCE_ORDERS:
+            coeffs = accelerated_coefficients(order)
+            assert np.array_equal(coeffs.weights, exact_weights(order)), f"N={order}"
+            assert coeffs.alpha.base is coeffs.weights and coeffs.alpha.shape == (order,)
+        assert cold == [1, 1015, 2490, 20000]
+
+    def test_cold_orders_in_shuffled_order(self, monkeypatch):
+        orders = list(REFERENCE_ORDERS)
+        random.Random(2025).shuffle(orders)
+        for order in orders:
+            acceleration_engine._cached_coefficients.cache_clear()
+            monkeypatch.setattr(acceleration_engine, "_last_sums", (0, []))
+            weights = accelerated_coefficients(order).weights
+            assert np.array_equal(weights, exact_weights(order)), f"N={order}"
 
     def test_validation(self):
         with pytest.raises(DomainError):
             accelerated_coefficients(0)
         with pytest.raises(ResourceLimitError):
             accelerated_coefficients(10**6 + 1)
+
+
+class TestTruncatedSum:
+    """The certified float sum of the vertical form reads the first head terms of a row."""
+
+    @pytest.mark.parametrize("order", [1, 100, 1000, 2500, 25000])
+    def test_head_is_the_fewest_terms_whose_rest_is_within_the_limit(self, order):
+        coeffs = accelerated_coefficients(order)
+        bounds = coeffs.weights * (1.0 / np.sqrt(np.arange(1.0, order + 2.0)))
+        assert math.fsum(bounds[coeffs.head:]) <= coeffs.tail <= TAIL_LIMIT * (1.0 + 2.0**-40)
+        assert math.fsum(bounds[coeffs.head - 1:]) > TAIL_LIMIT
+        if order >= 1000:
+            assert coeffs.head < 0.65 * (order + 1)
+
+    def test_dropped_tail_alone_flips_a_sign(self):
+        # Weights whose second term, -5e-19 at theta = 0 and t ln 2 = pi, is within
+        # TAIL_LIMIT: the float sum reads the first term only, +4e-19, while the
+        # whole row sums to -1e-19.  The tail keeps every row open, and fsum of the
+        # full row decides.
+        weights = np.array([4e-19, 5e-19 * math.sqrt(2.0)])
+        head, tail = acceleration_engine._truncation(weights)
+        assert head == 1 and tail >= 5e-19
+        ts = np.full(FLOAT_SUM_MIN_ELEMENTS, math.pi / math.log(2.0))
+        thetas = np.zeros_like(ts)
+        want = section_rows(ts, thetas, 2, weights)[0]
+        assert (want < 0.0).all() and (cosine_rows(ts, thetas, 1)[:, 0] * weights[0] > 0.0).all()
+        got, exact = section_rows(ts, thetas, 2, weights, 0.0, head=head, tail=tail)
+        assert exact.all() and np.array_equal(got, want)
+
+    def test_certified_rows_read_the_head_and_open_rows_the_full_row(self):
+        order = 2000
+        coeffs = accelerated_coefficients(order)
+        ts = grid_points(4000.0, 4002.0, 0.01)
+        thetas = theta_grid(ts)
+        got, exact = accelerated_vertical_rows(ts, thetas, order, exact_below=0.1)
+        want = accelerated_vertical_rows(ts, thetas, order)[0]
+        assert exact.any() and not exact.all()
+        assert np.array_equal(got[exact], want[exact])
+        head = cosine_rows(ts[~exact], thetas[~exact], coeffs.head) * coeffs.weights[:coeffs.head]
+        assert np.array_equal(got[~exact], head.sum(axis=1))
 
 
 class TestTriangleEvaluation:
@@ -189,7 +288,7 @@ class TestTriangleEvaluation:
         # Order n sums n + 1 terms, so 10^6 is refused before its 10^6
         # coefficients are built, which would take betainc about 0.5 s.
         built = []
-        monkeypatch.setattr(acceleration_engine, "_coefficient_vector",
+        monkeypatch.setattr(acceleration_engine, "_cached_coefficients",
                             lambda order: built.append(order))
         ts = np.array([100.0])
         for call in (lambda: accelerated_vertical(100.0, MAX_SECTION_TERMS),

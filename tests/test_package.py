@@ -107,21 +107,36 @@ def test_readme_has_examples_of_every_command():
     assert commands == {"eval", "figure", "zeros", "conjecture", "error-decay", "coeffs"}
 
 
-def test_tracer_sees_each_scan_and_match_of_a_comparison(tmp_path):
-    # The benchmark's per-layer metrics come from these wrapped names; a scan
-    # path that bypassed scan_zeros or _greedy_match would read 0 there.
+def traced_layers(argv: list) -> dict:
+    """The benchmark tracer's per-layer metrics of one CLI run."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     from zsections.cli import main
 
     with tracer.Tracer() as spans:
-        assert main(["zeros", "--range", "412:414:0.1", "--scheme", "em,spira",
-                     "--out", str(tmp_path / "z.csv")]) == 0
-    layers = tracer.layer_metrics([spans.totals()], 1, [1.0])
+        assert main(argv) == 0
+    return tracer.layer_metrics([spans.totals()], 1, [1.0])
+
+
+def test_tracer_sees_each_scan_and_match_of_a_comparison(tmp_path):
+    # The benchmark's per-layer metrics come from these wrapped names; a scan
+    # path that bypassed scan_zeros or _greedy_match would read 0 there.
+    layers = traced_layers(["zeros", "--range", "412:414:0.1", "--scheme", "em,spira",
+                            "--out", str(tmp_path / "z.csv")])
     assert layers["zero_scanner.scan_zeros.calls"]["value"] == 2
     assert layers["zero_scanner.greedy_match.calls"]["value"] == 1
     assert layers["zero_scanner.brackets"]["value"] == 2  # one _bisect call per scan
+
+
+def test_tracer_sees_the_coefficient_cache_of_an_accelerated_scan(tmp_path):
+    # Every run of the accelerated section asks accelerated_coefficients for
+    # its order, so the cache's calls and hit ratio reach the benchmark.
+    layers = traced_layers(["zeros", "--range", "2000:2004:0.1", "--scheme", "acc",
+                            "--out", str(tmp_path / "z.csv")])
+    assert layers["acceleration_engine.accelerated_coefficients.calls"]["value"] > 0
+    assert 0.0 < layers["acceleration_engine.accelerated_coefficients.cache_hit_ratio"][
+        "value"] <= 1.0
 
 
 @pytest.mark.parametrize("module, attribute", tracer_targets())

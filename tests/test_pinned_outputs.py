@@ -2,11 +2,12 @@
 
 perfbench/expected.json records the CSV SHA-256 and the JSON summary of
 every command the benchmark issues.  A few of them are rerun here through
-cli.main: three zero scans of the refine windows (EM, Spira and the
-accelerated section at step 0.1), every fixed command of the harness
-workload: the four figures, the error-decay fits, the coefficient l2 sweep
-and the (412, 419) scan of EM against Spira at n = 205, the sweep workload's
-conjecture sweep to t = 100, the full criterion-6 sweep to t = 1000, and one
+cli.main: five zero scans of the refine windows (EM, Spira and the
+accelerated section at step 0.1, the pool's first and last among them),
+every fixed command of the harness workload: the four figures, the
+error-decay fits, the coefficient l2 sweep and the (412, 419) scan of EM
+against Spira at n = 205, the sweep workload's conjecture sweep to
+t = 100, the full criterion-6 sweep to t = 1000, and one
 Riemann-Siegel-refereed eval near t = 1000.  The file is only read.
 """
 
@@ -21,9 +22,11 @@ from zsections.cli import main
 EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
 
 COMMANDS = [
+    "zeros --range 2000:2020:0.1 --scheme em,spira,acc --threads 1",
     "zeros --range 2300:2320:0.1 --scheme em,spira,acc --threads 1",
     "zeros --range 3700:3720:0.1 --scheme em,spira,acc --threads 1",
     "zeros --range 4400:4420:0.1 --scheme em,spira,acc --threads 1",
+    "zeros --range 4980:5000:0.1 --scheme em,spira,acc --threads 1",
     "figure fig1 --threads 1",
     "figure fig2 --threads 1",
     "figure fig3 --threads 1",
