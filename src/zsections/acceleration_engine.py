@@ -21,17 +21,16 @@ keeps the conventional length N, and the vertical form's weights append 2^-(N+1)
 
 Numerical discipline:
 
-  * Each form's order limit counts what it sums against MAX_SECTION_TERMS:
-    N coefficients, N + 1 terms of the vertical form, and (N+1)(N+2)/2
-    cells of the triangle, whose largest order is MAX_TRIANGLE_ORDER = 1412.
+  * Orders stop at MAX_COEFF_ORDER = 20000, and the triangle, whose
+    (N+1)(N+2)/2 cells count against MAX_SECTION_TERMS, at
+    MAX_TRIANGLE_ORDER = 1412.
     Triangle rows are generated in extended precision (numpy longdouble) by
     cumulative products from the exact row seed 2^-(n+1), a normal
     longdouble at every accepted order.
-  * Coefficients come from exact big-integer suffix sums of the binomial
-    row (correctly rounded) up to N = 20000, and from the regularized
-    incomplete beta function beyond; never from naive alternating
-    accumulation of huge binomials.  The sums of the order built last (to
-    N = 10000) are kept, so the order above takes one add per entry.
+  * Coefficients are correctly rounded from exact big-integer suffix sums of
+    the binomial row, never from naive alternating accumulation of huge
+    binomials.  The sums of the order built last (to N = 10000) are kept,
+    so the order above takes one add per entry.
   * The vertical form reuses the same cosine kernel as every other section
     sum and accumulates with math.fsum; beyond a caller's exact_below, its
     certified float sum reads only a row's first terms (_truncation).
@@ -65,8 +64,8 @@ MAX_TRIANGLE_ORDER = (math.isqrt(8 * MAX_SECTION_TERMS + 1) - 3) // 2
 # scan of a 20-wide window under the half cutoff uses about 11 orders.
 COEFF_CACHE_ORDERS = 64
 
-# Largest N handled by exact big-integer coefficient arithmetic.
-_EXACT_COEFF_MAX = 20000
+# Largest coefficient order; every order up to it is correctly rounded from exact sums.
+MAX_COEFF_ORDER = 20000
 
 # The most a certified float sum of the vertical form leaves out (_truncation).
 TAIL_LIMIT = 2.0**-60
@@ -74,13 +73,14 @@ TAIL_LIMIT = 2.0**-60
 _LD = np.longdouble
 
 
-def _validate_order(n: int, minimum: int, maximum: int = MAX_SECTION_TERMS) -> int:
+def _validate_order(n: int, minimum: int, maximum: int = MAX_COEFF_ORDER) -> int:
     n = int(n)
     if n < minimum:
         raise DomainError(f"order must be >= {minimum}, got {n}")
     if n > maximum:
-        raise ResourceLimitError(f"order {n} exceeds {maximum}, the largest order of at most "
-                                 f"MAX_SECTION_TERMS = {MAX_SECTION_TERMS} coefficients or cells")
+        why = ("the last order with correctly rounded coefficients" if maximum == MAX_COEFF_ORDER
+               else f"the largest order of at most MAX_SECTION_TERMS = {MAX_SECTION_TERMS} cells")
+        raise ResourceLimitError(f"order {n} exceeds {maximum}, {why}")
     return n
 
 
@@ -163,31 +163,23 @@ def _truncation(weights: np.ndarray) -> tuple:
 def _cached_coefficients(order: int) -> AcceleratedCoefficients:
     global _last_sums
     m = order + 1
-    if order <= _EXACT_COEFF_MAX:
-        last, sums = _last_sums
-        if last == order:  # a Pascal step from m - 1 flips, S_j + S_{j-1}: one add per entry
-            window = sums + [0]  # S_j of m - 1 flips for j > last // 2, then S_m = 0
-            if last % 2 == 0:  # and S_{last/2}, the mirror of sums[0]
-                window.insert(0, (1 << last) - sums[0])
-            sums = [a + b for a, b in zip(window, window[1:])]
-        else:
-            sums = _upper_sums(m)
-        _last_sums = (m, sums) if order <= _KEEP_SUMS_MAX else (0, [])
-        weights = _exact_weights(m, sums)
+    last, sums = _last_sums
+    if last == order:  # a Pascal step from m - 1 flips, S_j + S_{j-1}: one add per entry
+        window = sums + [0]  # S_j of m - 1 flips for j > last // 2, then S_m = 0
+        if last % 2 == 0:  # and S_{last/2}, the mirror of sums[0]
+            window.insert(0, (1 << last) - sums[0])
+        sums = [a + b for a, b in zip(window, window[1:])]
     else:
-        # Imported here: scipy.special costs every run about 0.3 s and 25 MB,
-        # and only orders above _EXACT_COEFF_MAX need it.
-        from scipy.special import betainc
-
-        ks = np.arange(1, order + 1, dtype=np.float64)
-        weights = np.append(betainc(ks, order - ks + 2.0, 0.5), math.ldexp(1.0, -m))
+        sums = _upper_sums(m)
+    _last_sums = (m, sums) if order <= _KEEP_SUMS_MAX else (0, [])
+    weights = _exact_weights(m, sums)
     weights.setflags(write=False)
     return AcceleratedCoefficients(order, weights[:order], weights, *_truncation(weights))
 
 
 def accelerated_coefficients(order: int) -> AcceleratedCoefficients:
-    """Coefficients of the order-N accelerated section, the fair binomial tails (betainc(k,
-    N-k+2, 1/2) beyond N = 20000); the COEFF_CACHE_ORDERS orders used last are kept."""
+    """Coefficients of the order-N accelerated section, the fair binomial tails correctly
+    rounded, for N up to MAX_COEFF_ORDER; the COEFF_CACHE_ORDERS orders used last are kept."""
     return _cached_coefficients(_validate_order(order, minimum=1))
 
 
@@ -228,18 +220,16 @@ def accelerated_vertical(t: float, order: int) -> float:
     coefficient being exactly 2^-(N+1); equals accelerated_triangle(t, N) to
     better than 1e-12 relative (tested, not assumed).
     """
-    order = _validate_order(order, minimum=1, maximum=MAX_SECTION_TERMS - 1)
-    kernel = cosine_terms(t, order + 1)
-    return math.fsum(kernel * accelerated_coefficients(order).weights)
+    c = accelerated_coefficients(order)
+    return math.fsum(cosine_terms(t, c.order + 1) * c.weights)
 
 
 def accelerated_vertical_rows(ts: np.ndarray, thetas: np.ndarray, order: int,
                               exact_below=math.inf):
     """accelerated_vertical(t_i, order) for every point: (values, exact), as section_rows,
     whose certified float sums read the first head terms of each row only."""
-    order = _validate_order(order, minimum=1, maximum=MAX_SECTION_TERMS - 1)
     c = accelerated_coefficients(order)
-    return section_rows(ts, thetas, order + 1, c.weights, exact_below, c.head, c.tail)
+    return section_rows(ts, thetas, c.order + 1, c.weights, exact_below, c.head, c.tail)
 
 
 def step_coefficients(order: int) -> CoefficientVector:
@@ -280,6 +270,5 @@ def coefficient_l2_distance(order: int) -> float:
     are the upper tails P[... >= N+2-k]: the closing coefficient 2^-(N+1),
     then alphatilde_N down to alphatilde_2, each as exact as the coefficients.
     """
-    order = _validate_order(order, minimum=1)
     gaps = accelerated_coefficients(order).weights[:0:-1]
     return math.sqrt(math.fsum(gaps * gaps))

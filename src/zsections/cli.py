@@ -24,9 +24,9 @@ t = 5e5 or Spira's past t = 2e6, as eval, figure, error-decay, zeros and
 conjecture have every scheme key the whole grid first (schemes.check_grid).
 eval evaluates its referee once, also where it is listed.  Each subcommand
 is declared once, as its check and its runner in _COMMANDS.
-coeffs evaluates no scheme, so its subparser has no --scheme, and its --n
-is the coefficient order; --k-max, the last row of that order's table, is
-refused with --sweep, which tabulates distances only.
+coeffs evaluates no scheme, so its subparser has no --scheme; its orders,
+--n or --sweep, stop at MAX_COEFF_ORDER, and --k-max, the last row of the
+--n table, is refused with --sweep, which tabulates distances only.
 
 Grid work runs on the batched, single-threaded evaluate_grid.  --threads is
 accepted only for compatibility: it is validated (1 to MAX_THREADS) and
@@ -50,6 +50,7 @@ import numpy as np
 
 from . import __version__
 from .acceleration_engine import (
+    MAX_COEFF_ORDER,
     accelerated_coefficients,
     coefficient_l2_distance,
     step_coefficients,
@@ -214,6 +215,10 @@ def _check_coeffs(config: RunConfig) -> None:
         raise ConfigError("--sweep needs at least one order")
     if config.sweep is not None and any(m < 1 for m in config.sweep):
         raise ConfigError("--sweep orders must all be >= 1")
+    order = max(config.sweep or (config.n,))
+    if order > MAX_COEFF_ORDER:
+        raise ConfigError(f"coefficient order {order} exceeds {MAX_COEFF_ORDER}, "
+                          "the last order with correctly rounded coefficients")
 
 
 @dataclass(frozen=True)

@@ -48,9 +48,10 @@ The oracle has one configuration, that of the paper's experiments, and
 reference_engine alone states it: M = euler_maclaurin_terms(t) terms and
 J = 6 Bernoulli corrections.  Its tail then converges at every accepted t,
 so a screened point never hides an error.  _keys refuses every kind's
-term limit (_key_limit), a key that would sum more than MAX_SECTION_TERMS
-terms or cells, before any point is evaluated; a pinned cutoff or a custom
-vector past it is refused when the SchemeSpec is built.
+term limit (_key_limit) before any point is evaluated: a key that would sum
+more than MAX_SECTION_TERMS terms or cells, or an accelerated order past
+MAX_COEFF_ORDER, the last with correctly rounded coefficients.  A pinned
+cutoff or a custom vector past it is refused when the SchemeSpec is built.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .acceleration_engine import (
+    MAX_COEFF_ORDER,
     MAX_TRIANGLE_ORDER,
     accelerated_triangle_rows,
     accelerated_vertical_rows,
@@ -109,17 +111,20 @@ ACCELERATED_KINDS = (SchemeKind.ACCELERATED_TRIANGLE, SchemeKind.ACCELERATED_COE
 
 
 def _key_limit(kind: SchemeKind) -> int:
-    """A kind's largest run key whose points sum at most MAX_SECTION_TERMS terms: key
-    terms, key + 1 for ACCELERATED_COEFF (its closing coefficient), and for the triangle
-    MAX_TRIANGLE_ORDER = 1412, the last order of at most that many cells (t < 2826)."""
-    if kind is SchemeKind.ACCELERATED_TRIANGLE:
-        return MAX_TRIANGLE_ORDER
-    return MAX_SECTION_TERMS - (kind is SchemeKind.ACCELERATED_COEFF)
+    """A kind's largest run key: MAX_COEFF_ORDER = 20000 for ACCELERATED_COEFF, the last
+    order with correctly rounded coefficients (t < 40002), MAX_TRIANGLE_ORDER = 1412 for
+    the triangle, the last order of at most MAX_SECTION_TERMS cells (t < 2826), and
+    MAX_SECTION_TERMS terms for every other kind."""
+    return {SchemeKind.ACCELERATED_COEFF: MAX_COEFF_ORDER,
+            SchemeKind.ACCELERATED_TRIANGLE: MAX_TRIANGLE_ORDER}.get(kind, MAX_SECTION_TERMS)
 
 
 def _limit_error(kind: SchemeKind, key: str) -> ResourceLimitError:
-    return ResourceLimitError(f"{key} exceeds {_key_limit(kind)}, the largest {kind.value} "
-                              f"cutoff within MAX_SECTION_TERMS = {MAX_SECTION_TERMS}")
+    if kind is SchemeKind.ACCELERATED_COEFF:
+        why = f"the last {kind.value} order with correctly rounded coefficients"
+    else:
+        why = f"the largest {kind.value} cutoff within MAX_SECTION_TERMS = {MAX_SECTION_TERMS}"
+    return ResourceLimitError(f"{key} exceeds {_key_limit(kind)}, {why}")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ Comparisons match scheme zeros to reference zeros greedily by distance
 scan_schemes, which comparisons and the CLI use, checks the range and has
 every scheme key the grid before the first scan, so a refusal costs no scan.
 The conjecture sweep runs the Spira scheme with its exact per-point cutoff
-against a trusted referee over [30, t_max] and dumps every mismatch with
+against the EM oracle, the referee at every t_max up to SWEEP_CEILING, over
+[30, t_max] and dumps every mismatch with
 enough context to inspect what happened; it completes whether or not the
 sweep is clean.
 
@@ -64,9 +65,6 @@ DEFAULT_MATCH_TOL = 0.05
 
 SWEEP_T_MIN = 30.0
 SWEEP_CEILING = 1.0e4
-# Above this height the sweep referee switches from the EM oracle to the
-# much cheaper first-order Riemann-Siegel engine.
-RS_REFEREE_ABOVE = 5000.0
 
 # Refuse grids of more points than this before building them: twice the
 # 1.99e6 points of a sweep to SWEEP_CEILING at the default step 0.005.
@@ -442,7 +440,7 @@ def _event(kind: str, location: float, other_locs: tuple, record: Optional[ZeroR
 
 def conjecture_sweep(t_max: float, step: float, *,
                      match_tol: float = DEFAULT_MATCH_TOL) -> ConjectureSummary:
-    """Spira-scheme zeros (exact floor(t/2) cutoff) vs reference over [30, t_max].
+    """Spira-scheme zeros (exact floor(t/2) cutoff) vs the EM oracle over [30, t_max].
 
     Every missed or spurious zero is reported as an event carrying its
     surroundings (nearest counterpart, distance to the nearest cutoff
@@ -459,8 +457,7 @@ def conjecture_sweep(t_max: float, step: float, *,
         raise DomainError(f"step must be finite and positive, got {step}")
     _check_match_tol(match_tol)
 
-    ref_kind = SchemeKind.ORACLE_EM if t_max <= RS_REFEREE_ABOVE else SchemeKind.REFERENCE_RS
-    ref_spec = SchemeSpec(kind=ref_kind)
+    ref_spec = SchemeSpec(kind=SchemeKind.ORACLE_EM)
     spira_spec = SchemeSpec(kind=SchemeKind.SPIRA)
 
     if t_max - SWEEP_T_MIN < step:

@@ -6,11 +6,11 @@ import random
 
 import numpy as np
 import pytest
-from scipy.special import betainc
 
 from zsections import acceleration_engine
 from zsections.acceleration_engine import (
     COEFF_CACHE_ORDERS,
+    MAX_COEFF_ORDER,
     MAX_TRIANGLE_ORDER,
     TAIL_LIMIT,
     accelerated_coefficients,
@@ -131,13 +131,6 @@ class TestCoefficients:
                 pair = alpha[k - 1] + alpha[order + 1 - k]
                 assert abs(pair - 1.0) <= 1e-12, f"N={order}, k={k}"
 
-    def test_symmetry_on_incomplete_beta_path(self):
-        order = 25000  # above the exact-arithmetic cutoff
-        alpha = accelerated_coefficients(order).alpha
-        ks = np.arange(2, order + 1)
-        pair = alpha[ks - 1] + alpha[order + 1 - ks]
-        assert np.max(np.abs(pair - 1.0)) <= 1e-12
-
     def test_monotone_decreasing(self):
         for order in range(1, 51):
             alpha = accelerated_coefficients(order).alpha
@@ -146,7 +139,7 @@ class TestCoefficients:
         # At larger N the leading entries round to exactly 1.0, so only
         # non-strict monotonicity is representable; the transition band
         # around (N+1)/2 stays strict.
-        for order in (200, 1000, 25000):
+        for order in (200, 1000, MAX_COEFF_ORDER):
             alpha = accelerated_coefficients(order).alpha
             assert np.all(np.diff(alpha) <= 0.0)
             assert np.all((alpha >= 0.0) & (alpha <= 1.0))
@@ -217,7 +210,7 @@ class TestCoefficients:
 class TestTruncatedSum:
     """The certified float sum of the vertical form reads the first head terms of a row."""
 
-    @pytest.mark.parametrize("order", [1, 100, 1000, 2500, 25000])
+    @pytest.mark.parametrize("order", [1, 100, 1000, 2500, MAX_COEFF_ORDER])
     def test_head_is_the_fewest_terms_whose_rest_is_within_the_limit(self, order):
         coeffs = accelerated_coefficients(order)
         bounds = coeffs.weights * (1.0 / np.sqrt(np.arange(1.0, order + 2.0)))
@@ -284,16 +277,22 @@ class TestTriangleEvaluation:
             accelerated_triangle_rows(ts, theta_grid(ts), 1413)
         assert rows == []
 
-    def test_vertical_order_limit_counts_the_closing_term(self, monkeypatch):
-        # Order n sums n + 1 terms, so 10^6 is refused before its 10^6
-        # coefficients are built, which would take betainc about 0.5 s.
+    def test_coefficient_orders_stop_at_the_cap(self, monkeypatch):
+        # Order 20,000 is the last whose coefficients are built exactly; every
+        # coefficient form refuses the next order before any vector is built.
+        assert MAX_COEFF_ORDER == 20000
         built = []
         monkeypatch.setattr(acceleration_engine, "_cached_coefficients",
                             lambda order: built.append(order))
         ts = np.array([100.0])
-        for call in (lambda: accelerated_vertical(100.0, MAX_SECTION_TERMS),
-                     lambda: accelerated_vertical_rows(ts, theta_grid(ts), MAX_SECTION_TERMS)):
-            with pytest.raises(ResourceLimitError, match="^order 1000000 exceeds 999999, "):
+        n = MAX_COEFF_ORDER + 1
+        for call in (lambda: accelerated_coefficients(n),
+                     lambda: accelerated_vertical(100.0, n),
+                     lambda: accelerated_vertical_rows(ts, theta_grid(ts), n),
+                     lambda: coefficient_l2_distance(n)):
+            with pytest.raises(ResourceLimitError, match="^order 20001 exceeds 20000, the last "
+                                                         "order with correctly rounded "
+                                                         "coefficients$"):
                 call()
         assert built == []
 
@@ -357,23 +356,19 @@ class TestStepCoefficientsAndDistance:
         assert all(math.isfinite(v) for v in values)
         assert all(b > a for a, b in zip(values, values[1:])), values
 
-    @pytest.mark.parametrize("order", [*range(1, 80), 399, 800, 2500, 20000, 20001, 25000])
+    @pytest.mark.parametrize("order", [*range(1, 80), 399, 800, 2500, MAX_COEFF_ORDER])
     def test_distance_equals_lower_tail_walk(self, order):
-        # The lower tails P[X <= k-1] by their own exact prefix walk (betainc
-        # beyond the exact range): the same doubles as the reversed upper
-        # tails that coefficient_l2_distance reads from the cached vector.
+        # The lower tails P[X <= k-1] by their own exact prefix walk: the same
+        # doubles as the reversed upper tails that coefficient_l2_distance
+        # reads from the cached vector.
         m = order + 1
-        if order <= 20000:
-            total, c, prefix = 1 << m, 1, 1
-            gaps = [prefix / total]
-            for j in range(1, order):
-                c = c * (m - j + 1) // j
-                prefix += c
-                gaps.append(prefix / total)
-            gaps = np.array(gaps)
-        else:
-            ks = np.arange(1, order + 1, dtype=np.float64)
-            gaps = betainc(m - ks + 1.0, ks, 0.5)
+        total, c, prefix = 1 << m, 1, 1
+        gaps = [prefix / total]
+        for j in range(1, order):
+            c = c * (m - j + 1) // j
+            prefix += c
+            gaps.append(prefix / total)
+        gaps = np.array(gaps)
         assert coefficient_l2_distance(order) == math.sqrt(math.fsum(gaps * gaps))
 
     def test_closing_coefficient(self):

@@ -15,8 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from zsections import schemes
+from zsections import acceleration_engine, schemes
 from zsections.acceleration_engine import (
+    MAX_COEFF_ORDER,
     accelerated_coefficients,
     accelerated_vertical,
     coefficient_l2_distance,
@@ -189,12 +190,13 @@ def parse_config(argv):
     (["eval", "--range", "1000:1100:0.01", "--scheme", "spira"], 2 * MAX_SECTION_TERMS,
      MAX_SECTION_TERMS),
     (["eval", "--t", "100", "--scheme", "afe"], MAX_SECTION_TERMS + 1, MAX_SECTION_TERMS),
-    (["eval", "--t", "100", "--scheme", "acc"], MAX_SECTION_TERMS, MAX_SECTION_TERMS - 1),
+    (["eval", "--t", "100", "--scheme", "acc"], MAX_COEFF_ORDER + 1, MAX_COEFF_ORDER),
     (["zeros", "--range", "412:419:0.01", "--scheme", "em,acc-triangle"], 1413, 1412),
 ], ids=lambda x: " ".join(x) if isinstance(x, list) else str(x))
 def test_oversized_pinned_cutoff_refused_while_parsing(argv, n, limit):
     # Refused when the scheme is built, before the referee's grid runs, with
-    # the n the user typed: acc sums n + 1 terms, acc-triangle (n+1)(n+2)/2 cells.
+    # the n the user typed: acc stops at order 20,000, acc-triangle at
+    # (n+1)(n+2)/2 cells.
     with pytest.raises(ResourceLimitError, match=f"^fixed cutoff n = {n} exceeds {limit},"):
         parse_config(argv + ["--n", str(n)])
     parse_config(argv + ["--n", str(limit)])
@@ -288,6 +290,23 @@ def test_triangle_past_its_largest_order_refused_before_any_evaluation(
     assert rc == 0 and ("accelerated_triangle_rows", 1) in calls
     want = accelerated_vertical(2825.5, 1412)
     assert abs(float(rows[0]["value"]) - want) <= 1e-12 * (1.0 + abs(want))
+
+
+def test_acc_past_its_largest_order_refused_before_any_evaluation(
+        monkeypatch, capsys, tmp_path):
+    # floor(t/2) passes order 20,000, the last with correctly rounded
+    # coefficients, at t = 40002: the keys refuse it before the referee or the
+    # accelerated section evaluates; t = 40001.5 (order 20,000) runs.
+    calls = spy_on_engines(monkeypatch, ("euler_maclaurin_rows", "section_rows",
+                                         "accelerated_vertical_rows"))
+    assert main(["eval", "--t", "40002", "--scheme", "acc"]) == 2
+    assert calls == []
+    assert capsys.readouterr().err == (
+        "zsections: error: cutoff 20001 at t = 40002.0 exceeds 20000, the last "
+        "ACCELERATED_COEFF order with correctly rounded coefficients\n")
+    rc, rows, _ = run_cli(tmp_path, "acc.csv", ["eval", "--t", "40001.5", "--scheme", "acc"])
+    assert rc == 0 and ("accelerated_vertical_rows", 1) in calls
+    assert float(rows[0]["value"]) == accelerated_vertical(40001.5, MAX_COEFF_ORDER)
 
 
 def test_a_listed_referee_is_evaluated_once(monkeypatch, tmp_path):
@@ -675,6 +694,20 @@ def test_coeffs_validation():
     assert main(["coeffs", "--sweep", "50,100", "--k-max", "5"]) == 2
     with pytest.raises(ConfigError, match="--k-max"):
         RunConfig(command="coeffs", sweep=(50, 100), k_max=5).validate()
+
+
+@pytest.mark.parametrize("argv", [["--n", "20001"], ["--sweep", "20000,1000001"],
+                                  ["--sweep", "20001,5"]], ids=" ".join)
+def test_coeffs_refuses_orders_past_the_cap_before_building_any(monkeypatch, capsys, argv):
+    # Order 20,000 is the last with correctly rounded coefficients; a sweep
+    # that lists a larger order is refused before its first order is built.
+    built = []
+    monkeypatch.setattr(acceleration_engine, "_cached_coefficients",
+                        lambda order: built.append(order))
+    assert main(["coeffs"] + argv) == 2
+    assert built == []
+    assert capsys.readouterr().err.endswith(
+        f"exceeds {MAX_COEFF_ORDER}, the last order with correctly rounded coefficients\n")
 
 
 @pytest.mark.parametrize("flag", [["--scheme", "custom:/nonexistent"], ["--oracle-terms", "10"]])

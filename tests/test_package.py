@@ -3,7 +3,7 @@
 Every exported name exists, the README's import works, every example
 command of the README parses and validates, every command the benchmark
 issues parses and validates, every function the benchmark's tracer
-patches still exists, and importing the CLI leaves scipy.special unloaded.
+patches still exists, and a CLI run loads no dependency but numpy.
 """
 
 import ast
@@ -68,14 +68,23 @@ def test_every_exported_name_resolves():
     assert len(set(zsections.__all__)) == len(zsections.__all__)
 
 
-def test_cli_import_leaves_scipy_special_unloaded():
-    # Only coefficient orders above 20,000 use scipy.special; every other run
-    # would pay for its import (about 0.3 s and 25 MB).
+def test_cli_loads_no_dependency_but_numpy(tmp_path):
+    # numpy is the one runtime dependency: a CLI run that builds order 20,000,
+    # the largest, loads no module outside the standard library but numpy's
+    # and the package's own.
     src = str(Path(zsections.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    subprocess.run([sys.executable, "-c", "import zsections.cli, sys; "
-                    "assert 'scipy.special' not in sys.modules"], env=env, check=True)
+    out = tmp_path / "k.csv"
+    code = f"""import sys
+before = set(sys.modules)
+import zsections.cli
+assert zsections.cli.main(["coeffs", "--n", "20000", "--out", {str(out)!r}]) == 0
+loaded = {{name.partition(".")[0] for name in set(sys.modules) - before}}
+assert loaded - set(sys.stdlib_module_names) == {{"numpy", "zsections"}}, loaded
+"""
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    assert out.stat().st_size > 0
 
 
 def test_readme_library_import_block_imports():

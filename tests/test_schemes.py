@@ -262,13 +262,16 @@ def reference_key(evaluator, t):
         n = math.floor(math.sqrt(t / TWO_PI))
     else:
         n = math.floor(t / 2.0)
-    # Count what each engine sums at cutoff n: the closing coefficient adds
-    # one term to acc, and the triangle of order n has (n+1)(n+2)/2 cells.
-    if spec.kind is SchemeKind.ACCELERATED_TRIANGLE:
-        terms = (n + 1) * (n + 2) // 2
+    # acc's coefficients are correctly rounded up to order 20,000; every other
+    # kind counts what its engine sums at cutoff n against MAX_SECTION_TERMS,
+    # the triangle of order n its (n+1)(n+2)/2 cells.
+    if spec.kind is SchemeKind.ACCELERATED_COEFF:
+        accepted = n <= 20000
+    elif spec.kind is SchemeKind.ACCELERATED_TRIANGLE:
+        accepted = (n + 1) * (n + 2) // 2 <= MAX_SECTION_TERMS
     else:
-        terms = n + (spec.kind is SchemeKind.ACCELERATED_COEFF)
-    return n if 1 <= n and terms <= MAX_SECTION_TERMS else None
+        accepted = n <= MAX_SECTION_TERMS
+    return n if 1 <= n and accepted else None
 
 
 def assert_keys_match_reference(evaluator, ts):
@@ -351,6 +354,18 @@ def test_triangle_keys_stop_at_its_largest_order():
     assert str(error.value) == (
         "cutoff 1413 at t = 2826.0 exceeds 1412, the largest ACCELERATED_TRIANGLE cutoff "
         "within MAX_SECTION_TERMS = 1000000")
+
+
+def test_acc_keys_stop_at_its_largest_order():
+    # floor(t/2) passes order 20,000, the last with correctly rounded
+    # coefficients, at t = 40002.
+    evaluator = SchemeEvaluator(SchemeSpec(kind=SchemeKind.ACCELERATED_COEFF))
+    assert_keys_match_reference(evaluator, around([40000.0, 40002.0, 40004.0]))
+    with pytest.raises(ResourceLimitError) as error:
+        evaluator._key(40002.0)
+    assert str(error.value) == (
+        "cutoff 20001 at t = 40002.0 exceeds 20000, the last ACCELERATED_COEFF order "
+        "with correctly rounded coefficients")
 
 
 def test_resource_refusal_comes_before_an_earlier_convergence_error(short_oracle):

@@ -18,6 +18,8 @@ from zsections.zero_scanner import (
     DIP_THRESHOLD,
     MAX_BISECT_ITERS,
     MAX_GRID_POINTS,
+    SWEEP_CEILING,
+    SWEEP_T_MIN,
     _crossings,
     _greedy_match,
     compare_zero_sets,
@@ -541,6 +543,21 @@ class TestConjectureSweep:
         boundary = [e for e in summary.events
                     if e["kind"] == "spurious" and e["boundary_distance"] <= 0.08]
         assert len(boundary) == 2
+
+    @pytest.mark.parametrize("t_max", [5000.5, SWEEP_CEILING])
+    def test_the_oracle_referees_at_every_height(self, monkeypatch, t_max):
+        # The referee is the EM oracle up to the ceiling; the spy stops the
+        # sweep before any scan runs.
+        seen = []
+
+        def spy(window, specs, match_tol, *, step):
+            seen.append((window, [spec.kind for spec in specs]))
+            raise RuntimeError("no scan")
+
+        monkeypatch.setattr(zero_scanner, "compare_zero_sets", spy)
+        with pytest.raises(RuntimeError, match="no scan"):
+            conjecture_sweep(t_max, 0.005)
+        assert seen == [((SWEEP_T_MIN, t_max), [SchemeKind.ORACLE_EM, SchemeKind.SPIRA])]
 
     def test_sweep_summary_is_reproducible(self):
         a = conjecture_sweep(60.0, 0.01)
