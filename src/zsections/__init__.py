@@ -34,10 +34,8 @@ from .acceleration_engine import (
     accelerated_coefficients,
     accelerated_triangle,
     accelerated_vertical,
-    closing_coefficient,
     coefficient_direct_sum,
     coefficient_l2_distance,
-    step_coefficients,
 )
 from .schemes import (
     SchemeEvaluator,
@@ -67,8 +65,8 @@ __all__ = [
     "spira", "z_custom",
     "ReferenceValue", "z_euler_maclaurin", "z_riemann_siegel",
     "AcceleratedCoefficients", "accelerated_coefficients",
-    "accelerated_triangle", "accelerated_vertical", "closing_coefficient",
-    "coefficient_direct_sum", "coefficient_l2_distance", "step_coefficients",
+    "accelerated_triangle", "accelerated_vertical",
+    "coefficient_direct_sum", "coefficient_l2_distance",
     "SchemeEvaluator", "SchemeKind", "SchemeSpec", "evaluate_grid",
     "parse_scheme_kind",
     "ConjectureSummary", "DipEvent", "ScanResult", "SchemeMatch",

@@ -50,7 +50,6 @@ from ._tables import rsqrt_k
 from .errors import DomainError, ResourceLimitError
 from .sections_engine import (
     MAX_SECTION_TERMS,
-    CoefficientVector,
     cosine_rows,
     cosine_terms,
     row_blocks,
@@ -183,12 +182,6 @@ def accelerated_coefficients(order: int) -> AcceleratedCoefficients:
     return _cached_coefficients(_validate_order(order, minimum=1))
 
 
-def closing_coefficient(order: int) -> float:
-    """The k = N+1 column weight 2^-(N+1) (the triangle's apex cell)."""
-    order = _validate_order(order, minimum=1)
-    return math.ldexp(1.0, -(order + 1))
-
-
 def _triangle_sums(kernel: np.ndarray, order: int) -> np.ndarray:
     """Row-first triangle sums of a kernel matrix with order + 1 columns, per row."""
     kernel = kernel.astype(np.longdouble)
@@ -230,12 +223,6 @@ def accelerated_vertical_rows(ts: np.ndarray, thetas: np.ndarray, order: int,
     whose certified float sums read the first head terms of each row only."""
     c = accelerated_coefficients(order)
     return section_rows(ts, thetas, c.order + 1, c.weights, exact_below, c.head, c.tail)
-
-
-def step_coefficients(order: int) -> CoefficientVector:
-    """The all-ones coefficient vector of length N (a plain section in Z(t; alpha) form)."""
-    order = _validate_order(order, minimum=1)
-    return CoefficientVector(alpha=(1.0,) * order)
 
 
 def coefficient_direct_sum(order: int, k: int) -> float:

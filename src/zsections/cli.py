@@ -7,26 +7,27 @@ the CSV goes to that path and the JSON to the same path with a .json suffix;
 without it the CSV goes to stdout and the JSON to stderr, keeping stdout
 pipe-clean.
 
-Exit codes: 0 on success, 2 on configuration errors, 3 when a numerical
-hazard was flagged (a Riemann-Siegel remainder evaluated inside the
-cosine-denominator hazard window).  The EM oracle has one configuration,
-set in reference_engine, where its tail always converges, so main maps no
-ConvergenceError: RS1 hazard flags are the only source of exit code 3.
+Exit codes: 0 on success, 2 on configuration errors and unwritable outputs,
+3 when the summary's hazard_count (0 where it has none) flags a Riemann-Siegel
+remainder evaluated inside the cosine-denominator hazard window.  The EM
+oracle has one configuration, set in reference_engine, where its tail always
+converges, so RS1 hazard flags are the only source of exit code 3.
 Bad input is refused before any numerical work.  While parsing: a --range,
 --t-list or --sweep that does not parse, a custom: file that cannot be read
 or holds a bad token or no value, a pinned --n or custom: file past the term
 limit of MAX_SECTION_TERMS (SchemeSpec), a --scheme label listed twice.  By
 RunConfig.validate: the checks every command shares (--threads, --match-tol,
-a non-finite --t or --range, an --out whose directory does not exist), then
-the subcommand's own.  Before any scheme's grid is evaluated: a height
-outside a scheme's domain or past its term limit, such as the oracle's past
-t = 5e5 or Spira's past t = 2e6, as eval, figure, error-decay, zeros and
-conjecture have every scheme key the whole grid first (schemes.check_grid).
+a non-finite --t or --range, an --out that is a directory or whose directory
+does not exist), then the subcommand's own.  Before any scheme's grid is
+evaluated: a height outside a scheme's domain or past its term limit, such
+as the oracle's past t = 5e5 or Spira's past t = 2e6, as eval, figure,
+error-decay, zeros and conjecture have every scheme key the whole grid first
+(schemes.check_grid).
 eval evaluates its referee once, also where it is listed.  Each subcommand
 is declared once, as its check and its runner in _COMMANDS.
 coeffs evaluates no scheme, so its subparser has no --scheme; its orders,
---n or --sweep, stop at MAX_COEFF_ORDER, and --k-max, the last row of the
---n table, is refused with --sweep, which tabulates distances only.
+--n or --sweep, pass the engine's order check before any is built, and
+--k-max, the last row of the --n table, is refused with --sweep.
 
 Grid work runs on the batched, single-threaded evaluate_grid.  --threads is
 accepted only for compatibility: it is validated (1 to MAX_THREADS) and
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import subprocess
@@ -50,10 +52,9 @@ import numpy as np
 
 from . import __version__
 from .acceleration_engine import (
-    MAX_COEFF_ORDER,
+    _validate_order,
     accelerated_coefficients,
     coefficient_l2_distance,
-    step_coefficients,
 )
 from .errors import ConfigError, DomainError, ResourceLimitError
 from .reference_engine import z_euler_maclaurin
@@ -127,6 +128,8 @@ class RunConfig:
             raise ConfigError("--t must be finite")
         if self.out is not None and not Path(self.out).parent.is_dir():
             raise ConfigError(f"--out {self.out!r}: its directory does not exist")
+        if self.out is not None and Path(self.out).is_dir():
+            raise ConfigError(f"--out {self.out!r} names a directory, not a file")
         if self.a is not None:
             if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
                 raise ConfigError(f"--range needs a < b, got {self.a}:{self.b}")
@@ -215,10 +218,8 @@ def _check_coeffs(config: RunConfig) -> None:
         raise ConfigError("--sweep needs at least one order")
     if config.sweep is not None and any(m < 1 for m in config.sweep):
         raise ConfigError("--sweep orders must all be >= 1")
-    order = max(config.sweep or (config.n,))
-    if order > MAX_COEFF_ORDER:
-        raise ConfigError(f"coefficient order {order} exceeds {MAX_COEFF_ORDER}, "
-                          "the last order with correctly rounded coefficients")
+    for order in config.sweep or (config.n,):
+        _validate_order(order, minimum=1)
 
 
 @dataclass(frozen=True)
@@ -246,7 +247,6 @@ class CommandResult:
     header: tuple
     rows: list
     summary: dict
-    hazard_count: int = 0
     stats: dict = field(default_factory=dict)
 
 
@@ -255,22 +255,20 @@ class CommandResult:
 
 
 def load_coefficient_file(path: str) -> CoefficientVector:
-    """Read one coefficient per line (or comma-separated); '#' starts a comment."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read coefficient file {path!r}: {exc}") from exc
+    """Read one coefficient per line (or comma-separated); '#' starts a comment.
+    Reading stops at MAX_SECTION_TERMS + 1 values, past SchemeSpec's term limit."""
     values = []
-    for line in text.splitlines():
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        for token in body.replace(",", " ").split():
-            try:
-                values.append(float(token))
-            except ValueError as exc:
-                raise ConfigError(
-                    f"bad coefficient {token!r} in {path!r}") from exc
+    try:
+        with open(path, encoding="utf-8") as lines:
+            tokens = (token for line in lines
+                      for token in line.split("#", 1)[0].replace(",", " ").split())
+            for token in itertools.islice(tokens, MAX_SECTION_TERMS + 1):
+                try:
+                    values.append(float(token))
+                except ValueError as exc:
+                    raise ConfigError(f"bad coefficient {token!r} in {path!r}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read coefficient file {path!r}: {exc}") from exc
     if not values:
         raise ConfigError(f"coefficient file {path!r} holds no values")
     return CoefficientVector(alpha=tuple(values))
@@ -359,11 +357,14 @@ def emit(result: CommandResult, config: RunConfig) -> None:
     json_text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if config.out:
         out_path = Path(config.out)
-        out_path.write_text(csv_text, encoding="utf-8", newline="\n")
         sidecar = out_path.with_suffix(".json")
         if sidecar == out_path:
             sidecar = out_path.with_name(out_path.name + ".json")
-        sidecar.write_text(json_text, encoding="utf-8", newline="\n")
+        try:
+            out_path.write_text(csv_text, encoding="utf-8", newline="\n")
+            sidecar.write_text(json_text, encoding="utf-8", newline="\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {config.out!r}: {exc}") from exc
     else:
         sys.stdout.write(csv_text)
         sys.stderr.write(json_text)
@@ -416,8 +417,7 @@ def cmd_eval(config: RunConfig) -> CommandResult:
             "max_abs_err": float(np.max(errs)),
             "median_abs_err": float(np.median(errs)),
         }
-    return CommandResult(("t", "scheme", "value", "reference", "abs_err"),
-                         rows, summary, hazards)
+    return CommandResult(("t", "scheme", "value", "reference", "abs_err"), rows, summary)
 
 
 def cmd_figure(config: RunConfig) -> CommandResult:
@@ -433,8 +433,7 @@ def cmd_figure(config: RunConfig) -> CommandResult:
         rows = [(n, math.fsum(terms[:n]), ref.z, 0.5 * ref.z) for n in range(1, 1501)]
         summary = {"figure": fig, "t": t, "n_max": 1500, "rows": len(rows),
                    "reference": ref.z}
-        return CommandResult(("n", "z_section", "z_reference", "z_reference_half"),
-                             rows, summary, 0)
+        return CommandResult(("n", "z_section", "z_reference", "z_reference_half"), rows, summary)
 
     if fig in ("fig2", "fig3"):
         a, b, step = 412.0, 419.0, 0.01
@@ -454,13 +453,13 @@ def cmd_figure(config: RunConfig) -> CommandResult:
                 for i, t in enumerate(ts)]
         summary = {"figure": fig, "range": [a, b, step], "rows": len(rows),
                    "schemes": [s.label for s in specs], "hazard_count": hazards}
-        return CommandResult(header, rows, summary, hazards)
+        return CommandResult(header, rows, summary)
 
     # fig4: coefficient profiles at the cutoff for t = 400, i.e. order 200,
     # plotted out to k = 400 (the rows of coeffs --n 200 --k-max 400).
     rows = _coefficient_rows(200, 400)
     summary = {"figure": fig, "order": 200, "k_max": 400, "rows": len(rows)}
-    return CommandResult(_COEFFICIENT_HEADER, rows, summary, 0)
+    return CommandResult(_COEFFICIENT_HEADER, rows, summary)
 
 
 def cmd_zeros(config: RunConfig) -> CommandResult:
@@ -500,7 +499,7 @@ def cmd_zeros(config: RunConfig) -> CommandResult:
         summary["schemes"][label] = entry
 
     summary["hazard_count"] = hazards
-    return CommandResult(header, rows, summary, hazards, stats)
+    return CommandResult(header, rows, summary, stats)
 
 
 def cmd_conjecture(config: RunConfig) -> CommandResult:
@@ -531,7 +530,7 @@ def cmd_conjecture(config: RunConfig) -> CommandResult:
         "hazard_count": sweep.hazard_count,
         "clean": sweep.clean,
     }
-    return CommandResult(header, rows, summary, sweep.hazard_count,
+    return CommandResult(header, rows, summary,
                          {label: asdict(stats) for label, stats in sweep.stats})
 
 
@@ -571,7 +570,7 @@ def cmd_error_decay(config: RunConfig) -> CommandResult:
     rows = [(t, label, report.errors[label][i])
             for i, t in enumerate(report.ts) for label in report.labels]
     return CommandResult(("t", "scheme", "abs_err"), rows,
-                         {"points": len(report.ts), "fits": report.summary}, 0)
+                         {"points": len(report.ts), "fits": report.summary})
 
 
 _COEFFICIENT_HEADER = ("k", "alpha_accelerated", "alpha_step", "comment")
@@ -580,13 +579,12 @@ _COEFFICIENT_HEADER = ("k", "alpha_accelerated", "alpha_step", "comment")
 def _coefficient_rows(order: int, k_max: int) -> list:
     """Accelerated and step coefficients of one order for k = 1..k_max.
 
-    Beyond the cutoff the step vector is zero by definition and the
-    accelerated vector is not defined, so both emit 0 with the comment
-    column flagging the region.
+    The step vector is 1 up to the cutoff.  Beyond it the step vector is zero
+    by definition and the accelerated vector is not defined, so both emit 0
+    with the comment column flagging the region.
     """
     alpha = accelerated_coefficients(order).alpha
-    step_vec = step_coefficients(order).alpha
-    return [(k, float(alpha[k - 1]), float(step_vec[k - 1]), "") if k <= order
+    return [(k, float(alpha[k - 1]), 1.0, "") if k <= order
             else (k, 0.0, 0.0, "beyond-cutoff") for k in range(1, k_max + 1)]
 
 
@@ -599,11 +597,11 @@ def cmd_coeffs(config: RunConfig) -> CommandResult:
         summary = {"order": order, "k_max": k_max,
                    "alpha_first": float(alpha.alpha[0]),
                    "alpha_last": float(alpha.alpha[order - 1])}
-        return CommandResult(_COEFFICIENT_HEADER, rows, summary, 0)
+        return CommandResult(_COEFFICIENT_HEADER, rows, summary)
 
     rows = [(order, coefficient_l2_distance(order)) for order in config.sweep]
     return CommandResult(("n", "l2_distance"), rows, {
-        "orders": list(config.sweep), "l2_distances": {str(m): d for m, d in rows}}, 0)
+        "orders": list(config.sweep), "l2_distances": {str(m): d for m, d in rows}})
 
 
 # Each subcommand's check (run by RunConfig.validate) and runner.
@@ -729,13 +727,13 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         result = _COMMANDS[config.command][1](config)
+        emit(result, config)
     except (ConfigError, DomainError, ResourceLimitError) as exc:
         print(f"zsections: error: {exc}", file=sys.stderr)
         return 2
-    emit(result, config)
-    if result.hazard_count > 0:
-        print(f"zsections: numerical hazard: {result.hazard_count} flagged "
-              f"evaluation(s)", file=sys.stderr)
+    hazards = result.summary.get("hazard_count", 0)
+    if hazards > 0:
+        print(f"zsections: numerical hazard: {hazards} flagged evaluation(s)", file=sys.stderr)
         return 3
     return 0
 

@@ -403,6 +403,8 @@ def em_tail_rows(ts: np.ndarray, thetas: np.ndarray, ns: np.ndarray, z_max: np.n
     remainder and the tail's rounding; by the model of riemann_siegel4_rows
     the section is off by at most 2 sqrt(n) u (5 (|theta| + t ln n) + 6), and
     the rotation, with theta off by up to 4 u |theta|, by 8 u (|theta| + 1) |T|.
+    These hold where the tail converges fast, (|s| + 2J)/(2 pi n_i) <= 1/2 with
+    J = len(_BERNOULLI_2J); elsewhere err_i is inf.
     """
     s = 0.5 + 1j * ts
     n_pow = np.exp(-s * np.log(ns))  # n^(-s)
@@ -417,4 +419,5 @@ def em_tail_rows(ts: np.ndarray, thetas: np.ndarray, ns: np.ndarray, z_max: np.n
     size = np.abs(thetas)
     err = em_err + _U * (2.0 * np.sqrt(ns) * (5.0 * (size + ts * np.log(ns)) + 6.0)
                          + 8.0 * (size + 1.0) * (np.abs(tail) + em_err))
+    err[np.hypot(0.5, ts) + 2 * len(_BERNOULLI_2J) > math.pi * ns] = np.inf
     return np.cos(thetas) * tail.real - np.sin(thetas) * tail.imag, err

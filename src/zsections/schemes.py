@@ -6,7 +6,9 @@ summation order, or a custom coefficient vector) plus an optional fixed
 cutoff override n.  Without an override, cutoffs resolve per evaluation
 point: Ntilde(t) = floor(sqrt(t/2pi)) for the AFE and N(t) = floor(t/2) for
 the Spira and accelerated schemes.  Fixed overrides exist because several of
-the plots hold N constant across a t window.
+the plots hold N constant across a t window.  SchemeSpec.fixed_cutoff is
+the one place that derives it, the pinned n or the custom vector's length,
+always an int: a fractional n is refused, not truncated.
 
 SchemeEvaluator turns a spec into a callable object.  Evaluation is pure
 (no shared mutable state); per-point numerical-hazard flags are returned
@@ -39,7 +41,9 @@ where its error bound b certifies |c| > x + b, so the exact value has c's
 sign and lies beyond x too.  SchemeEvaluator._screen picks the cheap
 engines, at t >= RS4_T_MIN only: the fourth-order Riemann-Siegel value RS4
 for the oracle, and RS4 minus the rotated Euler-Maclaurin tail
-(reference_engine.em_tail_rows) for Spira's section.  The other section
+(reference_engine.em_tail_rows) for Spira's section; em_tail_rows alone
+states where that tail converges, (|s| + 2J)/(2 pi n) <= 1/2, and bounds
+it by inf elsewhere, so such a point stays exact.  The other section
 kinds, and the points the screen leaves open, keep a row's float sum where
 sum_rows certifies it beyond x (AFE, twice a section, beyond x/2).
 REFERENCE_RS and ACCELERATED_TRIANGLE are always exact.
@@ -150,12 +154,18 @@ class SchemeSpec:
                 raise DomainError(f"{kind.value} does not accept a coefficient vector")
             if kind in REFERENCE_KINDS and self.n is not None:
                 raise DomainError(f"{kind.value} does not accept a fixed cutoff")
-            if self.n is not None and int(self.n) < 1:
-                raise DomainError(f"fixed cutoff must be >= 1, got {self.n}")
-        # A custom vector's length is its fixed cutoff, under the term limit of _keys.
-        n = len(self.alpha) if kind is SchemeKind.CUSTOM else self.n
-        if n is not None and int(n) > _key_limit(kind):
+            if self.n is not None:  # a whole number >= 1, kept as an int
+                if not (math.isfinite(self.n) and self.n == int(self.n) >= 1):
+                    raise DomainError(f"fixed cutoff must be a whole number >= 1, got {self.n}")
+                object.__setattr__(self, "n", int(self.n))
+        n = self.fixed_cutoff
+        if n is not None and n > _key_limit(kind):
             raise _limit_error(kind, f"fixed cutoff n = {n}")
+
+    @property
+    def fixed_cutoff(self) -> Optional[int]:
+        """The pinned n, or the custom vector's length; None where cutoffs follow t."""
+        return len(self.alpha) if self.kind is SchemeKind.CUSTOM else self.n
 
     @functools.cached_property
     def label(self) -> str:
@@ -194,7 +204,6 @@ class SchemeEvaluator:
 
     def __init__(self, spec: SchemeSpec):
         self.spec = spec
-        self._fixed = len(spec.alpha) if spec.alpha is not None else spec.n
         self._alpha = spec.alpha.as_array() if spec.alpha is not None else None
         # The points the screen answered (_screen), for the caller's statistics.
         self.screened = 0
@@ -233,8 +242,8 @@ class SchemeEvaluator:
         safe = np.where(ok, ts, 0.0)
         if self.spec.kind is SchemeKind.ORACLE_EM:
             keys = euler_maclaurin_terms(safe)
-        elif self._fixed is not None:
-            keys = np.full(len(ts), float(int(self._fixed)))
+        elif self.spec.fixed_cutoff is not None:
+            keys = np.full(len(ts), float(self.spec.fixed_cutoff))
         elif self.spec.kind in (SchemeKind.AFE, SchemeKind.REFERENCE_RS):
             keys = sqrt_cutoff(safe)
         else:
@@ -280,12 +289,10 @@ class SchemeEvaluator:
 
         At t >= RS4_T_MIN the oracle's is RS4, within RS4's bound plus
         euler_maclaurin_error at M = keys; Spira's section at n = keys is RS4
-        minus em_tail_rows' tail, within both bounds, where the tail converges
-        fast: (|s| + 2J)/(2 pi n) <= 1/2 at the oracle's J = 6.
+        minus em_tail_rows' tail, within both bounds (infinite where the tail
+        is not known to converge, so such a point stays exact).
         """
         at = np.flatnonzero(ts >= RS4_T_MIN)
-        if self.spec.kind is SchemeKind.SPIRA:
-            at = at[np.hypot(0.5, ts[at]) + 12.0 <= math.pi * keys[at]]
         if at.size == 0:
             return 0
         z, err = riemann_siegel4_rows(ts[at], thetas[at])

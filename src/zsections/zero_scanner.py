@@ -118,9 +118,6 @@ class ScanResult(Sequence):
     """Sorted zero records plus scan diagnostics; behaves as a sequence of records."""
 
     scheme: SchemeSpec
-    a: float
-    b: float
-    step: float
     records: tuple
     dips: tuple
     hazard_count: int
@@ -154,9 +151,6 @@ class SchemeMatch:
 
 @dataclass(frozen=True)
 class ZeroComparison:
-    interval: tuple
-    step: float
-    match_tol: float
     reference: ScanResult
     matches: tuple  # one SchemeMatch per non-reference entry, input order
 
@@ -321,8 +315,8 @@ def scan_zeros(scheme: SchemeSpec, a: float, b: float, step: float) -> ScanResul
                       bisect_screened=evaluator.screened,
                       bisect_exact=midpoints - evaluator.screened, residual=len(locations),
                       grid_s=grid_s, dips_s=dips_s, bisect_s=bisect_s, residual_s=residual_s)
-    return ScanResult(scheme=scheme, a=a, b=b, step=step, records=tuple(deduped),
-                      dips=tuple(dips), hazard_count=hazards, stats=stats)
+    return ScanResult(scheme=scheme, records=tuple(deduped), dips=tuple(dips),
+                      hazard_count=hazards, stats=stats)
 
 
 def scan_schemes(specs, a: float, b: float, step: float) -> list:
@@ -388,8 +382,7 @@ def compare_zero_sets(interval: tuple, schemes: list, match_tol: float = DEFAULT
             ref_scan.locations, scan.locations, match_tol)
         matches.append(SchemeMatch(scheme=scan.scheme, scan=scan, matched=pairs,
                                    missed=missed, spurious=spurious))
-    return ZeroComparison(interval=(a, b), step=step, match_tol=match_tol,
-                          reference=ref_scan, matches=tuple(matches))
+    return ZeroComparison(reference=ref_scan, matches=tuple(matches))
 
 
 @dataclass(frozen=True)

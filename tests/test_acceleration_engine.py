@@ -18,15 +18,14 @@ from zsections.acceleration_engine import (
     accelerated_triangle_rows,
     accelerated_vertical,
     accelerated_vertical_rows,
-    closing_coefficient,
     coefficient_direct_sum,
     coefficient_l2_distance,
-    step_coefficients,
 )
 from zsections.errors import DomainError, ResourceLimitError
 from zsections.sections_engine import (
     FLOAT_SUM_MIN_ELEMENTS,
     MAX_SECTION_TERMS,
+    CoefficientVector,
     cosine_rows,
     cosine_terms,
     section,
@@ -333,9 +332,8 @@ class TestSummationOrderIdentity:
 
 class TestStepCoefficientsAndDistance:
     def test_step_vector(self):
-        vec = step_coefficients(3)
-        assert vec.alpha == (1.0, 1.0, 1.0)
-        assert math.sqrt(len(vec)) == math.sqrt(3)
+        # The step vector of order N is N ones: z_custom of it is the plain section.
+        vec = CoefficientVector(alpha=(1.0,) * 3)
         t = 98.7
         assert z_custom(t, vec) == section(t, 3)
 
@@ -372,5 +370,6 @@ class TestStepCoefficientsAndDistance:
         assert coefficient_l2_distance(order) == math.sqrt(math.fsum(gaps * gaps))
 
     def test_closing_coefficient(self):
-        assert closing_coefficient(1) == 0.25
-        assert closing_coefficient(10) == 2.0**-11
+        # The vertical form's last weight is the apex cell 2^-(N+1), exactly.
+        for order in (1, 10, 205, MAX_COEFF_ORDER):
+            assert accelerated_coefficients(order).weights[-1] == 2.0**-(order + 1)

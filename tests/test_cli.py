@@ -6,6 +6,7 @@ formatting, exit codes) is exercised the way a shell user sees it.
 """
 
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -117,6 +118,14 @@ def test_eval_custom_coefficient_file(tmp_path):
     assert float(rows[0]["value"]) == section(100.0, 3)
 
 
+def test_undecodable_custom_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"1.0\n\xff\n")
+    assert main(["eval", "--t", "100", "--scheme", f"custom:{path}"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"zsections: error: cannot read coefficient file {str(path)!r}: 'utf-8' codec")
+
+
 def test_custom_vectors_of_one_length_have_their_own_labels(tmp_path, capsys):
     # The label carries the first 8 hex digits of the SHA-256 of the float64
     # values, so two vectors of one length run together; one file listed
@@ -206,7 +215,8 @@ def test_oversized_custom_file_refused_while_parsing(tmp_path):
     # A custom vector's length is its cutoff, under the same limit as a pinned n.
     path = tmp_path / "ones.txt"
     argv = ["eval", "--range", "1000:1100:0.01", "--scheme", f"custom:{path}"]
-    path.write_text("1\n" * (MAX_SECTION_TERMS + 1), encoding="utf-8")
+    # Reading stops one value past the limit: the bad token after it is never parsed.
+    path.write_text("1\n" * (MAX_SECTION_TERMS + 1) + "x\n", encoding="utf-8")
     with pytest.raises(ResourceLimitError, match=f"^fixed cutoff n = {MAX_SECTION_TERMS + 1} "
                                                  f"exceeds {MAX_SECTION_TERMS}, the largest CUSTOM"):
         parse_config(argv)
@@ -385,6 +395,22 @@ def test_out_directory_must_exist(tmp_path):
         assert main(argv + [str(out)]) == 2
     assert not (tmp_path / "missing").exists()
     parse_config(argv + [str(tmp_path / "x.csv")])
+
+
+def test_out_naming_a_directory_refused_before_any_evaluation(monkeypatch, capsys, tmp_path):
+    calls = spy_on_engines(monkeypatch)
+    assert main(["eval", "--t", "100", "--scheme", "spira", "--out", str(tmp_path)]) == 2
+    assert calls == []
+    assert capsys.readouterr().err == (
+        f"zsections: error: --out {str(tmp_path)!r} names a directory, not a file\n")
+
+
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    # The JSON sidecar's path is a directory: writing it fails after the CSV.
+    (tmp_path / "x.json").mkdir()
+    out = str(tmp_path / "x.csv")
+    assert main(["eval", "--t", "100", "--scheme", "spira", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"zsections: error: cannot write --out {out!r}: ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -844,3 +870,15 @@ def test_csv_uses_lf_line_endings(tmp_path):
     blob = out.read_bytes()
     assert b"\r" not in blob
     assert blob.endswith(b"\n")
+
+
+def test_benchmark_warm_up_command_runs(tmp_path):
+    # perfbench/worker.py runs WARMUP once before any workload, and a run whose
+    # warm-up fails measures nothing; the command is read from the worker as is.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("perfbench_worker", path)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    rc, _, doc = run_cli(tmp_path, "warmup.csv", list(worker.WARMUP))
+    assert rc == 0 and (tmp_path / "warmup.csv").read_text(encoding="utf-8").startswith("scheme,")
+    assert doc["summary"]["hazard_count"] == 0 and len(doc["summary"]["schemes"]) == 3

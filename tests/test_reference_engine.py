@@ -332,3 +332,9 @@ class TestEulerMaclaurinTail:
         assert np.all(np.abs(sections - (zs - tail)) <= err)
         assert np.all(err <= 2e-5) and np.all(err[ts >= RS4_T_MIN] <= 2e-6)
         assert np.median(np.abs(sections - zs)) > 1e3 * np.median(err)
+
+    def test_no_bound_where_the_tail_may_not_converge(self):
+        # (|s| + 2J)/(2 pi n) <= 1/2 at J = 6 holds at n = 205 for t <= 632.06.
+        ts = np.array([630.0, 632.0, 634.0, 700.0])
+        _, err = em_tail_rows(ts, theta_grid(ts), np.full(4, 205.0), np.ones(4))
+        assert np.all(np.isfinite(err[:2])) and np.all(err[2:] == np.inf)

@@ -446,6 +446,19 @@ def test_scheme_spec_refusals():
     SchemeSpec(kind=SchemeKind.CUSTOM, alpha=CUSTOM_ALPHA)
 
 
+def test_pinned_cutoff_is_a_whole_number():
+    # A fractional n is refused, not truncated to the n it would run at; a
+    # whole float is the int it names, in the label and in the run keys.
+    for n in (205.7, math.nan, math.inf, 0.5):
+        with pytest.raises(DomainError, match="^fixed cutoff must be a whole number >= 1, got"):
+            SchemeSpec(kind=SchemeKind.SPIRA, n=n)
+    spec = SchemeSpec(kind=SchemeKind.SPIRA, n=205.0)
+    assert spec.label == "SPIRA@205" and spec.fixed_cutoff == 205
+    assert spec == SchemeSpec(kind=SchemeKind.SPIRA, n=205)
+    assert SchemeSpec(kind=SchemeKind.CUSTOM, alpha=CUSTOM_ALPHA).fixed_cutoff == 17
+    assert SchemeSpec(kind=SchemeKind.SPIRA).fixed_cutoff is None
+
+
 def cheap_and_bound(spec, ts):
     """Each point's cheap value and the bound on its distance from the exact one, from the engines.
 

@@ -147,8 +147,8 @@ class TestScanZeros:
     def test_grid_includes_endpoint_despite_float_dust(self):
         # (419 - 412)/0.005 is 1399.9999... in floats; the guard must still
         # place 419 on the grid.
+        assert grid_points(412.0, 419.0, 0.005)[-1] == 419.0
         result = scan_zeros(EM, 412.0, 419.0, 0.005)
-        assert result.b == 419.0
         # Zeros hug both ends of this window; make sure the top end was seen.
         assert max(result.locations) > 418.0
 
@@ -601,6 +601,15 @@ class TestOracleScreen:
         exact = evaluate_grid(SchemeEvaluator(EM), ts)[0]
         assert evaluator.screened >= len(ts) // 3
         assert np.array_equal(np.sign(signs), np.sign(exact))
+
+    def test_spira_screen_stays_off_where_the_tail_may_not_converge(self):
+        # At n = 205, em_tail_rows bounds the tail for t <= 632 only: past it
+        # the screen answers no point, just below it most of them.
+        spec = SchemeSpec(kind=SchemeKind.SPIRA, n=205)
+        for (a, b), least, most in (((633.0, 645.0), 0, 0), ((620.0, 632.0), 900, 1201)):
+            evaluator = SchemeEvaluator(spec)
+            evaluate_grid(evaluator, grid_points(a, b, 0.01), exact_below=0.1)
+            assert least <= evaluator.screened <= most
 
     def test_no_screen_below_rs4_t_min(self):
         evaluator = SchemeEvaluator(EM)
