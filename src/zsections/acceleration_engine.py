@@ -34,6 +34,11 @@ Numerical discipline:
   * The vertical form reuses the same cosine kernel as every other section
     sum and accumulates with math.fsum; beyond a caller's exact_below, its
     certified float sum reads only a row's first terms (_truncation).
+  * Each order also keeps the sigmoid's transition window (_transition):
+    below lo every weight is 1 within a 2^-60 total, and above head every
+    weight is 0 within another, so the vertical form is the section of head
+    terms minus the window sum_{lo<k<=head} (1 - alphatilde_k) cos(...)/sqrt(k),
+    which transition_rows evaluates for the schemes' screen.
 """
 
 from __future__ import annotations
@@ -46,8 +51,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._tables import rsqrt_k
+from ._tables import log_k, rsqrt_k
 from .errors import DomainError, ResourceLimitError
+from .reference_engine import screen_blocks
 from .sections_engine import (
     MAX_SECTION_TERMS,
     cosine_rows,
@@ -70,6 +76,9 @@ MAX_COEFF_ORDER = 20000
 TAIL_LIMIT = 2.0**-60
 
 _LD = np.longdouble
+
+# Unit roundoff of float64.
+_U = 2.0**-53
 
 
 def _validate_order(n: int, minimum: int, maximum: int = MAX_COEFF_ORDER) -> int:
@@ -96,13 +105,17 @@ def _row_longdouble(n: int) -> np.ndarray:
 @dataclass(frozen=True)
 class AcceleratedCoefficients:
     """alphatilde_k = P[Binomial(N+1, 1/2) >= k], k = 1..N, a read-only view of the vertical
-    form's weights (closing coefficient last), with its float sums' head and tail (_truncation)."""
+    form's weights (closing coefficient last), with its float sums' head and tail (_truncation)
+    and the screen's transition window: lo, low and window (_transition)."""
 
     order: int
     alpha: np.ndarray
     weights: np.ndarray
     head: int
     tail: float
+    lo: int
+    low: float
+    window: np.ndarray
 
 
 def _upper_sums(m: int) -> list:
@@ -158,6 +171,19 @@ def _truncation(weights: np.ndarray) -> tuple:
     return head, math.nextafter(math.fsum(bounds[head:].tolist()), math.inf)
 
 
+def _transition(weights: np.ndarray, head: int) -> tuple:
+    """(lo, low, window): the most leading terms whose gaps, the float products
+    (1 - weights_k)/sqrt(k) (each bounds 1 - weights_k times its term's magnitude), sum to
+    at most TAIL_LIMIT, that sum rounded up, and the gaps over lo < k <= head, read-only.
+    1 - weights_k is exact where weights_k >= 1/2 (Sterbenz), and lo <= head, since a term
+    and its gap add up to 1/sqrt(k) > 2 TAIL_LIMIT."""
+    gaps = (1.0 - weights[:head]) * rsqrt_k(head)
+    lo = int(np.count_nonzero(np.cumsum(gaps) <= TAIL_LIMIT))
+    window = gaps[lo:]
+    window.setflags(write=False)
+    return lo, math.nextafter(math.fsum(gaps[:lo].tolist()), math.inf), window
+
+
 @functools.lru_cache(maxsize=COEFF_CACHE_ORDERS)
 def _cached_coefficients(order: int) -> AcceleratedCoefficients:
     global _last_sums
@@ -173,7 +199,9 @@ def _cached_coefficients(order: int) -> AcceleratedCoefficients:
     _last_sums = (m, sums) if order <= _KEEP_SUMS_MAX else (0, [])
     weights = _exact_weights(m, sums)
     weights.setflags(write=False)
-    return AcceleratedCoefficients(order, weights[:order], weights, *_truncation(weights))
+    head, tail = _truncation(weights)
+    return AcceleratedCoefficients(order, weights[:order], weights, head, tail,
+                                   *_transition(weights, head))
 
 
 def accelerated_coefficients(order: int) -> AcceleratedCoefficients:
@@ -223,6 +251,42 @@ def accelerated_vertical_rows(ts: np.ndarray, thetas: np.ndarray, order: int,
     whose certified float sums read the first head terms of each row only."""
     c = accelerated_coefficients(order)
     return section_rows(ts, thetas, c.order + 1, c.weights, exact_below, c.head, c.tail)
+
+
+def transition_rows(ts: np.ndarray, thetas: np.ndarray, runs: list):
+    """The transition window of each point's order and a bound: (window, err).
+
+    runs lists (slice, AcceleratedCoefficients) pairs that cover the points
+    in order.  window_i = sum_{lo<k<=head} (1 - alphatilde_k) cos(theta_i -
+    t_i ln k)/sqrt(k), so that, in exact arithmetic on the float weights,
+    the vertical form at t_i lies within low + tail of Z_head(t_i) -
+    window_i.  err_i adds to low + tail the window's rounding, by the model
+    of reference_engine.riemann_siegel4_rows: a term is off by at most
+    u (5 (|theta| + t ln head) + 8) times its gap (the gap, 1/sqrt(k),
+    the cosine and the product included), and a float sum of m terms by
+    m u times their sum.  The points go in blocks of SCREEN_BLOCK_ELEMENTS:
+    the gaps and logarithms of a block's orders are laid out once, zero-padded
+    to the widest window, and every point's row is gathered from them.
+    """
+    width = max(c.head - c.lo for _, c in runs)
+    ln_k = log_k(max(c.head for _, c in runs))
+    rows = np.empty(len(ts), dtype=np.intp)
+    heads, ends = np.empty(len(ts)), np.empty(len(ts))
+    for r, (run, c) in enumerate(runs):
+        rows[run], heads[run], ends[run] = r, c.head, c.low + c.tail
+    window, size = np.empty(len(ts)), np.empty(len(ts))
+    for block in screen_blocks(len(ts), width):
+        first = rows[block.start]
+        part = runs[first:rows[block.stop - 1] + 1]
+        gaps, logs = np.zeros((len(part), width)), np.zeros((len(part), width))
+        for r, (_, c) in enumerate(part):
+            gaps[r, :c.head - c.lo] = c.window
+            logs[r, :c.head - c.lo] = ln_k[c.lo:c.head]
+        at = rows[block] - first
+        gap, phases = gaps[at], thetas[block, None] - ts[block, None] * logs[at]
+        window[block], size[block] = (np.cos(phases) * gap).sum(axis=1), gap.sum(axis=1)
+    rounding = _U * size * (5.0 * (np.abs(thetas) + ts * np.log(heads)) + 8.0 + width)
+    return window, 1.001 * rounding + ends
 
 
 def coefficient_direct_sum(order: int, k: int) -> float:

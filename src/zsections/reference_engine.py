@@ -35,6 +35,11 @@ window), together with a bound on its error: Gabcke's truncation bound
 0.017 t^(-11/4) for t >= 200 plus its own rounding.  euler_maclaurin_error
 bounds the distance of the oracle's computed value from Z.  Where |RS4|
 exceeds the sum of the two, RS4, Z and the computed oracle share one sign.
+em_tail_rows gives the sections the same service: the rotated
+Euler-Maclaurin tail at any M, with J = 20 Bernoulli terms (B_2..B_40, of
+which the oracle keeps the first six) and a bound of its own, so that RS4
+minus the tail is a certified value of the section of M terms wherever the
+tail's terms decrease (tail_converges).
 """
 
 from __future__ import annotations
@@ -79,15 +84,28 @@ _PSI_TAYLOR = (
     5.0 * math.pi**4 / 48.0 - math.pi**2,
 )
 
-# Bernoulli numbers B_2, B_4, ..., B_12: the oracle's J = 6 corrections.
-_BERNOULLI_2J = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
+# Bernoulli numbers B_2, B_4, ..., B_40 as (numerator, denominator): the J = 20
+# corrections of em_tail_rows, of which the oracle keeps the first _ORACLE_J.
+_BERNOULLI_FRACTIONS = (
+    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
+    (43867, 798), (-174611, 330), (854513, 138), (-236364091, 2730), (8553103, 6),
+    (-23749461029, 870), (8615841276005, 14322), (-7709321041217, 510),
+    (2577687858367, 6), (-26315271553053477373, 1919190), (2929993913841559, 6),
+    (-261082718496449122051, 13530),
 )
+_ORACLE_J = 6
+_BERNOULLI_2J = tuple(num / den for num, den in _BERNOULLI_FRACTIONS[:_ORACLE_J])
+
+# For j = 1..J-1: 4j^2 - 1/4 and 4j, as (s + 2j - 1)(s + 2j) = 4j^2 - 1/4 - t^2 + 4j t i,
+# and the ratio (B_2j+2/(2j+2)!)/(B_2j/(2j)!) correctly rounded from integers, as columns.
+_RATIO_ROWS = np.array([
+    [4.0 * j * j - 0.25, 4.0 * j, (num * den_j) / (den * num_j * (2 * j + 1) * (2 * j + 2))]
+    for j, ((num_j, den_j), (num, den)) in enumerate(
+        zip(_BERNOULLI_FRACTIONS, _BERNOULLI_FRACTIONS[1:]), start=1)]).T[:, :, None]
+
+# Elements of one block of the screen's matrices (em_tail_rows, transition_rows):
+# small blocks keep their temporaries below the allocator's mmap threshold.
+SCREEN_BLOCK_ELEMENTS = 4096
 
 
 @dataclass(frozen=True)
@@ -353,6 +371,32 @@ def euler_maclaurin_rows(ts: np.ndarray, thetas: np.ndarray, m: int) -> np.ndarr
     return out
 
 
+# For j = 1..J: 2j - 2, 2j - 1 and 4/(2 pi)^(2j), as columns (_em_bounds).
+_BOUND_ROWS = np.array([[2.0 * j - 2.0, 2.0 * j - 1.0, 4.0 / TWO_PI ** (2 * j)]
+                        for j in range(1, len(_BERNOULLI_FRACTIONS) + 1)]).T[:, :, None]
+
+
+def _em_bounds(size, s_abs, ms, root_m, order: int):
+    """size plus bounds on the first order Bernoulli terms, and the remainder after them.
+
+    Returns (size + sum_j |term_j|, cut) over j = 1..order: a term
+    B_2j/(2j)! (s)_(2j-1) M^(-s-2j+1) is at most
+    (4/(2 pi)^(2j)) ((|s| + 2j - 2)/M)^(2j-1) M^(-1/2), since
+    |B_2j|/(2j)! = 2 zeta(2j)/(2 pi)^(2j), and the remainder, at any M, at
+    most |s + 2J + 1|/(2J + 3/2) times the first omitted term (Edwards,
+    Riemann's Zeta Function, sec. 6.4).  The terms are added in order of j.
+    """
+    shift, power, scale = _BOUND_ROWS[:, :order]
+    terms = np.empty((order + 1, len(size)))
+    terms[0] = size
+    np.power((s_abs + shift) / ms, power, out=terms[1:])
+    terms[1:] *= scale
+    terms[1:] /= root_m
+    cut = ((s_abs + (2 * order + 1)) / (2 * order + 1.5) * 4.0 / TWO_PI ** (2 * order + 2)
+           * ((s_abs + 2 * order) / ms) ** (2 * order + 1) / root_m)
+    return np.add.reduce(terms, axis=0), cut  # a reduction along axis 0 adds row by row
+
+
 def euler_maclaurin_error(ts: np.ndarray, ms: np.ndarray, z_max: np.ndarray) -> np.ndarray:
     """A bound on |EM(t_i) - Z(t_i)| wherever |Z(t_i)| <= z_max_i.
 
@@ -367,12 +411,10 @@ def euler_maclaurin_error(ts: np.ndarray, ms: np.ndarray, z_max: np.ndarray) -> 
         integral plus the peak 2/e of the unimodal summand), the complex
         sum is off by at most 3.01 u t S_L + sqrt(2) (M + 6) u S_H;
       * tail: the midpoint, integral and Bernoulli terms, of total size at
-        most T = M^(-1/2)/2 + M^(1/2)/t + sum_j |term_j|, each with the
-        phase error of M^(-s) and at most 150 further roundings; a term
-        is at most (4/(2 pi)^(2j)) ((|s| + 2j - 2)/M)^(2j-1) M^(-1/2),
-        since |B_2j|/(2j)! = 2 zeta(2j)/(2 pi)^(2j);
-      * truncation: at most |s + 2J + 1|/(2J + 3/2) times the first
-        omitted Bernoulli term (Edwards, Riemann's Zeta Function, sec. 6.4);
+        most T = M^(-1/2)/2 + M^(1/2)/t + sum_j |term_j| (_em_bounds),
+        each with the phase error of M^(-s) and at most 150 further
+        roundings;
+      * truncation: the cut of _em_bounds after J = 6 terms;
       * the additions into the running sum and the rotation by
         exp(i theta): at most 30 u (|Z| + T).  An error d in theta moves
         the real part by Z (1 - cos d) only.
@@ -381,12 +423,7 @@ def euler_maclaurin_error(ts: np.ndarray, ms: np.ndarray, z_max: np.ndarray) -> 
     """
     root_m = np.sqrt(ms)
     s_abs = np.hypot(0.5, ts)
-    order = len(_BERNOULLI_2J)
-    tail = 0.5 / root_m + root_m / ts
-    for j in range(1, order + 1):
-        tail += 4.0 / TWO_PI ** (2 * j) * ((s_abs + (2 * j - 2)) / ms) ** (2 * j - 1) / root_m
-    cut = ((s_abs + (2 * order + 1)) / (2 * order + 1.5) * 4.0 / TWO_PI ** (2 * order + 2)
-           * ((s_abs + 2 * order) / ms) ** (2 * order + 1) / root_m)
+    tail, cut = _em_bounds(0.5 / root_m + root_m / ts, s_abs, ms, root_m, _ORACLE_J)
     ln_m = np.log(ms)
     sums = _U * (3.01 * ts * (2.0 * root_m * (ln_m - 2.0) + 4.75)
                  + math.sqrt(2.0) * (ms + 6.0) * 2.0 * root_m)
@@ -394,30 +431,60 @@ def euler_maclaurin_error(ts: np.ndarray, ms: np.ndarray, z_max: np.ndarray) -> 
     return 1.001 * (sums + rounding + cut) + 30.0 * _U * (z_max + tail)
 
 
-def em_tail_rows(ts: np.ndarray, thetas: np.ndarray, ns: np.ndarray, z_max: np.ndarray):
-    """Re(e^(i theta_i) T), T the tail _em_value adds at M = n_i, and a bound: (tail, err).
+def screen_blocks(rows: int, width: int):
+    """Consecutive slices of range(rows) holding at most SCREEN_BLOCK_ELEMENTS // width rows."""
+    step = max(1, SCREEN_BLOCK_ELEMENTS // max(1, width))
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
 
-    section(t_i, n_i) = Z(t_i) - tail_i up to the Euler-Maclaurin remainder
-    (Titchmarsh, Theorem 4.11, made explicit), and err_i bounds the gap
-    wherever |Z(t_i)| <= z_max_i: euler_maclaurin_error at M = n_i bounds the
-    remainder and the tail's rounding; by the model of riemann_siegel4_rows
-    the section is off by at most 2 sqrt(n) u (5 (|theta| + t ln n) + 6), and
-    the rotation, with theta off by up to 4 u |theta|, by 8 u (|theta| + 1) |T|.
-    These hold where the tail converges fast, (|s| + 2J)/(2 pi n_i) <= 1/2 with
-    J = len(_BERNOULLI_2J); elsewhere err_i is inf.
+
+def tail_converges(ts: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """Where em_tail_rows' terms decrease: (|s| + 2J)/(2 pi M) < 1, J = 20."""
+    return np.hypot(0.5, ts) + 2 * len(_BERNOULLI_FRACTIONS) < TWO_PI * ms
+
+
+def section_rounding(ts: np.ndarray, thetas: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """2 sqrt(n) u (5 (|theta| + t ln n) + 6): by the model of riemann_siegel4_rows, a bound
+    on the rounding of section(t_i, n_i), and of any fsum of its terms weighted by at most 1."""
+    return 2.0 * np.sqrt(ns) * _U * (5.0 * (np.abs(thetas) + ts * np.log(ns)) + 6.0)
+
+
+def em_tail_rows(ts: np.ndarray, thetas: np.ndarray, ms: np.ndarray):
+    """Re(e^(i theta_i) T_i), T_i the Euler-Maclaurin tail at M = m_i, and a bound: (tail, err).
+
+    T = -M^(-s)/2 + M^(1-s)/(s-1) + sum_{j=1..J} B_2j/(2j)! (s)_(2j-1) M^(-s-2j+1)
+    with J = 20, the tail _em_value adds run 14 terms further: one cumulative
+    product of the terms' ratios over a (J x points) array, in blocks of
+    SCREEN_BLOCK_ELEMENTS, so no term overflows where tail_converges.  Then
+    sum_{k<=M} cos(theta_i - t_i ln k)/sqrt(k) = Z(t_i) - tail_i - R_i, and
+    err_i bounds R_i and the tail's rounding, by the model of
+    riemann_siegel4_rows:
+
+      * the cut of _em_bounds after J terms;
+      * the terms, of total size T = M^(-1/2)/2 + M^(1/2)/t + sum_j |term_j|
+        (_em_bounds), each with the phase error 3.01 u t ln M of M^(-s)
+        and at most 15 J + 150 further roundings;
+      * the rotation, with theta off by up to 4 u |theta|: 8 u (|theta| + 1) T.
+
+    The factor 1.001 covers the second-order terms.  The rounding of the
+    section itself is not included (section_rounding).  Where the tail's
+    terms may not decrease (tail_converges), err_i is inf.
     """
     s = 0.5 + 1j * ts
-    n_pow = np.exp(-s * np.log(ns))  # n^(-s)
-    tail = n_pow * (ns / (s - 1.0) - 0.5)
-    rising, power, factorial = s, n_pow / ns, 2.0
-    for j, b2j in enumerate(_BERNOULLI_2J, start=1):
-        tail += (b2j / factorial) * rising * power
-        rising = rising * (s + (2 * j - 1)) * (s + 2 * j)
-        factorial *= (2 * j + 1) * (2 * j + 2)
-        power = power / (ns * ns)
-    em_err = euler_maclaurin_error(ts, ns, z_max)
-    size = np.abs(thetas)
-    err = em_err + _U * (2.0 * np.sqrt(ns) * (5.0 * (size + ts * np.log(ns)) + 6.0)
-                         + 8.0 * (size + 1.0) * (np.abs(tail) + em_err))
-    err[np.hypot(0.5, ts) + 2 * len(_BERNOULLI_2J) > math.pi * ns] = np.inf
+    m_pow = np.exp(-s * np.log(ms))  # M^(-s)
+    tail = m_pow * (ms / (s - 1.0) - 0.5)
+    order = len(_BERNOULLI_FRACTIONS)
+    first = s * m_pow / (12.0 * ms)  # B_2/2! s M^(-s-1)
+    for block in screen_blocks(len(ts), order):
+        terms = np.empty((order, block.stop - block.start), dtype=np.complex128)
+        terms[0] = first[block]
+        scale = _RATIO_ROWS[2] / ms[block] ** 2
+        np.multiply(_RATIO_ROWS[0] - ts[block] ** 2, scale, out=terms.real[1:])
+        np.multiply(_RATIO_ROWS[1] * ts[block], scale, out=terms.imag[1:])
+        tail[block] += np.cumprod(terms, axis=0).sum(axis=0)
+    root_m = np.sqrt(ms)
+    size, cut = _em_bounds(0.5 / root_m + root_m / ts, np.hypot(0.5, ts), ms, root_m, order)
+    err = (1.001 * (size * _U * (3.1 * ts * np.log(ms) + 15.0 * order + 150.0) + cut)
+           + 8.0 * _U * (np.abs(thetas) + 1.0) * size)
+    err[~tail_converges(ts, ms)] = np.inf
     return np.cos(thetas) * tail.real - np.sin(thetas) * tail.imag, err

@@ -40,13 +40,16 @@ the exact points; every other point carries a cheap value c, kept only
 where its error bound b certifies |c| > x + b, so the exact value has c's
 sign and lies beyond x too.  SchemeEvaluator._screen picks the cheap
 engines, at t >= RS4_T_MIN only: the fourth-order Riemann-Siegel value RS4
-for the oracle, and RS4 minus the rotated Euler-Maclaurin tail
-(reference_engine.em_tail_rows) for Spira's section; em_tail_rows alone
-states where that tail converges, (|s| + 2J)/(2 pi n) <= 1/2, and bounds
-it by inf elsewhere, so such a point stays exact.  The other section
-kinds, and the points the screen leaves open, keep a row's float sum where
-sum_rows certifies it beyond x (AFE, twice a section, beyond x/2).
-REFERENCE_RS and ACCELERATED_TRIANGLE are always exact.
+for the oracle, RS4 minus the rotated Euler-Maclaurin tail at M = n
+(reference_engine.em_tail_rows) for Spira's section, and RS4 minus the
+tail and the sigmoid's transition window at M = head
+(acceleration_engine.transition_rows) for ACCELERATED_COEFF.  The screen
+tries only points where the tail's terms decrease,
+(|s| + 2J)/(2 pi M) < 1 with J = 20 (reference_engine.tail_converges),
+and the tail's bound decides there; any other point stays exact.  The
+other section kinds, and the points the screen leaves open, keep a row's
+float sum where sum_rows certifies it beyond x (AFE, twice a section,
+beyond x/2).  REFERENCE_RS and ACCELERATED_TRIANGLE are always exact.
 
 The oracle has one configuration, that of the paper's experiments, and
 reference_engine alone states it: M = euler_maclaurin_terms(t) terms and
@@ -71,8 +74,10 @@ import numpy as np
 from .acceleration_engine import (
     MAX_COEFF_ORDER,
     MAX_TRIANGLE_ORDER,
+    accelerated_coefficients,
     accelerated_triangle_rows,
     accelerated_vertical_rows,
+    transition_rows,
 )
 from .errors import DomainError, ResourceLimitError
 from .reference_engine import (
@@ -83,6 +88,8 @@ from .reference_engine import (
     euler_maclaurin_terms,
     riemann_siegel4_rows,
     riemann_siegel_rows,
+    section_rounding,
+    tail_converges,
     validated_terms,
 )
 from .sections_engine import (
@@ -199,6 +206,15 @@ def _key_runs(keys: np.ndarray):
             yield slice(start, stop)
 
 
+def _coefficient_runs(orders: np.ndarray):
+    """(slice, accelerated_coefficients) of each run of equal order, and every point's head."""
+    runs = [(run, accelerated_coefficients(int(orders[run.start]))) for run in _key_runs(orders)]
+    heads = np.empty(len(orders))
+    for run, c in runs:
+        heads[run] = c.head
+    return runs, heads
+
+
 class SchemeEvaluator:
     """Callable evaluation of one scheme, with per-point hazard flags."""
 
@@ -288,19 +304,32 @@ class SchemeEvaluator:
         """Write cheap values certified beyond exact_below, clear exact there, return their count.
 
         At t >= RS4_T_MIN the oracle's is RS4, within RS4's bound plus
-        euler_maclaurin_error at M = keys; Spira's section at n = keys is RS4
-        minus em_tail_rows' tail, within both bounds (infinite where the tail
-        is not known to converge, so such a point stays exact).
+        euler_maclaurin_error at M = keys.  Spira's is RS4 minus em_tail_rows'
+        tail at M = n; acc's, RS4 minus the tail at M = head and the
+        transition window (transition_rows).  Each lies within the bounds of
+        RS4, the tail, the window and the exact path's rounding
+        (section_rounding of n, or of N + 1 terms), at points where the
+        tail's terms decrease (tail_converges).
         """
+        kind = self.spec.kind
+        acc = kind is SchemeKind.ACCELERATED_COEFF
         at = np.flatnonzero(ts >= RS4_T_MIN)
+        if at.size and kind is not SchemeKind.ORACLE_EM:  # the tail's M: n, or the order's head
+            at = at[tail_converges(ts[at], _coefficient_runs(keys[at])[1] if acc else keys[at])]
         if at.size == 0:
             return 0
-        z, err = riemann_siegel4_rows(ts[at], thetas[at])
-        if self.spec.kind is SchemeKind.ORACLE_EM:
-            err = err + euler_maclaurin_error(ts[at], keys[at], np.abs(z) + err)
+        ts_at, thetas_at, ms = ts[at], thetas[at], keys[at]
+        z, err = riemann_siegel4_rows(ts_at, thetas_at)
+        if kind is SchemeKind.ORACLE_EM:
+            err = err + euler_maclaurin_error(ts_at, ms, np.abs(z) + err)
         else:
-            tail, tail_err = em_tail_rows(ts[at], thetas[at], keys[at], np.abs(z) + err)
+            runs, heads = _coefficient_runs(ms) if acc else (None, ms)
+            tail, tail_err = em_tail_rows(ts_at, thetas_at, heads)
             z, err = z - tail, err + tail_err
+            if acc:
+                window, window_err = transition_rows(ts_at, thetas_at, runs)
+                z, err, ms = z - window, err + window_err, ms + 1.0
+            err = err + section_rounding(ts_at, thetas_at, ms)
         certified = np.abs(z) > exact_below + err
         sure = at[certified]
         out[sure] = z[certified]
@@ -317,7 +346,8 @@ class SchemeEvaluator:
         thetas = theta_grid(ts)
         exact[:] = True
         answered = 0
-        if exact_below < math.inf and self.spec.kind in (SchemeKind.ORACLE_EM, SchemeKind.SPIRA):
+        if exact_below < math.inf and self.spec.kind in (SchemeKind.ORACLE_EM, SchemeKind.SPIRA,
+                                                         SchemeKind.ACCELERATED_COEFF):
             answered = self._screen(ts, thetas, keys, exact_below, out, exact)
         hazards = 0
         for run in _key_runs(keys):

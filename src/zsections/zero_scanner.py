@@ -98,8 +98,9 @@ class ScanStats:
     """Points a scan evaluated by stage, and each stage's wall seconds (not compared).
 
     grid_screened counts grid and re-scan points that kept a certified cheap
-    value; bisect_screened the midpoints whose sign the screen of the oracle
-    or of Spira's section answered, bisect_exact the rest."""
+    value; bisect_screened the midpoints whose sign the screen of the oracle,
+    of Spira's section or of the accelerated section (acc) answered,
+    bisect_exact the rest."""
 
     grid: int
     dip_rescan: int

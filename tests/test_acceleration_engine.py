@@ -4,10 +4,12 @@ import itertools
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
 from zsections import acceleration_engine
+from zsections._tables import rsqrt_k
 from zsections.acceleration_engine import (
     COEFF_CACHE_ORDERS,
     MAX_COEFF_ORDER,
@@ -20,8 +22,10 @@ from zsections.acceleration_engine import (
     accelerated_vertical_rows,
     coefficient_direct_sum,
     coefficient_l2_distance,
+    transition_rows,
 )
 from zsections.errors import DomainError, ResourceLimitError
+from zsections.reference_engine import RS4_T_MIN, em_tail_rows, section_rounding
 from zsections.sections_engine import (
     FLOAT_SUM_MIN_ELEMENTS,
     MAX_SECTION_TERMS,
@@ -373,3 +377,69 @@ class TestStepCoefficientsAndDistance:
         # The vertical form's last weight is the apex cell 2^-(N+1), exactly.
         for order in (1, 10, 205, MAX_COEFF_ORDER):
             assert accelerated_coefficients(order).weights[-1] == 2.0**-(order + 1)
+
+
+def mp_rotated_tail(t, m):
+    """Re(e^(i theta) T_m(t)) in mpmath: the Euler-Maclaurin tail at M = m, J = 20."""
+    s = mpmath.mpc(0.5, t)
+    tail = -mpmath.power(m, -s) / 2 + mpmath.power(m, 1 - s) / (s - 1)
+    for j in range(1, 21):
+        tail += (mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j) * mpmath.rf(s, 2 * j - 1)
+                 * mpmath.power(m, -s - 2 * j + 1))
+    return mpmath.re(mpmath.expj(mpmath.siegeltheta(t)) * tail)
+
+
+class TestTransitionWindow:
+    """The accelerated section is Z_K minus its transition window at K = head, within the
+    sigmoid's two 2^-60 ends."""
+
+    def test_window_bounds(self):
+        for order in (1, 2, 100, 1000, 2500):
+            c = accelerated_coefficients(order)
+            gaps = (1.0 - c.weights[:c.head]) * rsqrt_k(c.head)
+            assert 0 <= c.lo <= c.head <= order + 1
+            assert np.array_equal(c.window, gaps[c.lo:]) and not c.window.flags.writeable
+            assert math.fsum(gaps[:c.lo]) <= c.low <= TAIL_LIMIT
+            assert c.lo == len(gaps) or math.fsum(gaps[:c.lo + 1]) > TAIL_LIMIT
+        assert [accelerated_coefficients(n).head - accelerated_coefficients(n).lo
+                for n in (100, 1000, 2500)] == [80, 264, 418]
+
+    def test_window_and_its_bound(self):
+        """Each point's window summed alone, and err the documented sum: the window's
+        rounding and the sigmoid's two ends."""
+        u = 2.0**-53
+        ts = np.sort(np.random.default_rng(60).uniform(2000.0, 2100.0, 40))
+        thetas, orders = theta_grid(ts), np.floor(ts / 2.0).astype(int)
+        runs = [(slice(i, i + 1), accelerated_coefficients(n)) for i, n in enumerate(orders)]
+        window, err = transition_rows(ts, thetas, runs)
+        width = max(c.head - c.lo for _, c in runs)
+        for i, (t, theta_t, (_, c)) in enumerate(zip(ts, thetas, runs)):
+            ks = np.arange(c.lo + 1, c.head + 1)
+            terms = np.cos(theta_t - t * np.log(ks)) * c.window
+            assert abs(window[i] - terms.sum()) <= 1e-12
+            rounding = u * c.window.sum() * (5.0 * (abs(theta_t) + t * math.log(c.head)) + 8.0
+                                             + width)
+            want = 1.001 * rounding + c.low + c.tail
+            assert abs(err[i] - want) <= 1e-12 * want
+
+    def test_identity_against_mpmath(self):
+        """accelerated_vertical = Z - tail_K - window within the bounds of the tail, the
+        window and the rounding of N + 1 terms, at heights in [200, 40000]."""
+        rng = np.random.default_rng(2405)
+        ts = np.sort(np.concatenate([rng.uniform(RS4_T_MIN, 4e4, 5), [RS4_T_MIN, 39990.0]]))
+        thetas = theta_grid(ts)
+        coeffs = [accelerated_coefficients(int(t // 2)) for t in ts]
+        heads = np.array([c.head for c in coeffs], dtype=float)
+        window, window_err = transition_rows(ts, thetas, [(slice(i, i + 1), c)
+                                                          for i, c in enumerate(coeffs)])
+        tail_err = em_tail_rows(ts, thetas, heads)[1]
+        bound = (tail_err + window_err
+                 + section_rounding(ts, thetas, np.floor(ts / 2.0) + 1.0))
+        with mpmath.workdps(30):
+            zs = np.array([float(mpmath.siegelz(t)) for t in ts.tolist()])
+            tails = np.array([float(mp_rotated_tail(t, int(k))) for t, k in zip(ts, heads)])
+        values = np.array([accelerated_vertical(t, c.order) for t, c in zip(ts, coeffs)])
+        gap = np.abs(values - (zs - tails - window))
+        assert np.all(gap <= bound)
+        assert np.all(bound <= 2e-7)
+        assert np.all(np.abs(window) > 1e3 * bound)

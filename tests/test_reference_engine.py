@@ -5,12 +5,13 @@ Frozen values were computed with mpmath at 50 significant digits
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
-from zsections import _tables
+from zsections import _tables, reference_engine
 from zsections.errors import ConvergenceError, DomainError, ResourceLimitError
 from zsections.reference_engine import (
     HAZARD_COS_EPS,
@@ -23,6 +24,8 @@ from zsections.reference_engine import (
     euler_maclaurin_rows,
     euler_maclaurin_terms,
     riemann_siegel4_rows,
+    section_rounding,
+    tail_converges,
     validated_terms,
     z_euler_maclaurin,
     z_riemann_siegel,
@@ -295,14 +298,38 @@ class TestRiemannSiegel4:
         assert np.all(np.abs(z - em)[finite] <= bound[finite])
 
 
-def mp_rotated_tail(t, n):
-    """Re(e^(i theta) T_n(t)) in mpmath: the Euler-Maclaurin tail at M = n, J = 6."""
+def mp_rotated_tail(t, n, order=20):
+    """Re(e^(i theta) T_n(t)) in mpmath: the Euler-Maclaurin tail at M = n, J = order."""
     s = mpmath.mpc(0.5, t)
     tail = -mpmath.power(n, -s) / 2 + mpmath.power(n, 1 - s) / (s - 1)
-    for j in range(1, 7):
+    for j in range(1, order + 1):
         tail += (mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j) * mpmath.rf(s, 2 * j - 1)
                  * mpmath.power(n, -s - 2 * j + 1))
     return mpmath.re(mpmath.expj(mpmath.siegeltheta(t)) * tail)
+
+
+def bernoulli_fractions(count):
+    """B_2, B_4, ..., B_2count as Fractions, from sum_{k<=m} C(m+1, k) B_k = 0."""
+    b = [Fraction(1)]
+    for m in range(1, 2 * count + 1):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return b[2::2]
+
+
+def old_euler_maclaurin_error(ts, ms, z_max):
+    """euler_maclaurin_error as it read with its own J = 6 loop, for a bit-for-bit check."""
+    u = 2.0**-53
+    root_m = np.sqrt(ms)
+    s_abs = np.hypot(0.5, ts)
+    tail = 0.5 / root_m + root_m / ts
+    for j in range(1, 7):
+        tail += 4.0 / TWO_PI ** (2 * j) * ((s_abs + (2 * j - 2)) / ms) ** (2 * j - 1) / root_m
+    cut = ((s_abs + 13) / 13.5 * 4.0 / TWO_PI ** 14 * ((s_abs + 12) / ms) ** 13 / root_m)
+    ln_m = np.log(ms)
+    sums = u * (3.01 * ts * (2.0 * root_m * (ln_m - 2.0) + 4.75)
+                + math.sqrt(2.0) * (ms + 6.0) * 2.0 * root_m)
+    rounding = tail * u * (3.1 * ts * ln_m + 150.0)
+    return 1.001 * (sums + rounding + cut) + 30.0 * u * (z_max + tail)
 
 
 class TestEulerMaclaurinTail:
@@ -311,30 +338,83 @@ class TestEulerMaclaurinTail:
     @pytest.fixture(scope="class")
     def heights(self):
         rng = np.random.default_rng(1161)
-        ts = np.sort(np.concatenate([rng.uniform(30.0, 5000.0, 30), [30.0, 200.0, 5000.0]]))
+        ts = np.sort(np.concatenate([rng.uniform(30.0, 5000.0, 37), [30.0, 200.0, 5000.0]]))
         ns = np.floor(ts / 2.0)
         with mpmath.workdps(30):
             zs = [float(mpmath.siegelz(t)) for t in ts.tolist()]
             tails = [float(mp_rotated_tail(t, int(n))) for t, n in zip(ts.tolist(), ns)]
         return ts, ns, np.array(zs), np.array(tails)
 
+    def test_bernoulli_numbers_rederive(self):
+        want = bernoulli_fractions(20)
+        assert [Fraction(num, den) for num, den in reference_engine._BERNOULLI_FRACTIONS] == want
+        assert reference_engine._BERNOULLI_2J == tuple(float(b) for b in want[:6])
+        ratios = [want[j] / want[j - 1] / ((2 * j + 1) * (2 * j + 2)) for j in range(1, 20)]
+        assert reference_engine._RATIO_ROWS[2, :, 0].tolist() == [float(r) for r in ratios]
+
     def test_tail_against_mpmath(self, heights):
-        ts, ns, zs, mp_tails = heights
-        tail, err = em_tail_rows(ts, theta_grid(ts), ns, np.abs(zs))
+        ts, ns, _, mp_tails = heights
+        tail, err = em_tail_rows(ts, theta_grid(ts), ns)
         assert np.all(np.abs(tail - mp_tails) <= 1e-12)
         assert np.all(np.abs(tail - mp_tails) <= err)
 
     def test_section_is_z_minus_the_tail(self, heights):
         """|section - (Z - tail)| <= err, while the tail itself is far larger."""
         ts, ns, zs, _ = heights
-        tail, err = em_tail_rows(ts, theta_grid(ts), ns, np.abs(zs))
+        thetas = theta_grid(ts)
+        tail, err = em_tail_rows(ts, thetas, ns)
+        err = err + section_rounding(ts, thetas, ns)
         sections = np.array([section(t, int(n)) for t, n in zip(ts.tolist(), ns)])
         assert np.all(np.abs(sections - (zs - tail)) <= err)
-        assert np.all(err <= 2e-5) and np.all(err[ts >= RS4_T_MIN] <= 2e-6)
-        assert np.median(np.abs(sections - zs)) > 1e3 * np.median(err)
+        assert np.all(err <= 5e-6) and np.all(err[ts >= RS4_T_MIN] <= 5e-9)
+        assert np.median(np.abs(sections - zs)) > 1e5 * np.median(err)
+
+    def test_the_cut_bounds_the_remainder_near_the_gate(self):
+        """At n = 205 the tail's terms decrease up to t = 1248, slowly near it: there the
+        cut dominates the bound and still holds."""
+        ts = np.array([900.0, 1000.0, 1100.0, 1200.0, 1240.0])
+        ns = np.full(len(ts), 205.0)
+        thetas = theta_grid(ts)
+        tail, err = em_tail_rows(ts, thetas, ns)
+        with mpmath.workdps(30):
+            zs = np.array([float(mpmath.siegelz(t)) for t in ts.tolist()])
+        sections = np.array([section(t, 205) for t in ts.tolist()])
+        gap = np.abs(sections - (zs - tail))
+        assert np.all(gap <= err + section_rounding(ts, thetas, ns))
+        assert np.all(gap > 1e-12) and np.all(err[1:] > 1e-6)
 
     def test_no_bound_where_the_tail_may_not_converge(self):
-        # (|s| + 2J)/(2 pi n) <= 1/2 at J = 6 holds at n = 205 for t <= 632.06.
-        ts = np.array([630.0, 632.0, 634.0, 700.0])
-        _, err = em_tail_rows(ts, theta_grid(ts), np.full(4, 205.0), np.ones(4))
+        # (|s| + 2J)/(2 pi n) < 1 at J = 20 holds at n = 205 for t < 1248.05.
+        ts = np.array([1240.0, 1248.0, 1248.1, 1300.0])
+        ns = np.full(4, 205.0)
+        _, err = em_tail_rows(ts, theta_grid(ts), ns)
+        assert np.array_equal(tail_converges(ts, ns), [True, True, False, False])
         assert np.all(np.isfinite(err[:2])) and np.all(err[2:] == np.inf)
+
+    def test_bound_terms(self, heights):
+        """err is the documented sum: the cut, the terms' rounding and the rotation's."""
+        ts, ns, _, _ = heights
+        thetas = theta_grid(ts)
+        u = 2.0**-53
+        root_n = np.sqrt(ns)
+        s_abs = np.hypot(0.5, ts)
+        size = 0.5 / root_n + root_n / ts
+        for j in range(1, 21):
+            ratio = (s_abs + 2 * j - 2) / ns
+            size = size + 4.0 / TWO_PI ** (2 * j) * ratio ** (2 * j - 1) / root_n
+        cut = (s_abs + 41) / 41.5 * 4.0 / TWO_PI ** 42 * ((s_abs + 40) / ns) ** 41 / root_n
+        want = (1.001 * (size * u * (3.1 * ts * np.log(ns) + 450.0) + cut)
+                + 8.0 * u * (np.abs(thetas) + 1.0) * size)
+        np.testing.assert_allclose(em_tail_rows(ts, thetas, ns)[1], want, rtol=1e-12)
+        phases = np.abs(thetas) + ts * np.log(ns)
+        np.testing.assert_allclose(section_rounding(ts, thetas, ns),
+                                   2.0 * root_n * u * (5.0 * phases + 6.0), rtol=1e-12)
+
+    def test_oracle_bound_keeps_its_bits(self):
+        rng = np.random.default_rng(25)
+        ts = np.sort(np.concatenate([rng.uniform(0.5, 9e4, 2000),
+                                     np.linspace(30.0, 5000.0, 2001)]))
+        z_max = 3.0 * np.abs(rng.normal(size=len(ts)))
+        for ms in (euler_maclaurin_terms(ts), np.maximum(1.0, np.floor(ts / 2.0))):
+            assert np.array_equal(euler_maclaurin_error(ts, ms, z_max),
+                                  old_euler_maclaurin_error(ts, ms, z_max))

@@ -18,6 +18,8 @@ from zsections.acceleration_engine import (
     accelerated_coefficients,
     accelerated_triangle,
     accelerated_vertical,
+    accelerated_vertical_rows,
+    transition_rows,
 )
 from zsections.errors import ConvergenceError, DomainError, ResourceLimitError
 from zsections.reference_engine import (
@@ -26,6 +28,7 @@ from zsections.reference_engine import (
     euler_maclaurin_error,
     euler_maclaurin_rows,
     riemann_siegel4_rows,
+    section_rounding,
     z_euler_maclaurin,
     z_riemann_siegel,
 )
@@ -463,32 +466,32 @@ def cheap_and_bound(spec, ts):
     """Each point's cheap value and the bound on its distance from the exact one, from the engines.
 
     The oracle: RS4, within RS4's bound plus euler_maclaurin_error.  Spira's
-    section: RS4 minus the rotated tail, within RS4's bound plus
-    em_tail_rows'.  AFE: the row's float sum, within 2 n u times the sum of
-    its magnitudes (sections_engine.sum_rows).  The accelerated section: the
-    float sum of the row's first head terms, within that bound on them plus
-    the coefficients' tail, the most the rest of the row can add.
+    section: RS4 minus the rotated tail at M = n, within RS4's bound,
+    em_tail_rows' and the section's rounding.  The accelerated section: RS4
+    minus the tail and the transition window at M = head, within those
+    bounds, the window's and the rounding of N + 1 terms.  AFE: the row's
+    float sum, within 2 n u times the sum of its magnitudes
+    (sections_engine.sum_rows).
     """
     evaluator = SchemeEvaluator(spec)
     thetas, keys = theta_grid(ts), evaluator.grid_keys(ts)
-    if spec.kind in (SchemeKind.ORACLE_EM, SchemeKind.SPIRA):
-        z, err = riemann_siegel4_rows(ts, thetas)
-        if spec.kind is SchemeKind.ORACLE_EM:
-            return z, err + euler_maclaurin_error(ts, keys, np.abs(z) + err)
-        tail, tail_err = em_tail_rows(ts, thetas, keys, np.abs(z) + err)
-        return z - tail, err + tail_err
-    cheap, bound = [], []
-    for t, theta_t, n in zip(ts, thetas, keys.astype(int).tolist()):
-        if spec.kind is SchemeKind.AFE:
-            row, tail = 2.0 * cosine_rows(np.array([t]), np.array([theta_t]), n)[0], 0.0
-        else:
-            coeffs = accelerated_coefficients(n)
-            row = (cosine_rows(np.array([t]), np.array([theta_t]), coeffs.head)[0]
-                   * coeffs.weights[:coeffs.head])
-            tail = coeffs.tail
-        cheap.append(row.sum())
-        bound.append(2.0 * len(row) * 2.0**-53 * np.abs(row).sum() + tail)
-    return np.array(cheap), np.array(bound)
+    if spec.kind is SchemeKind.AFE:
+        rows = [2.0 * cosine_rows(np.array([t]), np.array([theta_t]), n)[0]
+                for t, theta_t, n in zip(ts, thetas, keys.astype(int).tolist())]
+        return (np.array([row.sum() for row in rows]),
+                np.array([2.0 * len(row) * 2.0**-53 * np.abs(row).sum() for row in rows]))
+    z, err = riemann_siegel4_rows(ts, thetas)
+    if spec.kind is SchemeKind.ORACLE_EM:
+        return z, err + euler_maclaurin_error(ts, keys, np.abs(z) + err)
+    if spec.kind is SchemeKind.SPIRA:
+        tail, tail_err = em_tail_rows(ts, thetas, keys)
+        return z - tail, err + tail_err + section_rounding(ts, thetas, keys)
+    coeffs = [accelerated_coefficients(n) for n in keys.astype(int).tolist()]
+    runs = [(slice(i, i + 1), c) for i, c in enumerate(coeffs)]
+    tail, tail_err = em_tail_rows(ts, thetas, np.array([c.head for c in coeffs], dtype=float))
+    window, window_err = transition_rows(ts, thetas, runs)
+    return (z - tail - window,
+            err + tail_err + window_err + section_rounding(ts, thetas, keys + 1.0))
 
 
 CHEAP_SPECS = [
@@ -534,13 +537,67 @@ class TestCertifiedValues:
 
     @pytest.mark.parametrize("exact_below", [0.0, 0.1])
     def test_truncated_accelerated_sums_at_the_largest_benchmark_orders(self, exact_below):
-        # Orders 2490..2500, where the float sums read 58% of each row.
+        # Orders 2490..2500, where the float sums read 58% of each row; the screen answers
+        # evaluate_grid's points first, so the rows are summed here as the exact path does.
+        ts = grid_points(4980.0, 5000.0, 0.1)
+        thetas, orders = theta_grid(ts), np.floor(ts / 2.0)
+        for order in range(2490, 2501):
+            at = orders == order
+            want = np.array([accelerated_vertical(t, order) for t in ts[at]])
+            got, exact = accelerated_vertical_rows(ts[at], thetas[at], order, exact_below)
+            coeffs = accelerated_coefficients(order)
+            rows = cosine_rows(ts[at], thetas[at], coeffs.head) * coeffs.weights[:coeffs.head]
+            bound = 2.0 * coeffs.head * 2.0**-53 * np.abs(rows).sum(axis=1) + coeffs.tail
+            assert np.all(np.abs(want - rows.sum(axis=1)) <= bound)
+            assert np.array_equal(got[exact], want[exact])
+            assert np.array_equal(got[~exact], rows.sum(axis=1)[~exact])
+            assert (~exact).mean() > 0.5
+
+    @pytest.mark.parametrize("exact_below", [0.0, 0.1])
+    def test_screened_accelerated_values(self, exact_below):
         spec = SchemeSpec(kind=SchemeKind.ACCELERATED_COEFF)
         ts = grid_points(4980.0, 5000.0, 0.1)
         want = evaluate_grid(SchemeEvaluator(spec), ts)[0]
-        got, _, exact = evaluate_grid(SchemeEvaluator(spec), ts, exact_below=exact_below)
+        evaluator = SchemeEvaluator(spec)
+        got, _, exact = evaluate_grid(evaluator, ts, exact_below=exact_below)
         cheap, bound = cheap_and_bound(spec, ts)
         assert np.all(np.abs(want - cheap) <= bound)
         assert np.array_equal(got[exact], want[exact])
         assert np.array_equal(got[~exact], cheap[~exact])
-        assert (~exact).mean() > 0.5
+        assert evaluator.screened == np.count_nonzero(~exact) > 0.9 * len(ts)
+
+    @pytest.mark.parametrize("spec, a", [(SchemeSpec(kind=SchemeKind.SPIRA), 4990.0),
+                                         (SchemeSpec(kind=SchemeKind.ACCELERATED_COEFF), 39980.0)],
+                             ids=["spira", "acc"])
+    def test_the_screen_certifies_where_its_bound_does(self, spec, a):
+        """Next to zeros, where |cheap| crosses its bound, the screen keeps exactly the
+        points whose documented bound (cheap_and_bound) certifies them."""
+        grid = grid_points(a, a + 10.0, 0.1)
+        values = cheap_and_bound(spec, grid)[0]
+        lo = grid[:-1][np.sign(values[:-1]) != np.sign(values[1:])][:2]
+        hi, lo_neg = lo + 0.1, values[:-1][np.sign(values[:-1]) != np.sign(values[1:])][:2] < 0
+        for _ in range(30):  # bisect on the cheap values
+            mid = 0.5 * (lo + hi)
+            to_lo = (cheap_and_bound(spec, mid)[0] < 0.0) == lo_neg
+            lo, hi = np.where(to_lo, mid, lo), np.where(to_lo, hi, mid)
+        offsets = np.geomspace(1e-10, 1e-6, 600)
+        ts = np.sort(np.concatenate([lo[:, None] + offsets, lo[:, None] - offsets]).ravel())
+        cheap, bound = cheap_and_bound(spec, ts)
+        evaluator = SchemeEvaluator(spec)
+        out, exact = np.empty(len(ts)), np.ones(len(ts), dtype=bool)
+        evaluator._screen(ts, theta_grid(ts), evaluator.grid_keys(ts), 0.0, out, exact)
+        assert np.array_equal(exact, ~(np.abs(cheap) > bound))
+        assert np.array_equal(out[~exact], cheap[~exact])
+        assert 0.2 < exact.mean() < 0.8
+
+    @pytest.mark.parametrize("spec", [SchemeSpec(kind=SchemeKind.SPIRA, n=2),
+                                      SchemeSpec(kind=SchemeKind.ACCELERATED_COEFF, n=2)],
+                             ids=lambda spec: spec.label)
+    def test_no_screen_far_past_the_gate(self, spec):
+        # At t = 1.9e6 the tail's terms grow by a factor of about 1e10 each at M <= 3.
+        ts = np.linspace(1.9e6, 1.9e6 + 1.0, 101)
+        evaluator = SchemeEvaluator(spec)
+        with np.errstate(all="raise"):
+            got, _, exact = evaluate_grid(evaluator, ts, exact_below=0.1)
+        assert evaluator.screened == 0
+        assert np.array_equal(got[exact], evaluate_grid(SchemeEvaluator(spec), ts)[0][exact])

@@ -566,13 +566,15 @@ class TestConjectureSweep:
 
 
 class TestOracleScreen:
-    """Above RS4_T_MIN the screens of the EM oracle (RS4) and of Spira's section
-    (RS4 minus the Euler-Maclaurin tail) answer bisection midpoints with
-    signs, and grid points beyond DIP_THRESHOLD with values, where their
-    bounds certify them."""
+    """Above RS4_T_MIN the screens of the EM oracle (RS4), of Spira's section
+    (RS4 minus the Euler-Maclaurin tail) and of the accelerated section (RS4
+    minus the tail and the sigmoid's transition window) answer bisection
+    midpoints with signs, and grid points beyond DIP_THRESHOLD with values,
+    where their bounds certify them."""
 
-    @pytest.mark.parametrize("spec, share", [(EM, 0.8), (SchemeSpec(kind=SchemeKind.SPIRA), 0.5)],
-                             ids=["em", "spira"])
+    @pytest.mark.parametrize("spec, share", [(EM, 0.8), (SchemeSpec(kind=SchemeKind.SPIRA), 0.9),
+                                             (SchemeSpec(kind=SchemeKind.ACCELERATED_COEFF), 0.9)],
+                             ids=["em", "spira", "acc"])
     @pytest.mark.parametrize("a, b, step", [(2000.0, 2020.0, 0.1), (410.0, 420.0, 0.5)])
     def test_stage_counts(self, monkeypatch, spec, share, a, b, step):
         screened = scan_zeros(spec, a, b, step)
@@ -603,10 +605,12 @@ class TestOracleScreen:
         assert np.array_equal(np.sign(signs), np.sign(exact))
 
     def test_spira_screen_stays_off_where_the_tail_may_not_converge(self):
-        # At n = 205, em_tail_rows bounds the tail for t <= 632 only: past it
-        # the screen answers no point, just below it most of them.
+        # At n = 205, the tail's terms decrease for t < 1248.05 only: past it
+        # the screen answers no point, well below it most of them.  Just
+        # below it the cut of the tail's bound grows to about 1 and decides.
         spec = SchemeSpec(kind=SchemeKind.SPIRA, n=205)
-        for (a, b), least, most in (((633.0, 645.0), 0, 0), ((620.0, 632.0), 900, 1201)):
+        for (a, b), least, most in (((1248.1, 1260.0), 0, 0), ((1236.0, 1248.0), 300, 800),
+                                    ((620.0, 632.0), 900, 1201)):
             evaluator = SchemeEvaluator(spec)
             evaluate_grid(evaluator, grid_points(a, b, 0.01), exact_below=0.1)
             assert least <= evaluator.screened <= most
