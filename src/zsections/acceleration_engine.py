@@ -31,9 +31,9 @@ Numerical discipline:
     the binomial row, never from naive alternating accumulation of huge
     binomials.  The sums of the order built last (to N = 10000) are kept,
     so the order above takes one add per entry.
-  * The vertical form reuses the same cosine kernel as every other section
-    sum and accumulates with math.fsum; beyond a caller's exact_below, its
-    certified float sum reads only a row's first terms (_truncation).
+  * The vertical form is a weighted section of N + 1 terms, summed by
+    sections_engine.section_rows like a custom coefficient vector: the same
+    cosine kernel, math.fsum and certified float sums as every other section.
   * Each order also keeps the sigmoid's transition window (_transition):
     below lo every weight is 1 within a 2^-60 total, and above head every
     weight is 0 within another, so the vertical form is the section of head
@@ -53,7 +53,7 @@ import numpy as np
 
 from ._tables import log_k, rsqrt_k
 from .errors import DomainError, ResourceLimitError
-from .reference_engine import screen_blocks
+from .reference_engine import SCREEN_BLOCK_ELEMENTS
 from .sections_engine import (
     MAX_SECTION_TERMS,
     cosine_rows,
@@ -72,7 +72,7 @@ COEFF_CACHE_ORDERS = 64
 # Largest coefficient order; every order up to it is correctly rounded from exact sums.
 MAX_COEFF_ORDER = 20000
 
-# The most a certified float sum of the vertical form leaves out (_truncation).
+# The most either end of the sigmoid outside its transition window adds up to (_transition).
 TAIL_LIMIT = 2.0**-60
 
 _LD = np.longdouble
@@ -105,8 +105,8 @@ def _row_longdouble(n: int) -> np.ndarray:
 @dataclass(frozen=True)
 class AcceleratedCoefficients:
     """alphatilde_k = P[Binomial(N+1, 1/2) >= k], k = 1..N, a read-only view of the vertical
-    form's weights (closing coefficient last), with its float sums' head and tail (_truncation)
-    and the screen's transition window: lo, low and window (_transition)."""
+    form's weights (closing coefficient last), with the screen's transition window: head,
+    tail, lo, low and window (_transition)."""
 
     order: int
     alpha: np.ndarray
@@ -162,26 +162,25 @@ _KEEP_SUMS_MAX = 10000
 _last_sums = (0, [])
 
 
-def _truncation(weights: np.ndarray) -> tuple:
-    """(head, tail): the fewest leading terms of the vertical form whose rest, the float
-    products weights_k / sqrt(k) over k > head (each bounds its term's magnitude), sums
-    to at most TAIL_LIMIT, and that sum rounded up (see sections_engine.section_rows)."""
+def _transition(weights: np.ndarray) -> tuple:
+    """(head, tail, lo, low, window): the sigmoid's transition window and its two ends.
+
+    head is the fewest leading terms of the vertical form whose rest, the float products
+    weights_k / sqrt(k) over k > head (each bounds its term's magnitude), sums to at most
+    TAIL_LIMIT, and tail is that sum rounded up.  lo is the most leading terms whose gaps,
+    the float products (1 - weights_k)/sqrt(k) (each bounds 1 - weights_k times its term's
+    magnitude), sum to at most TAIL_LIMIT, and low is that sum rounded up.  window holds the
+    gaps over lo < k <= head, read-only.  1 - weights_k is exact where weights_k >= 1/2
+    (Sterbenz), and lo <= head, since a term and its gap add up to 1/sqrt(k) > 2 TAIL_LIMIT.
+    """
     bounds = rsqrt_k(len(weights)) * weights
     head = int(np.count_nonzero(np.cumsum(bounds[::-1])[::-1] > TAIL_LIMIT))
-    return head, math.nextafter(math.fsum(bounds[head:].tolist()), math.inf)
-
-
-def _transition(weights: np.ndarray, head: int) -> tuple:
-    """(lo, low, window): the most leading terms whose gaps, the float products
-    (1 - weights_k)/sqrt(k) (each bounds 1 - weights_k times its term's magnitude), sum to
-    at most TAIL_LIMIT, that sum rounded up, and the gaps over lo < k <= head, read-only.
-    1 - weights_k is exact where weights_k >= 1/2 (Sterbenz), and lo <= head, since a term
-    and its gap add up to 1/sqrt(k) > 2 TAIL_LIMIT."""
     gaps = (1.0 - weights[:head]) * rsqrt_k(head)
     lo = int(np.count_nonzero(np.cumsum(gaps) <= TAIL_LIMIT))
     window = gaps[lo:]
     window.setflags(write=False)
-    return lo, math.nextafter(math.fsum(gaps[:lo].tolist()), math.inf), window
+    return (head, math.nextafter(math.fsum(bounds[head:].tolist()), math.inf),
+            lo, math.nextafter(math.fsum(gaps[:lo].tolist()), math.inf), window)
 
 
 @functools.lru_cache(maxsize=COEFF_CACHE_ORDERS)
@@ -199,9 +198,7 @@ def _cached_coefficients(order: int) -> AcceleratedCoefficients:
     _last_sums = (m, sums) if order <= _KEEP_SUMS_MAX else (0, [])
     weights = _exact_weights(m, sums)
     weights.setflags(write=False)
-    head, tail = _truncation(weights)
-    return AcceleratedCoefficients(order, weights[:order], weights, head, tail,
-                                   *_transition(weights, head))
+    return AcceleratedCoefficients(order, weights[:order], weights, *_transition(weights))
 
 
 def accelerated_coefficients(order: int) -> AcceleratedCoefficients:
@@ -247,10 +244,9 @@ def accelerated_vertical(t: float, order: int) -> float:
 
 def accelerated_vertical_rows(ts: np.ndarray, thetas: np.ndarray, order: int,
                               exact_below=math.inf):
-    """accelerated_vertical(t_i, order) for every point: (values, exact), as section_rows,
-    whose certified float sums read the first head terms of each row only."""
+    """accelerated_vertical(t_i, order) for every point: (values, exact), as section_rows."""
     c = accelerated_coefficients(order)
-    return section_rows(ts, thetas, c.order + 1, c.weights, exact_below, c.head, c.tail)
+    return section_rows(ts, thetas, c.order + 1, c.weights, exact_below)
 
 
 def transition_rows(ts: np.ndarray, thetas: np.ndarray, runs: list):
@@ -275,7 +271,7 @@ def transition_rows(ts: np.ndarray, thetas: np.ndarray, runs: list):
     for r, (run, c) in enumerate(runs):
         rows[run], heads[run], ends[run] = r, c.head, c.low + c.tail
     window, size = np.empty(len(ts)), np.empty(len(ts))
-    for block in screen_blocks(len(ts), width):
+    for block in row_blocks(len(ts), width, SCREEN_BLOCK_ELEMENTS):
         first = rows[block.start]
         part = runs[first:rows[block.stop - 1] + 1]
         gaps, logs = np.zeros((len(part), width)), np.zeros((len(part), width))

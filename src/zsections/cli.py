@@ -208,16 +208,12 @@ def _check_error_decay(config: RunConfig) -> None:
 def _check_coeffs(config: RunConfig) -> None:
     if (config.n is None) == (config.sweep is None):
         raise ConfigError("coeffs needs exactly one of --n or --sweep")
-    if config.n is not None and config.n < 1:
-        raise ConfigError(f"--n must be >= 1, got {config.n}")
     if config.k_max is not None and config.n is None:
         raise ConfigError("--k-max applies to the table of --n, not to --sweep")
     if config.k_max is not None and not 1 <= config.k_max <= MAX_SECTION_TERMS:
         raise ConfigError(f"--k-max must lie in [1, {MAX_SECTION_TERMS}], got {config.k_max}")
     if config.sweep is not None and not config.sweep:
         raise ConfigError("--sweep needs at least one order")
-    if config.sweep is not None and any(m < 1 for m in config.sweep):
-        raise ConfigError("--sweep orders must all be >= 1")
     for order in config.sweep or (config.n,):
         _validate_order(order, minimum=1)
 
@@ -292,10 +288,7 @@ def parse_scheme_args(raw: Optional[list], n: Optional[int]) -> tuple:
                 vec = load_coefficient_file(name[len("custom:"):])
                 specs.append(SchemeSpec(kind=SchemeKind.CUSTOM, alpha=vec))
                 continue
-            try:
-                kind = parse_scheme_kind(name)
-            except (KeyError, ValueError) as exc:
-                raise ConfigError(f"unknown scheme {name!r}") from exc
+            kind = parse_scheme_kind(name)
             specs.append(SchemeSpec(kind=kind, n=None if kind in REFERENCE_KINDS else n))
     _refuse_repeated_label(specs, ConfigError, "--scheme")
     return tuple(specs)

@@ -431,13 +431,6 @@ def euler_maclaurin_error(ts: np.ndarray, ms: np.ndarray, z_max: np.ndarray) -> 
     return 1.001 * (sums + rounding + cut) + 30.0 * _U * (z_max + tail)
 
 
-def screen_blocks(rows: int, width: int):
-    """Consecutive slices of range(rows) holding at most SCREEN_BLOCK_ELEMENTS // width rows."""
-    step = max(1, SCREEN_BLOCK_ELEMENTS // max(1, width))
-    for start in range(0, rows, step):
-        yield slice(start, min(start + step, rows))
-
-
 def tail_converges(ts: np.ndarray, ms: np.ndarray) -> np.ndarray:
     """Where em_tail_rows' terms decrease: (|s| + 2J)/(2 pi M) < 1, J = 20."""
     return np.hypot(0.5, ts) + 2 * len(_BERNOULLI_FRACTIONS) < TWO_PI * ms
@@ -475,7 +468,7 @@ def em_tail_rows(ts: np.ndarray, thetas: np.ndarray, ms: np.ndarray):
     tail = m_pow * (ms / (s - 1.0) - 0.5)
     order = len(_BERNOULLI_FRACTIONS)
     first = s * m_pow / (12.0 * ms)  # B_2/2! s M^(-s-1)
-    for block in screen_blocks(len(ts), order):
+    for block in row_blocks(len(ts), order, SCREEN_BLOCK_ELEMENTS):
         terms = np.empty((order, block.stop - block.start), dtype=np.complex128)
         terms[0] = first[block]
         scale = _RATIO_ROWS[2] / ms[block] ** 2

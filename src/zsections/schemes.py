@@ -49,7 +49,8 @@ tries only points where the tail's terms decrease,
 and the tail's bound decides there; any other point stays exact.  The
 other section kinds, and the points the screen leaves open, keep a row's
 float sum where sum_rows certifies it beyond x (AFE, twice a section,
-beyond x/2).  REFERENCE_RS and ACCELERATED_TRIANGLE are always exact.
+beyond x/2; ACCELERATED_COEFF, a weighted section of N + 1 terms like a
+custom vector's).  REFERENCE_RS and ACCELERATED_TRIANGLE are always exact.
 
 The oracle has one configuration, that of the paper's experiments, and
 reference_engine alone states it: M = euler_maclaurin_terms(t) terms and
@@ -315,7 +316,11 @@ class SchemeEvaluator:
         acc = kind is SchemeKind.ACCELERATED_COEFF
         at = np.flatnonzero(ts >= RS4_T_MIN)
         if at.size and kind is not SchemeKind.ORACLE_EM:  # the tail's M: n, or the order's head
-            at = at[tail_converges(ts[at], _coefficient_runs(keys[at])[1] if acc else keys[at])]
+            runs, heads = _coefficient_runs(keys[at]) if acc else (None, keys[at])
+            converges = tail_converges(ts[at], heads)
+            if not converges.all():
+                at = at[converges]
+                runs, heads = _coefficient_runs(keys[at]) if acc else (None, keys[at])
         if at.size == 0:
             return 0
         ts_at, thetas_at, ms = ts[at], thetas[at], keys[at]
@@ -323,7 +328,6 @@ class SchemeEvaluator:
         if kind is SchemeKind.ORACLE_EM:
             err = err + euler_maclaurin_error(ts_at, ms, np.abs(z) + err)
         else:
-            runs, heads = _coefficient_runs(ms) if acc else (None, ms)
             tail, tail_err = em_tail_rows(ts_at, thetas_at, heads)
             z, err = z - tail, err + tail_err
             if acc:

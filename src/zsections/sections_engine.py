@@ -23,7 +23,9 @@ identity tests.
 The kernel is computed as a matrix with one row per evaluation point
 (cosine_rows); the scalar cosine_terms is its one-row case, and section_rows
 reduces each row of a batch with sum_rows, the same fsum, so a batched grid
-gives the scalar values bit for bit.  A caller that needs a value only
+gives the scalar values bit for bit.  Given weights, section_rows gives
+z_custom's values, and the accelerated section's vertical form is such a
+weighted section of N + 1 terms.  A caller that needs a value only
 within x of zero, and elsewhere only its sign, passes exact_below = x: a
 row whose float sum the classical error bound certifies beyond x keeps that
 sum, and every other row takes fsum.  Likewise each cutoff rule is written
@@ -73,14 +75,14 @@ def cosine_rows(ts: np.ndarray, thetas: np.ndarray, n: int) -> np.ndarray:
             * _tables.rsqrt_k(n))
 
 
-def row_blocks(rows: int, width: int):
-    """Consecutive slices of range(rows) holding at most ROW_BLOCK_ELEMENTS // width rows."""
-    step = max(1, ROW_BLOCK_ELEMENTS // max(1, width))
+def row_blocks(rows: int, width: int, elements: int = ROW_BLOCK_ELEMENTS):
+    """Consecutive slices of range(rows) holding at most elements // width rows."""
+    step = max(1, elements // max(1, width))
     for start in range(0, rows, step):
         yield slice(start, min(start + step, rows))
 
 
-def sum_rows(mat: np.ndarray, exact_below=math.inf, tail=None):
+def sum_rows(mat: np.ndarray, exact_below=math.inf):
     """math.fsum of every row, or a float sum certified beyond exact_below: (values, exact).
 
     exact_below is a threshold x >= 0, and exact marks the rows that took
@@ -92,44 +94,36 @@ def sum_rows(mat: np.ndarray, exact_below=math.inf, tail=None):
     magnitude above x; the row returns s.  Every other row, an exact zero
     and a nan or inf included, returns fsum, and so does every row of a
     matrix smaller than FLOAT_SUM_MIN_ELEMENTS or at x = inf (the default).
-    Given a tail, mat holds the first terms of each row, tail joins each
-    row's bound as that of the rest, and the rows marked exact are unsummed.
     """
     if mat.size < FLOAT_SUM_MIN_ELEMENTS or exact_below == math.inf:
-        fast = np.empty(len(mat)) if tail is not None else np.array(
-            [math.fsum(row.tolist()) for row in mat], dtype=np.float64)
-        return fast, np.ones(len(mat), dtype=bool)
+        return (np.array([math.fsum(row.tolist()) for row in mat], dtype=np.float64),
+                np.ones(len(mat), dtype=bool))
     with np.errstate(over="ignore", invalid="ignore"):  # such rows take fsum below
         fast = mat.sum(axis=1)
         bound = np.abs(mat).sum(axis=1)
-    bound = bound * (2.0 * mat.shape[1] * 2.0**-53) + (tail or 0.0)
+    bound *= 2.0 * mat.shape[1] * 2.0**-53
     exact = ~(np.abs(fast) > exact_below + bound)
-    if tail is None and exact.any():
-        fast[exact] = [math.fsum(row) for row in mat[exact].tolist()]
+    if exact.any():
+        fast[exact] = [math.fsum(row.tolist()) for row in mat[exact]]  # a row's floats at a time
     return fast, exact
 
 
 def section_rows(ts: np.ndarray, thetas: np.ndarray, n: int, weights=None,
-                 exact_below=math.inf, head=None, tail=None):
+                 exact_below=math.inf):
     """section(t_i, n) for every point, or z_custom(t_i, weights): (values, exact).
 
     Bit-identical to the scalar functions where exact: the same kernel
     entries, weighted by the same products, each row added with math.fsum;
-    see sum_rows for exact_below and tail.  Given head, the float sums read
-    a row's first head terms, and a row left open is summed in full.
+    see sum_rows for exact_below.
     """
     n = _check_terms(n)
-    width = n if head is None or exact_below == math.inf else min(head, n)
     out = np.empty(len(ts), dtype=np.float64)
     exact = np.empty(len(ts), dtype=bool)
-    for block in row_blocks(len(ts), width):
-        mat = cosine_rows(ts[block], thetas[block], width)
+    for block in row_blocks(len(ts), n):
+        mat = cosine_rows(ts[block], thetas[block], n)
         if weights is not None:
-            mat *= weights[:width]
-        out[block], exact[block] = sum_rows(mat, exact_below, tail if width < n else None)
-    if width < n and exact.any():
-        rows = np.flatnonzero(exact)
-        out[rows] = section_rows(ts[rows], thetas[rows], n, weights)[0]
+            mat *= weights
+        out[block], exact[block] = sum_rows(mat, exact_below)
     return out, exact
 
 

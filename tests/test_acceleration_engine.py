@@ -27,7 +27,6 @@ from zsections.acceleration_engine import (
 from zsections.errors import DomainError, ResourceLimitError
 from zsections.reference_engine import RS4_T_MIN, em_tail_rows, section_rounding
 from zsections.sections_engine import (
-    FLOAT_SUM_MIN_ELEMENTS,
     MAX_SECTION_TERMS,
     CoefficientVector,
     cosine_rows,
@@ -210,34 +209,10 @@ class TestCoefficients:
             accelerated_coefficients(10**6 + 1)
 
 
-class TestTruncatedSum:
-    """The certified float sum of the vertical form reads the first head terms of a row."""
+class TestVerticalRows:
+    """The vertical form's rows are a weighted section of N + 1 terms, like a custom vector."""
 
-    @pytest.mark.parametrize("order", [1, 100, 1000, 2500, MAX_COEFF_ORDER])
-    def test_head_is_the_fewest_terms_whose_rest_is_within_the_limit(self, order):
-        coeffs = accelerated_coefficients(order)
-        bounds = coeffs.weights * (1.0 / np.sqrt(np.arange(1.0, order + 2.0)))
-        assert math.fsum(bounds[coeffs.head:]) <= coeffs.tail <= TAIL_LIMIT * (1.0 + 2.0**-40)
-        assert math.fsum(bounds[coeffs.head - 1:]) > TAIL_LIMIT
-        if order >= 1000:
-            assert coeffs.head < 0.65 * (order + 1)
-
-    def test_dropped_tail_alone_flips_a_sign(self):
-        # Weights whose second term, -5e-19 at theta = 0 and t ln 2 = pi, is within
-        # TAIL_LIMIT: the float sum reads the first term only, +4e-19, while the
-        # whole row sums to -1e-19.  The tail keeps every row open, and fsum of the
-        # full row decides.
-        weights = np.array([4e-19, 5e-19 * math.sqrt(2.0)])
-        head, tail = acceleration_engine._truncation(weights)
-        assert head == 1 and tail >= 5e-19
-        ts = np.full(FLOAT_SUM_MIN_ELEMENTS, math.pi / math.log(2.0))
-        thetas = np.zeros_like(ts)
-        want = section_rows(ts, thetas, 2, weights)[0]
-        assert (want < 0.0).all() and (cosine_rows(ts, thetas, 1)[:, 0] * weights[0] > 0.0).all()
-        got, exact = section_rows(ts, thetas, 2, weights, 0.0, head=head, tail=tail)
-        assert exact.all() and np.array_equal(got, want)
-
-    def test_certified_rows_read_the_head_and_open_rows_the_full_row(self):
+    def test_certified_rows_keep_the_full_row_float_sum(self):
         order = 2000
         coeffs = accelerated_coefficients(order)
         ts = grid_points(4000.0, 4002.0, 0.01)
@@ -246,8 +221,9 @@ class TestTruncatedSum:
         want = accelerated_vertical_rows(ts, thetas, order)[0]
         assert exact.any() and not exact.all()
         assert np.array_equal(got[exact], want[exact])
-        head = cosine_rows(ts[~exact], thetas[~exact], coeffs.head) * coeffs.weights[:coeffs.head]
-        assert np.array_equal(got[~exact], head.sum(axis=1))
+        rows = cosine_rows(ts[~exact], thetas[~exact], order + 1) * coeffs.weights
+        assert np.array_equal(got[~exact], rows.sum(axis=1))
+        assert np.array_equal(got, section_rows(ts, thetas, order + 1, coeffs.weights, 0.1)[0])
 
 
 class TestTriangleEvaluation:
@@ -392,6 +368,15 @@ def mp_rotated_tail(t, m):
 class TestTransitionWindow:
     """The accelerated section is Z_K minus its transition window at K = head, within the
     sigmoid's two 2^-60 ends."""
+
+    @pytest.mark.parametrize("order", [1, 100, 1000, 2500, MAX_COEFF_ORDER])
+    def test_head_is_the_fewest_terms_whose_rest_is_within_the_limit(self, order):
+        coeffs = accelerated_coefficients(order)
+        bounds = coeffs.weights * (1.0 / np.sqrt(np.arange(1.0, order + 2.0)))
+        assert math.fsum(bounds[coeffs.head:]) <= coeffs.tail <= TAIL_LIMIT * (1.0 + 2.0**-40)
+        assert math.fsum(bounds[coeffs.head - 1:]) > TAIL_LIMIT
+        if order >= 1000:
+            assert coeffs.head < 0.65 * (order + 1)
 
     def test_window_bounds(self):
         for order in (1, 2, 100, 1000, 2500):

@@ -662,7 +662,9 @@ def test_non_finite_numbers_refused_by_validation(argv):
 
 @pytest.mark.parametrize("argv, message", [
     (["error-decay", "--t-list", "100,200,400"], "error-decay needs at least one --scheme"),
-    (["coeffs", "--sweep", "0,5"], "--sweep orders must all be >= 1"),
+    (["coeffs", "--sweep", "0,5"], "order must be >= 1, got 0"),
+    (["eval", "--t", "100", "--scheme", "foo"], "unknown scheme 'foo'; choose from ['acc', "
+     "'acc-triangle', 'afe', 'em', 'oracle', 'rs', 'spira'] or custom:<coeff-file>"),
     (["eval", "--range", "1:x:0.1", "--scheme", "spira"],
      "--range must hold numbers, got '1:x:0.1'"),
     (["error-decay", "--t-list", "100,x,400", "--scheme", "spira"],

@@ -536,18 +536,18 @@ class TestCertifiedValues:
         assert cheap[ts >= RS4_T_MIN].any() != always_exact
 
     @pytest.mark.parametrize("exact_below", [0.0, 0.1])
-    def test_truncated_accelerated_sums_at_the_largest_benchmark_orders(self, exact_below):
-        # Orders 2490..2500, where the float sums read 58% of each row; the screen answers
-        # evaluate_grid's points first, so the rows are summed here as the exact path does.
+    def test_accelerated_float_sums_at_the_largest_benchmark_orders(self, exact_below):
+        # Orders 2490..2500, rows of N + 1 terms; the screen answers evaluate_grid's points
+        # first, so the rows are summed here as the exact path does.
         ts = grid_points(4980.0, 5000.0, 0.1)
         thetas, orders = theta_grid(ts), np.floor(ts / 2.0)
         for order in range(2490, 2501):
             at = orders == order
             want = np.array([accelerated_vertical(t, order) for t in ts[at]])
             got, exact = accelerated_vertical_rows(ts[at], thetas[at], order, exact_below)
-            coeffs = accelerated_coefficients(order)
-            rows = cosine_rows(ts[at], thetas[at], coeffs.head) * coeffs.weights[:coeffs.head]
-            bound = 2.0 * coeffs.head * 2.0**-53 * np.abs(rows).sum(axis=1) + coeffs.tail
+            weights = accelerated_coefficients(order).weights
+            rows = cosine_rows(ts[at], thetas[at], order + 1) * weights
+            bound = 2.0 * (order + 1) * 2.0**-53 * np.abs(rows).sum(axis=1)
             assert np.all(np.abs(want - rows.sum(axis=1)) <= bound)
             assert np.array_equal(got[exact], want[exact])
             assert np.array_equal(got[~exact], rows.sum(axis=1)[~exact])
